@@ -29,9 +29,9 @@
 
 namespace {
 
-/// Every experiment reportable from shard state: the registry minus the
-/// ad-hoc-observer (dataset_stats) and self-driving
-/// (ablation_interception) entries, in canonical order. Passed
+/// Every experiment reportable from shard state: the registry minus
+/// dataset_stats (its endpoint sets are not in the shard-state format)
+/// and the self-driving ablation_interception, in canonical order. Passed
 /// identically to `run` and `reduce --run=` so both sides report the
 /// same documents in the same order.
 const char* kDistributable =

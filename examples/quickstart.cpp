@@ -6,6 +6,7 @@
 //  4. Re-parse the logs and run the measurement pipeline over them.
 //
 // Build & run:  ./build/examples/quickstart
+#include <cstddef>
 #include <cstdio>
 
 #include "mtlscope/core/executor.hpp"
@@ -93,19 +94,21 @@ int main() {
   // parallel, and merges the shard pipelines deterministically — the same
   // entry point the repro_* binaries use for full-scale traces.
   core::PipelineExecutor executor(core::PipelineConfig::campus_defaults());
-  executor.add_shared_observer([](const core::EnrichedConnection& enriched) {
-    std::printf(
-        "\npipeline: direction=%s mutual=%s sld=%s client-CN-type=%s "
-        "client-issuer=%s\n",
-        enriched.direction == core::Direction::kInbound ? "inbound"
-                                                        : "outbound",
-        enriched.mutual ? "yes" : "no", enriched.sld.c_str(),
-        enriched.client_leaf
-            ? textclass::info_type_name(enriched.client_leaf->cn_type)
-            : "-",
-        enriched.client_leaf
-            ? core::issuer_category_name(enriched.client_leaf->issuer_category)
-            : "-");
+  executor.add_observer_factory([](std::size_t) {
+    return [](const core::EnrichedConnection& enriched) {
+      std::printf(
+          "\npipeline: direction=%s mutual=%s sld=%s client-CN-type=%s "
+          "client-issuer=%s\n",
+          enriched.direction == core::Direction::kInbound ? "inbound"
+                                                          : "outbound",
+          enriched.mutual ? "yes" : "no", enriched.sld.c_str(),
+          enriched.client_leaf
+              ? textclass::info_type_name(enriched.client_leaf->cn_type)
+              : "-",
+          enriched.client_leaf ? core::issuer_category_name(
+                                     enriched.client_leaf->issuer_category)
+                               : "-");
+    };
   });
   const auto pipeline =
       executor.run_logs(ssl_log, zeek::x509_log_to_string(dataset));

@@ -224,18 +224,21 @@ struct StrEq {
 /// for the arena's lifetime (strings larger than a chunk get a
 /// dedicated allocation, so embedded NULs and multi-megabyte DNs are
 /// fine); nothing is ever freed.
+///
+/// intern() first probes a thread-local, direct-mapped front cache
+/// shared by all arenas; only a miss takes the shard lock. Slots are
+/// keyed by a process-unique arena id (never the address, which a new
+/// arena may reuse) and hold a pointer the shard already returned, so a
+/// hit yields the same pointer the locked path would.
 class StringArena {
  public:
   struct Stats {
     std::uint64_t strings = 0;      // distinct interned values
     std::uint64_t bytes = 0;        // payload bytes (excluding NULs)
     std::uint64_t chunk_bytes = 0;  // reserved storage
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
   };
 
-  explicit StringArena(std::size_t chunk_bytes = 256 * 1024)
-      : chunk_bytes_(chunk_bytes) {}
+  explicit StringArena(std::size_t chunk_bytes = 256 * 1024);
   StringArena(const StringArena&) = delete;
   StringArena& operator=(const StringArena&) = delete;
 
@@ -264,7 +267,10 @@ class StringArena {
 
   static constexpr std::size_t kShardCount = 16;
 
+  Str intern_locked(std::string_view s, std::size_t hash);
+
   const std::size_t chunk_bytes_;
+  const std::uint64_t id_;  // front-cache key, unique for the process
   Shard shards_[kShardCount];
 };
 

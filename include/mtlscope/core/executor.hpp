@@ -41,7 +41,6 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -93,11 +92,6 @@ class PipelineExecutor {
   /// Per-shard observers: the factory runs once per shard; each returned
   /// observer only ever fires on its own shard's thread.
   void add_observer_factory(ObserverFactory factory);
-
-  /// Shared observer: one callable fired from every shard, serialized by a
-  /// mutex. Connections arrive shard-interleaved, so only commutative
-  /// accumulators (counters, sets, min/max) observe deterministically.
-  void add_shared_observer(Observer observer);
 
   /// Attaches one analyzer instance per shard; merge with
   /// std::move(sharded).merged() after run(). `sharded` must outlive the
@@ -200,7 +194,7 @@ class PipelineExecutor {
       const ingest::IngestOptions& options = {});
 
  private:
-  /// K prepared-mode pipelines with per-shard and shared observers wired.
+  /// K prepared-mode pipelines with the per-shard observers wired.
   std::vector<Pipeline> make_shards(const Pipeline::Prepared& prepared);
 
   /// The zero-materialization container path (DESIGN §15): phase A
@@ -215,8 +209,6 @@ class PipelineExecutor {
   PipelineConfig config_;
   std::size_t threads_;
   std::vector<ObserverFactory> factories_;
-  std::vector<Observer> shared_observers_;
-  std::mutex shared_mutex_;
   ScanMode scan_mode_ = ScanMode::kAuto;
   RunStats stats_;
 };

@@ -38,10 +38,6 @@ class Harness {
 
   std::size_t shard_count() const { return executor_.shard_count(); }
 
-  /// Shared observer, fired from every shard under a mutex — use for
-  /// ad-hoc commutative accumulators (counters, sets).
-  void add_observer(core::Pipeline::Observer observer);
-
   /// One analyzer instance per shard; merge with std::move(s).merged()
   /// after run().
   template <typename A>

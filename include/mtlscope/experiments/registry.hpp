@@ -47,7 +47,7 @@ class Experiment {
   virtual void prepare_model(gen::CampusModel& model) const {
     (void)model;
   }
-  /// Attach Sharded analyzers / shared observers before run().
+  /// Attach Sharded analyzers before run().
   virtual void attach(Harness& run) { (void)run; }
   /// Convert results into doc blocks after run().
   virtual void report(Harness& run, core::ResultDoc& doc) = 0;
@@ -64,7 +64,8 @@ class Experiment {
   /// True when report() can run from deserialized shard state (a
   /// reduce-mode Harness): everything it reads is the merged pipeline,
   /// the eight standard analyzers, or the ledger. Experiments with
-  /// ad-hoc shared observers or self-driving passes override to false.
+  /// analyzers outside the shard-state format or self-driving passes
+  /// override to false.
   virtual bool distributable() const { return !self_driving(); }
 };
 

@@ -1,6 +1,29 @@
 #include "mtlscope/colfmt/arena.hpp"
 
+#include <atomic>
+
 namespace mtlscope::colfmt {
+
+namespace {
+
+/// One front-cache entry: the bytes `data[0, size)` are interned in the
+/// arena whose id is `arena` (0 = empty; ids start at 1).
+struct FrontSlot {
+  std::uint64_t arena = 0;
+  const char* data = nullptr;
+  std::uint32_t size = 0;
+};
+
+constexpr std::size_t kFrontSlots = 4096;  // 96 KiB per thread
+thread_local FrontSlot front_cache[kFrontSlots];
+
+std::atomic<std::uint64_t> next_arena_id{1};
+
+}  // namespace
+
+StringArena::StringArena(std::size_t chunk_bytes)
+    : chunk_bytes_(chunk_bytes),
+      id_(next_arena_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Str::Str(std::string_view s) : Str(StringArena::global().intern(s)) {}
 
@@ -18,13 +41,24 @@ Str StringArena::intern(std::string_view s) {
   if (s.empty()) return Str("", 0);
 
   const std::size_t hash = ViewHash{}(s);
+  // The shard index uses the low bits; the slot index uses the rest.
+  FrontSlot& slot = front_cache[(hash / kShardCount) % kFrontSlots];
+  if (slot.arena == id_ && slot.size == s.size() &&
+      std::memcmp(slot.data, s.data(), s.size()) == 0) {
+    return Str(slot.data, slot.size);
+  }
+  const Str interned = intern_locked(s, hash);
+  slot = FrontSlot{id_, interned.data(),
+                   static_cast<std::uint32_t>(interned.size())};
+  return interned;
+}
+
+Str StringArena::intern_locked(std::string_view s, std::size_t hash) {
   Shard& shard = shards_[hash % kShardCount];
   std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.stats.lookups;
 
   const auto it = shard.set.find(s);
   if (it != shard.set.end()) {
-    ++shard.stats.hits;
     return Str(it->data(), static_cast<std::uint32_t>(it->size()));
   }
 
@@ -58,8 +92,6 @@ StringArena::Stats StringArena::stats() const {
     total.strings += shard.stats.strings;
     total.bytes += shard.stats.bytes;
     total.chunk_bytes += shard.stats.chunk_bytes;
-    total.lookups += shard.stats.lookups;
-    total.hits += shard.stats.hits;
   }
   return total;
 }

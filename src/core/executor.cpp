@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -216,10 +217,6 @@ void PipelineExecutor::add_observer_factory(ObserverFactory factory) {
   factories_.push_back(std::move(factory));
 }
 
-void PipelineExecutor::add_shared_observer(Observer observer) {
-  shared_observers_.push_back(std::move(observer));
-}
-
 const PipelineConfig& PipelineExecutor::config() const { return config_; }
 
 void PipelineExecutor::note_run_stats(const Enricher& enricher,
@@ -239,12 +236,6 @@ std::vector<Pipeline> PipelineExecutor::make_shards(
     shards.emplace_back(prepared);
     for (const auto& factory : factories_) {
       shards[t].add_observer(factory(t));
-    }
-    for (auto& observer : shared_observers_) {
-      shards[t].add_observer([this, &observer](const EnrichedConnection& c) {
-        const std::lock_guard<std::mutex> lock(shared_mutex_);
-        observer(c);
-      });
     }
   }
   return shards;

@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <set>
+#include <unordered_set>
 
 #include "experiments_internal.hpp"
 #include "mtlscope/core/analyzers.hpp"
@@ -302,6 +302,72 @@ class Fig1 final : public Experiment {
   std::optional<core::Sharded<core::PrevalenceAnalyzer>> prevalence_;
 };
 
+/// §3.3 accumulator, one per shard: distinct endpoint sets and mutual
+/// traffic counters. Only set sizes are reported, so the sets hash on
+/// bytes; merging is set union plus counter sums.
+struct DatasetStatsAnalyzer {
+  using IpSet = std::unordered_set<colfmt::Str, colfmt::StrHash, colfmt::StrEq>;
+  IpSet server_ips, client_ips;
+  IpSet tls13_server_ips, tls13_client_ips;
+  IpSet external_server_ips, cloud_security_server_ips;
+  std::uint64_t inbound_mutual = 0, inbound_device_mgmt = 0,
+                inbound_health = 0;
+  std::uint64_t outbound_mutual = 0, outbound_email = 0;
+
+  void observe(const core::EnrichedConnection& c) {
+    server_ips.insert(c.ssl->resp_h);
+    client_ips.insert(c.ssl->orig_h);
+    if (c.ssl->version == "TLSv13") {
+      tls13_server_ips.insert(c.ssl->resp_h);
+      tls13_client_ips.insert(c.ssl->orig_h);
+    }
+    if (c.direction == core::Direction::kOutbound && c.mutual) {
+      // §3.3 talks about the external servers of outbound mutual
+      // traffic.
+      external_server_ips.insert(c.ssl->resp_h);
+      if (c.sld == "amazonaws.com" || c.sld == "rapid7.com" ||
+          c.sld == "gpcloudservice.com" || c.sld == "azure.com" ||
+          c.sld == "splunkcloud.com" || c.sld == "azuresphere.net" ||
+          c.sld == "iot-bridge.net") {
+        cloud_security_server_ips.insert(c.ssl->resp_h);
+      }
+    }
+    if (!c.mutual) return;
+    if (c.direction == core::Direction::kInbound) {
+      ++inbound_mutual;
+      const std::uint16_t port = c.ssl->resp_p;
+      // Device management & access control: FileWave, LDAPS, Outset.
+      if (port == 20017 || port == 636 || port == 9093) {
+        ++inbound_device_mgmt;
+      }
+      if (c.assoc == core::ServerAssociation::kUniversityHealth) {
+        ++inbound_health;
+      }
+    } else {
+      ++outbound_mutual;
+      const std::uint16_t port = c.ssl->resp_p;
+      if (port == 25 || port == 465 || port == 587 || port == 993 ||
+          port == 995) {
+        ++outbound_email;
+      }
+    }
+  }
+
+  void merge(DatasetStatsAnalyzer&& other) {
+    server_ips.merge(other.server_ips);
+    client_ips.merge(other.client_ips);
+    tls13_server_ips.merge(other.tls13_server_ips);
+    tls13_client_ips.merge(other.tls13_client_ips);
+    external_server_ips.merge(other.external_server_ips);
+    cloud_security_server_ips.merge(other.cloud_security_server_ips);
+    inbound_mutual += other.inbound_mutual;
+    inbound_device_mgmt += other.inbound_device_mgmt;
+    inbound_health += other.inbound_health;
+    outbound_mutual += other.outbound_mutual;
+    outbound_email += other.outbound_email;
+  }
+};
+
 class DatasetStats final : public Experiment {
  public:
   const ExperimentInfo& info() const override {
@@ -311,8 +377,8 @@ class DatasetStats final : public Experiment {
     return kInfo;
   }
 
-  // The §3.3 statistics come from an ad-hoc shared observer whose counts
-  // are not part of the serialized shard state.
+  // The §3.3 endpoint sets are per-shard state merged at report time;
+  // they are not part of the serialized shard state.
   bool distributable() const override { return false; }
 
   void prepare_model(gen::CampusModel& model) const override {
@@ -325,47 +391,12 @@ class DatasetStats final : public Experiment {
   }
 
   void attach(Harness& run) override {
-    run.add_observer([this](const core::EnrichedConnection& c) {
-      server_ips_.insert(c.ssl->resp_h);
-      client_ips_.insert(c.ssl->orig_h);
-      if (c.ssl->version == "TLSv13") {
-        tls13_server_ips_.insert(c.ssl->resp_h);
-        tls13_client_ips_.insert(c.ssl->orig_h);
-      }
-      if (c.direction == core::Direction::kOutbound && c.mutual) {
-        // §3.3 talks about the external servers of outbound mutual
-        // traffic.
-        external_server_ips_.insert(c.ssl->resp_h);
-        if (c.sld == "amazonaws.com" || c.sld == "rapid7.com" ||
-            c.sld == "gpcloudservice.com" || c.sld == "azure.com" ||
-            c.sld == "splunkcloud.com" || c.sld == "azuresphere.net" ||
-            c.sld == "iot-bridge.net") {
-          cloud_security_server_ips_.insert(c.ssl->resp_h);
-        }
-      }
-      if (!c.mutual) return;
-      if (c.direction == core::Direction::kInbound) {
-        ++inbound_mutual_;
-        const std::uint16_t port = c.ssl->resp_p;
-        // Device management & access control: FileWave, LDAPS, Outset.
-        if (port == 20017 || port == 636 || port == 9093) {
-          ++inbound_device_mgmt_;
-        }
-        if (c.assoc == core::ServerAssociation::kUniversityHealth) {
-          ++inbound_health_;
-        }
-      } else {
-        ++outbound_mutual_;
-        const std::uint16_t port = c.ssl->resp_p;
-        if (port == 25 || port == 465 || port == 587 || port == 993 ||
-            port == 995) {
-          ++outbound_email_;
-        }
-      }
-    });
+    stats_.emplace(run.shard_count());
+    run.attach(*stats_);
   }
 
   void report(Harness& run, core::ResultDoc& doc) override {
+    const DatasetStatsAnalyzer stats = std::move(*stats_).merged();
     const auto& totals = run.pipeline().totals();
     auto& table =
         doc.add_table("statistics", {{"Statistic", ColumnType::kString},
@@ -377,31 +408,31 @@ class DatasetStats final : public Experiment {
                        static_cast<double>(totals.connections))});
     table.add_row(
         {Cell::text("TLS 1.3 share of server IPs"), Cell::text("25.35%"),
-         Cell::percent(static_cast<double>(tls13_server_ips_.size()),
-                       static_cast<double>(server_ips_.size()))});
+         Cell::percent(static_cast<double>(stats.tls13_server_ips.size()),
+                       static_cast<double>(stats.server_ips.size()))});
     table.add_row(
         {Cell::text("TLS 1.3 share of client IPs"), Cell::text("32.23%"),
-         Cell::percent(static_cast<double>(tls13_client_ips_.size()),
-                       static_cast<double>(client_ips_.size()))});
+         Cell::percent(static_cast<double>(stats.tls13_client_ips.size()),
+                       static_cast<double>(stats.client_ips.size()))});
     table.add_row(
         {Cell::text("Inbound mutual: device mgmt / access control"),
          Cell::text(">30%"),
-         Cell::percent(static_cast<double>(inbound_device_mgmt_),
-                       static_cast<double>(inbound_mutual_))});
+         Cell::percent(static_cast<double>(stats.inbound_device_mgmt),
+                       static_cast<double>(stats.inbound_mutual))});
     table.add_row(
         {Cell::text("Inbound mutual: medical center"), Cell::text("64.9%"),
-         Cell::percent(static_cast<double>(inbound_health_),
-                       static_cast<double>(inbound_mutual_))});
+         Cell::percent(static_cast<double>(stats.inbound_health),
+                       static_cast<double>(stats.inbound_mutual))});
     table.add_row(
         {Cell::text("Outbound mutual: email protocols"), Cell::text(">6%"),
-         Cell::percent(static_cast<double>(outbound_email_),
-                       static_cast<double>(outbound_mutual_))});
+         Cell::percent(static_cast<double>(stats.outbound_email),
+                       static_cast<double>(stats.outbound_mutual))});
     table.add_row(
         {Cell::text("External servers at cloud/security providers"),
          Cell::text(">68%"),
          Cell::percent(
-             static_cast<double>(cloud_security_server_ips_.size()),
-             static_cast<double>(external_server_ips_.size()))});
+             static_cast<double>(stats.cloud_security_server_ips.size()),
+             static_cast<double>(stats.external_server_ips.size()))});
 
     const double tls13_pct =
         totals.connections == 0
@@ -409,15 +440,15 @@ class DatasetStats final : public Experiment {
             : 100.0 * static_cast<double>(totals.tls13) /
                   static_cast<double>(totals.connections);
     const double device_pct =
-        inbound_mutual_ == 0
+        stats.inbound_mutual == 0
             ? 0
-            : 100.0 * static_cast<double>(inbound_device_mgmt_) /
-                  static_cast<double>(inbound_mutual_);
+            : 100.0 * static_cast<double>(stats.inbound_device_mgmt) /
+                  static_cast<double>(stats.inbound_mutual);
     const double email_pct =
-        outbound_mutual_ == 0
+        stats.outbound_mutual == 0
             ? 0
-            : 100.0 * static_cast<double>(outbound_email_) /
-                  static_cast<double>(outbound_mutual_);
+            : 100.0 * static_cast<double>(stats.outbound_email) /
+                  static_cast<double>(stats.outbound_mutual);
     doc.add_line();
     doc.add_line("shape checks:");
     doc.add_check("TLS 1.3 blind spot is a large minority (25-50%)",
@@ -426,15 +457,15 @@ class DatasetStats final : public Experiment {
                   device_pct > 20);
     doc.add_check("email exceeds 4% of outbound mutual", email_pct > 4);
     const double s13 =
-        server_ips_.empty()
+        stats.server_ips.empty()
             ? 0
-            : 100.0 * static_cast<double>(tls13_server_ips_.size()) /
-                  static_cast<double>(server_ips_.size());
+            : 100.0 * static_cast<double>(stats.tls13_server_ips.size()) /
+                  static_cast<double>(stats.server_ips.size());
     const double c13 =
-        client_ips_.empty()
+        stats.client_ips.empty()
             ? 0
-            : 100.0 * static_cast<double>(tls13_client_ips_.size()) /
-                  static_cast<double>(client_ips_.size());
+            : 100.0 * static_cast<double>(stats.tls13_client_ips.size()) /
+                  static_cast<double>(stats.client_ips.size());
     const bool minority = s13 < 50 && c13 < 55;
     doc.add_check(
         strf("  TLS 1.3 touches a minority of endpoints (s<50%%, c<55%%): "
@@ -449,13 +480,7 @@ class DatasetStats final : public Experiment {
   }
 
  private:
-  using IpSet = std::set<colfmt::Str, colfmt::StrLess>;
-  IpSet server_ips_, client_ips_;
-  IpSet tls13_server_ips_, tls13_client_ips_;
-  IpSet external_server_ips_, cloud_security_server_ips_;
-  std::uint64_t inbound_mutual_ = 0, inbound_device_mgmt_ = 0,
-                inbound_health_ = 0;
-  std::uint64_t outbound_mutual_ = 0, outbound_email_ = 0;
+  std::optional<core::Sharded<DatasetStatsAnalyzer>> stats_;
 };
 
 template <typename E>

@@ -89,15 +89,11 @@ const core::AnalyzerSet& Harness::analyzers() const {
 core::Pipeline& Harness::pipeline() {
   if (!pipeline_) {
     std::fprintf(stderr,
-                 "Harness::pipeline() called before run(); observers must "
-                 "be registered via add_observer()/attach()\n");
+                 "Harness::pipeline() called before run(); analyzers must "
+                 "be attached via attach()\n");
     std::abort();
   }
   return *pipeline_;
-}
-
-void Harness::add_observer(core::Pipeline::Observer observer) {
-  executor_.add_shared_observer(std::move(observer));
 }
 
 void Harness::run() {

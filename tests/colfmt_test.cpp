@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,7 +153,10 @@ void expect_x509_equal(const zeek::X509Record& a, const zeek::X509Record& b,
 TEST_F(ColfmtTest, ArenaInternsOnePointerPerValueAcrossThreads) {
   // Worker threads interning the same values — the shard-merge shape:
   // analyzer shards built on different threads hold Strs for the same
-  // issuers, and the merged result must see one storage per value.
+  // issuers, and the merged result must see one storage per value. Each
+  // thread interns every value twice and keeps the second handle, so
+  // the thread-local front cache is the path that must return the
+  // shard's pointer.
   colfmt::StringArena arena(4096);
   constexpr int kThreads = 8;
   constexpr int kValues = 200;
@@ -164,7 +168,11 @@ TEST_F(ColfmtTest, ArenaInternsOnePointerPerValueAcrossThreads) {
         auto& mine = per_thread[t];
         mine.reserve(kValues);
         for (int v = 0; v < kValues; ++v) {
-          mine.push_back(arena.intern("issuer-" + std::to_string(v)));
+          const std::string value = "issuer-" + std::to_string(v);
+          const colfmt::Str first = arena.intern(value);
+          const colfmt::Str again = arena.intern(value);
+          EXPECT_EQ(first.data(), again.data()) << "value " << v;
+          mine.push_back(again);
         }
       });
     }
@@ -179,6 +187,32 @@ TEST_F(ColfmtTest, ArenaInternsOnePointerPerValueAcrossThreads) {
     }
   }
   EXPECT_EQ(arena.stats().strings, static_cast<std::uint64_t>(kValues));
+}
+
+TEST_F(ColfmtTest, ArenaFrontCacheIsPerInstance) {
+  // A new arena built in the storage of a destroyed one must not be
+  // served the old arena's cached pointers: every value is interned
+  // afresh. The values are built up front and re-interned newest first,
+  // so the first probes name bytes that sit past the start of a freed
+  // chunk, where a stale slot would still compare equal.
+  constexpr int kValues = 64;
+  std::vector<std::string> values;
+  for (int v = 0; v < kValues; ++v) {
+    values.push_back("CN=reused-slot-" + std::to_string(v));
+  }
+  std::optional<colfmt::StringArena> arena;
+  arena.emplace(4096);
+  const void* storage = &*arena;
+  for (const std::string& value : values) arena->intern(value);
+  arena.reset();
+  arena.emplace(4096);
+  ASSERT_EQ(static_cast<const void*>(&*arena), storage);
+  for (int v = kValues - 1; v >= 0; --v) {
+    const colfmt::Str fresh = arena->intern(values[v]);
+    EXPECT_EQ(fresh.view(), values[v]);
+    EXPECT_EQ(arena->intern(values[v]).data(), fresh.data()) << "value " << v;
+  }
+  EXPECT_EQ(arena->stats().strings, static_cast<std::uint64_t>(kValues));
 }
 
 TEST_F(ColfmtTest, ArenaKeepsEmbeddedNulsAndHugeValues) {
