@@ -366,7 +366,7 @@ int run_map(int argc, char** argv) {
     gen::TraceGenerator generator(std::move(model));
     config.ct = &generator.ct_database();
     core::PipelineExecutor executor(config, options.threads);
-    state = executor.fold(generator.generate_dataset());
+    state = executor.fold(generator.generate_dataset(executor.shard_count()));
     state.meta.cert_scale = *options.cert_scale_override;
     state.meta.conn_scale = *options.conn_scale_override;
   }

@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    result.emplace(executor.run(generator.generate_dataset()));
+    result.emplace(
+        executor.run(generator.generate_dataset(executor.shard_count())));
   }
   const core::Pipeline& pipeline = *result;
   auto prevalence = std::move(prevalence_shards).merged();

@@ -177,7 +177,10 @@ struct RunInfo {
   std::size_t gen_mutual = 0;
   std::size_t gen_certificates = 0;
   std::size_t records = 0;
-  double wall_seconds = 0;
+  double wall_seconds = 0;  // the pipeline pass only
+  /// Trace generation time of a synthetic run (0 in file mode). Volatile
+  /// (perf envelope and non-stable text footer only).
+  double generate_seconds = 0;
   /// Pass-sharing group id from the experiment registry: experiments
   /// with the same id rode one pipeline pass. Volatile metadata (perf
   /// envelope only, never canonical JSON or golden text).

@@ -45,13 +45,15 @@ class Harness {
     executor_.attach(sharded);
   }
 
-  /// Generates the trace (or opens the log files), then runs the
-  /// executor. The wall-clock figures cover the pipeline execution only
-  /// (not generation). File-mode failures print the structured
-  /// IngestError and exit(1).
+  /// Generates the trace on the executor's shard count (or opens the log
+  /// files), then runs the executor. wall_seconds() covers the pipeline
+  /// execution only; generate_seconds() covers trace generation (0 in
+  /// file mode). File-mode failures print the structured IngestError
+  /// and exit(1).
   void run();
 
   double wall_seconds() const { return wall_seconds_; }
+  double generate_seconds() const { return generate_seconds_; }
   std::size_t records_processed() const { return records_; }
   /// Bytes of Zeek log input parsed (ssl + x509). 0 in synthetic mode.
   std::uint64_t parse_bytes() const { return parse_bytes_; }
@@ -79,6 +81,7 @@ class Harness {
   core::PipelineExecutor executor_;
   std::optional<core::Pipeline> pipeline_;
   double wall_seconds_ = 0;
+  double generate_seconds_ = 0;
   std::size_t records_ = 0;
   std::uint64_t parse_bytes_ = 0;
   core::ErrorLedger ledger_;

@@ -1,6 +1,11 @@
 // Turns a CampusModel into a stream of TlsConnections (with real DER
 // certificates attached) plus the side artifacts the pipeline needs: the
 // CT database and the campus-CA name list.
+//
+// Generation runs in two stages (DESIGN §17): a serial plan stage makes
+// every random draw and records what to build, and a pure materialize
+// stage signs, hashes and renders that plan, optionally on worker
+// threads.
 #pragma once
 
 #include <functional>
@@ -28,12 +33,16 @@ class TraceGenerator {
   TraceGenerator(const TraceGenerator&) = delete;
   TraceGenerator& operator=(const TraceGenerator&) = delete;
 
-  /// Generates the whole trace, invoking `sink` once per connection.
-  /// Deterministic for a fixed model (including seed). May be called once.
+  /// Generates the whole trace, invoking `sink` once per connection in
+  /// trace order. Deterministic for a fixed model (including seed). Call
+  /// at most one of generate() and generate_dataset(), once.
   void generate(const Sink& sink);
 
-  /// Convenience: generates into an in-memory Zeek dataset.
-  zeek::Dataset generate_dataset();
+  /// Generates into an in-memory Zeek dataset. `threads` workers build
+  /// certificates and rows (1 runs inline); the dataset is byte-identical
+  /// for every thread count, and to generate() fed through
+  /// Dataset::add_connection.
+  zeek::Dataset generate_dataset(std::size_t threads = 1);
 
   /// The CT database populated during generation (legitimate public
   /// issuances only) — input to the interception filter.

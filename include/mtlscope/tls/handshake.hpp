@@ -42,15 +42,40 @@ struct HandshakeOptions {
   util::UnixSeconds validation_time = 0;
 };
 
-/// Runs the simulated handshake and returns the monitor's view.
-///
-/// Rules:
-///  - negotiated version = min(client.max_version, server.max_version);
+/// What decides a handshake's outcome, short of the certificate bytes.
+struct HandshakeTerms {
+  TlsVersion client_max = TlsVersion::kTls12;
+  TlsVersion server_max = TlsVersion::kTls12;
+  bool request_client_certificate = false;
+  bool validate_client_certificate = false;
+  /// Validity of the client's leaf; nullopt when the client has no
+  /// certificate to send.
+  std::optional<x509::Validity> client_leaf;
+  util::UnixSeconds validation_time = 0;
+};
+
+/// The monitor's view of a handshake, short of the certificate bytes:
+/// which chains it records and whether the session came up.
+struct HandshakeOutcome {
+  TlsVersion version = TlsVersion::kTls12;
+  bool established = true;
+  bool server_chain_visible = false;
+  bool client_chain_visible = false;
+};
+
+/// The handshake rules, shared by simulate_handshake and the trace
+/// generator (which plans connections without copying chains):
+///  - negotiated version = min(client_max, server_max);
 ///  - under TLS 1.3 both chains are invisible to the monitor (empty in
 ///    the result) but the connection is still recorded;
 ///  - the client sends its chain only if the server requested one;
-///  - if the server validates and the client leaf is expired at
-///    `validation_time`, the connection is recorded as not established.
+///  - if the server validates and the client leaf is outside its
+///    validity at `validation_time`, the connection is recorded as not
+///    established.
+HandshakeOutcome handshake_outcome(const HandshakeTerms& terms);
+
+/// Runs the simulated handshake and returns the monitor's view, by the
+/// rules of handshake_outcome.
 TlsConnection simulate_handshake(const ClientProfile& client,
                                  const ServerProfile& server,
                                  const HandshakeOptions& options);

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,12 @@ std::string fuid_of(const x509::Certificate& cert);
 
 /// Converts a parsed certificate into its x509.log row.
 X509Record to_x509_record(const x509::Certificate& cert);
+/// The same, for a caller that already holds `fuid_of(cert)`.
+X509Record to_x509_record(const x509::Certificate& cert, colfmt::Str fuid);
+
+/// The ssl.log row of `conn` with both chain-fuid lists left empty; the
+/// caller appends the fuids of the chains it records.
+SslRecord ssl_row(const tls::TlsConnection& conn);
 
 /// An ssl.log + x509.log pair over the same capture window.
 class Dataset {
@@ -86,8 +93,12 @@ class Dataset {
   const X509Map& x509() const { return x509_; }
 
   const X509Record* find_certificate(std::string_view fuid) const;
+  /// Adds an x509 row unless one with the same fuid exists (first wins).
   void add_x509(X509Record record);
   void add_ssl(SslRecord record) { ssl_.push_back(std::move(record)); }
+  /// Appends `n` default ssl rows and returns them, so that workers can
+  /// fill disjoint slots in parallel while row order stays fixed.
+  std::span<SslRecord> append_ssl_slots(std::size_t n);
 
   std::size_t connection_count() const { return ssl_.size(); }
   std::size_t certificate_count() const { return x509_.size(); }

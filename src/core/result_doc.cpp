@@ -244,10 +244,10 @@ std::string render_footer(const ResultDoc& doc) {
     out += "\n";
   } else if (doc.run.gen_stats) {
     out += strf(
-        "\n[run: %zu connections generated, %zu mutual, %zu certificates "
-        "minted]\n",
-        doc.run.gen_connections, doc.run.gen_mutual,
-        doc.run.gen_certificates);
+        "\n[run: %zu connections generated in %.3f s, %zu mutual, %zu "
+        "certificates minted]\n",
+        doc.run.gen_connections, doc.run.generate_seconds,
+        doc.run.gen_mutual, doc.run.gen_certificates);
   }
   out += strf("[pipeline: %zu threads, %zu records in %.3f s — %.0f "
               "records/s]\n",
@@ -579,6 +579,8 @@ std::string render_json_with_perf(const ResultDoc& doc, int indent,
     w.value_uint(doc.run.threads);
     w.key("wall_seconds");
     w.value_double(doc.run.wall_seconds, 6);
+    w.key("generate_seconds");
+    w.value_double(doc.run.generate_seconds, 6);
     w.key("records_per_second");
     w.value_double(doc.run.records_per_second(), 0);
     w.key("parse_bytes");

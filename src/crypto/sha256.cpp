@@ -103,20 +103,17 @@ void Sha256::update(std::string_view data) {
 
 Sha256::Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
-  }
-  std::array<std::uint8_t, 8> len_bytes;
+  // 0x80, then zeros up to 56 mod 64, then the 64-bit big-endian bit
+  // length: 9..72 bytes fed through one update(). That update also
+  // counts the padding in total_len_, which is harmless because
+  // bit_len was captured first.
+  const std::size_t zeros = (119 - buffer_len_) % 64;
+  std::array<std::uint8_t, 72> pad{};
+  pad[0] = 0x80;
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    pad[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Length bytes must not be counted in total_len_, but at this point the
-  // padding has already fixed the final block, so feeding them through
-  // update() is safe: it fills the buffer to 64 and flushes.
-  update(std::span<const std::uint8_t>(len_bytes.data(), len_bytes.size()));
+  update(std::span<const std::uint8_t>(pad.data(), 1 + zeros + 8));
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -294,7 +294,8 @@ class AblationInterception final : public Experiment {
       config.ct = &generator.ct_database();
       config.interception_domain_threshold = threshold;
       core::PipelineExecutor executor(std::move(config), options.threads);
-      const auto pipeline = executor.run(generator.generate_dataset());
+      const auto pipeline =
+          executor.run(generator.generate_dataset(executor.shard_count()));
 
       std::size_t true_proxies = 0;
       std::size_t false_positives = 0;

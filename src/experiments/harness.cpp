@@ -105,9 +105,12 @@ void Harness::run() {
     run_files();
     return;
   }
-  const auto dataset = generator_.generate_dataset();
+  const auto generate_start = std::chrono::steady_clock::now();
+  const auto dataset = generator_.generate_dataset(executor_.shard_count());
   records_ = dataset.connection_count();
   const auto start = std::chrono::steady_clock::now();
+  generate_seconds_ =
+      std::chrono::duration<double>(start - generate_start).count();
   pipeline_.emplace(executor_.run(dataset));
   const auto stop = std::chrono::steady_clock::now();
   wall_seconds_ = std::chrono::duration<double>(stop - start).count();

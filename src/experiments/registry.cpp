@@ -246,6 +246,7 @@ std::vector<core::ResultDoc> run_experiments(
       }
       run.records = harness.records_processed();
       run.wall_seconds = harness.wall_seconds();
+      run.generate_seconds = harness.generate_seconds();
       run.parse_bytes = harness.parse_bytes();
       const auto& scan_stats = harness.executor().last_run_stats();
       run.scan = scan_stats.scan;

@@ -1,12 +1,15 @@
 #include "mtlscope/gen/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 
 #include "mtlscope/textclass/lexicon.hpp"
 #include "mtlscope/tls/handshake.hpp"
 #include "mtlscope/trust/public_cas.hpp"
+#include "mtlscope/util/parallel.hpp"
 #include "mtlscope/x509/builder.hpp"
 
 namespace mtlscope::gen {
@@ -19,6 +22,63 @@ namespace {
 constexpr double kDaySeconds = 86'400.0;
 
 std::string campus_org() { return "Blue Ridge University"; }
+
+/// Index of a certificate in the current unit's CertSlot table.
+using CertId = std::uint32_t;
+constexpr CertId kNoCert = ~CertId{0};
+
+/// Connections planned before the materialize stage runs: bounds the
+/// plan buffer (and the transient row buffers) per unit.
+constexpr std::size_t kConnBatch = 16'384;
+/// Smallest share of work worth a thread of its own.
+constexpr std::size_t kCertsPerWorker = 16;
+constexpr std::size_t kConnsPerWorker = 1'024;
+
+/// One certificate of the current unit. The plan stage fills the plan
+/// fields (every random draw already made) or points `prebuilt` at a CA
+/// certificate a server sends as its intermediate; the materialize stage
+/// builds it once and computes its fuid once.
+struct CertSlot {
+  // Plan.
+  x509::CertificateBuilder builder;  // everything but the public key
+  std::string key_label;             // TsigKey::derive seed
+  std::size_t key_bits = 2048;
+  const trust::CertificateAuthority* issuer = nullptr;  // null: self-signed
+  x509::Validity validity;  // as encoded; decides client validation
+  const x509::Certificate* prebuilt = nullptr;
+  bool seen = false;  // already in a visible chain: its x509 row is queued
+  // Materialized.
+  x509::Certificate built;
+  colfmt::Str fuid;
+
+  const x509::Certificate& cert() const {
+    return prebuilt != nullptr ? *prebuilt : built;
+  }
+
+  void materialize() {
+    if (prebuilt == nullptr) {
+      const auto key = crypto::TsigKey::derive(key_label, key_bits);
+      builder.public_key(key.key);
+      built = issuer != nullptr ? issuer->issue(builder)
+                                : builder.self_sign(key);
+      builder = x509::CertificateBuilder();  // the plan is spent
+    }
+    fuid = zeek::fuid_of(cert());
+  }
+};
+
+/// One planned connection: the monitor's view with the chains held as
+/// slot ids. Only chains the handshake outcome makes visible are set.
+struct ConnPlan {
+  tls::TlsConnection conn;  // chains empty
+  std::array<CertId, 2> server_chain{kNoCert, kNoCert};  // leaf, intermediate
+  CertId client_leaf = kNoCert;
+};
+
+std::size_t workers_for(std::size_t items, std::size_t per_worker,
+                        std::size_t threads) {
+  return std::clamp<std::size_t>(items / per_worker, 1, threads);
+}
 
 }  // namespace
 
@@ -53,12 +113,22 @@ class TraceGenerator::Impl {
   Impl(CampusModel model, ctlog::CtDatabase& ct, Stats& stats)
       : model_(std::move(model)), ct_(ct), stats_(stats), rng_(model_.seed) {}
 
-  void generate(const Sink& sink) {
+  /// Plans the trace unit by unit (each cluster, then interception, then
+  /// background) and materializes each unit's plans into exactly one of
+  /// `sink` or `dataset`.
+  void generate(const Sink* sink, zeek::Dataset* dataset,
+                std::size_t threads) {
+    sink_ = sink;
+    dataset_ = dataset;
+    threads_ = std::max<std::size_t>(1, threads);
     for (auto& cluster : model_.clusters) {
-      emit_cluster(cluster, sink);
+      plan_cluster(cluster);
+      end_unit();
     }
-    emit_interception(sink);
-    emit_background(sink);
+    plan_interception();
+    end_unit();
+    plan_background();
+    end_unit();
   }
 
  private:
@@ -277,10 +347,6 @@ class TraceGenerator::Impl {
 
   // --- Certificate minting ---------------------------------------------------
 
-  struct MintedCert {
-    x509::Certificate cert;
-  };
-
   const trust::CertificateAuthority& issuer_for(const TrafficCluster& cluster,
                                                 const CertSpec& spec,
                                                 std::size_t index) {
@@ -318,13 +384,14 @@ class TraceGenerator::Impl {
     return private_ca("unreachable");
   }
 
-  x509::Certificate mint(const TrafficCluster& cluster, const CertSpec& spec,
-                         std::size_t index, Rng& rng,
-                         UnixSeconds window_start = 0,
-                         UnixSeconds window_end = 0,
-                         bool server_role = true,
-                         const std::string* cn_override = nullptr) {
-    x509::CertificateBuilder builder;
+  /// Plans one certificate: makes its random draws, resolves (and lazily
+  /// creates) its issuer, and logs it to CT. Returns its slot id.
+  CertId mint(const TrafficCluster& cluster, const CertSpec& spec,
+              std::size_t index, Rng& rng, UnixSeconds window_start = 0,
+              UnixSeconds window_end = 0, bool server_role = true,
+              const std::string* cn_override = nullptr) {
+    CertSlot slot;
+    x509::CertificateBuilder& builder = slot.builder;
     builder.version(spec.version);
 
     // Serial.
@@ -358,6 +425,7 @@ class TraceGenerator::Impl {
       na = nb + static_cast<UnixSeconds>(days * kDaySeconds);
     }
     builder.validity(nb, na);
+    slot.validity = {nb, na};
 
     // Subject.
     const CnContent cn_kind = sample_cn(spec.cn, rng);
@@ -387,11 +455,9 @@ class TraceGenerator::Impl {
                           "/" + rng.alnum(6));
     }
 
-    // Key.
-    const auto key =
-        crypto::TsigKey::derive("key:" + unique_label,
-                                static_cast<std::size_t>(spec.key_bits));
-    builder.public_key(key.key);
+    // Key: derived when the certificate is materialized.
+    slot.key_label = "key:" + unique_label;
+    slot.key_bits = static_cast<std::size_t>(spec.key_bits);
     if (spec.key_bits == 1024) {
       builder.spki_algorithm(asn1::oids::alg_rsa_encryption());
     }
@@ -401,10 +467,10 @@ class TraceGenerator::Impl {
       x509::DistinguishedName self_dn = subject;
       if (self_dn.empty()) self_dn.add_cn("self-" + rng.hex(6));
       builder.subject(self_dn);
-      return builder.self_sign(key);
+      return add_cert(std::move(slot));
     }
     const auto& ca = issuer_for(cluster, spec, index);
-    auto cert = ca.issue(builder);
+    slot.issuer = &ca;
 
     // Legitimate public *server* issuances are visible in CT (crt.sh in
     // the paper). Client certificates are not domain-bound, so logging
@@ -412,9 +478,25 @@ class TraceGenerator::Impl {
     if (server_role && !cluster.sld.empty() &&
         (spec.issuer_kind == IssuerKind::kPublicCa ||
          spec.issuer_kind == IssuerKind::kHostingSubCa)) {
-      ct_.log_certificate(cluster.sld, cert.issuer);
+      ct_.log_certificate(cluster.sld, ca.dn());
     }
-    return cert;
+    return add_cert(std::move(slot));
+  }
+
+  CertId add_cert(CertSlot slot) {
+    certs_.push_back(std::move(slot));
+    return static_cast<CertId>(certs_.size() - 1);
+  }
+
+  /// The slot of a CA certificate sent as an intermediate: one per unit.
+  CertId prebuilt_cert(const x509::Certificate& cert) {
+    const auto it = prebuilt_ids_.find(&cert);
+    if (it != prebuilt_ids_.end()) return it->second;
+    CertSlot slot;
+    slot.prebuilt = &cert;
+    const CertId id = add_cert(std::move(slot));
+    prebuilt_ids_.emplace(&cert, id);
+    return id;
   }
 
   // --- Address pools -----------------------------------------------------------
@@ -538,51 +620,62 @@ class TraceGenerator::Impl {
     return model_.study_start;
   }
 
-  // --- Cluster emission ----------------------------------------------------------
+  // --- Cluster planning -----------------------------------------------------
 
-  void emit_connection(const Sink& sink, const TrafficCluster& cluster,
-                       UnixSeconds ts, const net::IpAddress& client_ip,
-                       std::uint16_t port, const net::IpAddress& server_ip,
-                       const x509::Certificate* server_cert,
-                       const x509::Certificate* client_cert, bool tls13,
-                       Rng& rng,
-                       const x509::Certificate* server_intermediate = nullptr) {
-    tls::ClientProfile client;
-    client.endpoint = {client_ip,
-                       static_cast<std::uint16_t>(32768 + rng.below(28000))};
-    client.max_version =
-        tls13 ? tls::TlsVersion::kTls13 : tls::TlsVersion::kTls12;
+  /// Plans one connection: its random draws, uid, and handshake outcome.
+  /// Chains the outcome hides are not recorded.
+  void plan_connection(const TrafficCluster& cluster, UnixSeconds ts,
+                       const net::IpAddress& client_ip, std::uint16_t port,
+                       const net::IpAddress& server_ip, CertId server_cert,
+                       CertId client_cert, bool tls13, Rng& rng,
+                       CertId server_intermediate = kNoCert) {
+    ConnPlan plan;
+    tls::TlsConnection& conn = plan.conn;
+    conn.client = {client_ip,
+                   static_cast<std::uint16_t>(32768 + rng.below(28000))};
+    conn.server = {server_ip, port};
     if (!cluster.sni_override.empty()) {
-      client.sni = cluster.sni_override;
+      conn.sni = cluster.sni_override;
     } else if (!cluster.sni_absent && !cluster.sld.empty()) {
-      client.sni = cluster.sld;
+      conn.sni = cluster.sld;
     }
-    if (client_cert != nullptr) client.chain = {*client_cert};
+    conn.uid = "C" + std::to_string(++uid_counter_) + rng.alnum(6);
+    conn.timestamp = ts;
 
-    tls::ServerProfile server;
-    server.endpoint = {server_ip, port};
-    server.max_version =
+    tls::HandshakeTerms terms;
+    terms.client_max = terms.server_max =
         tls13 ? tls::TlsVersion::kTls13 : tls::TlsVersion::kTls12;
-    server.validate_client_certificate = cluster.server_validates_clients;
-    if (server_cert != nullptr) {
-      server.chain = {*server_cert};
-      // Real servers send their intermediate; the paper's classification
-      // accepts chain-level trust-store membership (§3.2.1).
-      if (server_intermediate != nullptr) {
-        server.chain.push_back(*server_intermediate);
+    terms.request_client_certificate = client_cert != kNoCert;
+    terms.validate_client_certificate = cluster.server_validates_clients;
+    if (client_cert != kNoCert) {
+      terms.client_leaf = certs_[client_cert].validity;
+    }
+    terms.validation_time = ts;
+    const tls::HandshakeOutcome outcome = tls::handshake_outcome(terms);
+    conn.version = outcome.version;
+    conn.established = outcome.established;
+    // Real servers send their intermediate; the paper's classification
+    // accepts chain-level trust-store membership (§3.2.1).
+    if (outcome.server_chain_visible && server_cert != kNoCert) {
+      plan.server_chain = {server_cert, server_intermediate};
+    }
+    if (outcome.client_chain_visible) plan.client_leaf = client_cert;
+
+    ++stats_.connections;
+    if (plan.server_chain[0] != kNoCert && plan.client_leaf != kNoCert) {
+      ++stats_.mutual_connections;
+    }
+    // First sight of a certificate in a visible chain queues its x509
+    // row, in plan order (Dataset::add_connection's first-wins rule).
+    for (const CertId id :
+         {plan.server_chain[0], plan.server_chain[1], plan.client_leaf}) {
+      if (id != kNoCert && !certs_[id].seen) {
+        certs_[id].seen = true;
+        new_rows_.push_back(id);
       }
     }
-    server.request_client_certificate = client_cert != nullptr;
-
-    tls::HandshakeOptions options;
-    options.uid = "C" + std::to_string(++uid_counter_) + rng.alnum(6);
-    options.timestamp = ts;
-    options.validation_time = ts;
-
-    const auto conn = tls::simulate_handshake(client, server, options);
-    ++stats_.connections;
-    if (conn.is_mutual()) ++stats_.mutual_connections;
-    sink(conn);
+    conns_.push_back(std::move(plan));
+    if (conns_.size() == kConnBatch) materialize();
   }
 
   std::uint16_t sample_port(const TrafficCluster& cluster, Rng& rng) {
@@ -601,9 +694,14 @@ class TraceGenerator::Impl {
   // minted per time slot so every connection presents a certificate that
   // is actually valid at the connection's timestamp.
   struct Population {
-    std::vector<x509::Certificate> certs;
+    CertId first = 0;  // slot ids [first, first + count)
+    std::size_t count = 0;
     double slot_days = 0;  // 0 => certificates span the whole study
     std::size_t slots = 1;
+
+    bool contains(CertId id) const {
+      return id != kNoCert && id >= first && id - first < count;
+    }
   };
 
   double cluster_window_days(const TrafficCluster& cluster) const {
@@ -647,7 +745,8 @@ class TraceGenerator::Impl {
             make_cn(sample_cn(spec.cn, rng), cluster, spec, rng));
       }
     }
-    population.certs.reserve(count);
+    population.first = static_cast<CertId>(certs_.size());
+    population.count = count;
     for (std::size_t i = 0; i < count; ++i) {
       if (population.slot_days > 0) {
         const std::size_t slot = i % population.slots;
@@ -659,11 +758,9 @@ class TraceGenerator::Impl {
         const std::string* cn = identities.empty()
                                     ? nullptr
                                     : &identities[i / population.slots];
-        population.certs.push_back(
-            mint(cluster, spec, i, rng, ws, we, server_role, cn));
+        mint(cluster, spec, i, rng, ws, we, server_role, cn);
       } else {
-        population.certs.push_back(
-            mint(cluster, spec, i, rng, 0, 0, server_role));
+        mint(cluster, spec, i, rng, 0, 0, server_role);
       }
     }
     return population;
@@ -671,12 +768,12 @@ class TraceGenerator::Impl {
 
   /// Picks the certificate presented at time `ts`: slot-matched for
   /// rotating populations, round-robin otherwise.
-  const x509::Certificate* pick_cert(const Population& population,
-                                     UnixSeconds ts, std::size_t c,
-                                     Rng& rng) const {
-    if (population.certs.empty()) return nullptr;
+  CertId pick_cert(const Population& population, UnixSeconds ts,
+                   std::size_t c, Rng& rng) const {
+    if (population.count == 0) return kNoCert;
     if (population.slot_days == 0) {
-      return &population.certs[c % population.certs.size()];
+      return population.first +
+             static_cast<CertId>(c % population.count);
     }
     const std::size_t slot = std::min<std::size_t>(
         population.slots - 1,
@@ -685,35 +782,35 @@ class TraceGenerator::Impl {
             (population.slot_days * kDaySeconds)));
     // Certificates are laid out slot-major (i % slots == slot).
     std::size_t idx = slot;
-    if (population.certs.size() > population.slots) {
-      const std::size_t per_slot =
-          population.certs.size() / population.slots;
+    if (population.count > population.slots) {
+      const std::size_t per_slot = population.count / population.slots;
       idx = slot + population.slots * rng.below(per_slot);
     }
-    return &population.certs[std::min(idx, population.certs.size() - 1)];
+    return population.first +
+           static_cast<CertId>(std::min(idx, population.count - 1));
   }
 
   /// The intermediate a public-CA server certificate chains through, or
-  /// nullptr (private CAs typically send leaf-only chains in the data).
-  const x509::Certificate* server_intermediate_for(const CertSpec& spec,
-                                                   std::size_t index) {
+  /// kNoCert (private CAs typically send leaf-only chains in the data).
+  CertId server_intermediate_for(const CertSpec& spec, std::size_t index) {
     if (spec.issuer_kind == IssuerKind::kHostingSubCa) {
-      return &hosting_subca().certificate();
+      return prebuilt_cert(hosting_subca().certificate());
     }
-    if (spec.issuer_kind != IssuerKind::kPublicCa) return nullptr;
+    if (spec.issuer_kind != IssuerKind::kPublicCa) return kNoCert;
     const auto& pki = trust::public_pki();
     if (!spec.issuer_ref.empty()) {
       const auto* ca = pki.find(spec.issuer_ref);
-      return ca == nullptr ? nullptr : &ca->intermediate.certificate();
+      return ca == nullptr ? kNoCert
+                           : prebuilt_cert(ca->intermediate.certificate());
     }
     static constexpr const char* kWebCas[] = {
         "lets-encrypt", "digicert", "sectigo", "godaddy", "amazon",
         "globalsign", "entrust"};
-    return &pki.find(kWebCas[index % std::size(kWebCas)])
-                ->intermediate.certificate();
+    return prebuilt_cert(pki.find(kWebCas[index % std::size(kWebCas)])
+                             ->intermediate.certificate());
   }
 
-  void emit_cluster(const TrafficCluster& cluster, const Sink& sink) {
+  void plan_cluster(const TrafficCluster& cluster) {
     Rng rng = rng_.fork(std::hash<std::string>{}(cluster.name));
 
     const int first_month = util::month_index(model_.study_start);
@@ -740,16 +837,12 @@ class TraceGenerator::Impl {
       clients = mint_population(cluster, cluster.client_certs, client_count,
                                 /*server_role=*/false, rng);
     }
-    const std::vector<x509::Certificate>& server_certs = servers.certs;
-    const std::vector<x509::Certificate>& client_certs = clients.certs;
-
     const auto client_pool = make_client_pool(cluster, rng);
     const auto server_pool = make_server_pool(cluster, rng);
 
     // Connection volume: at least one connection per certificate so the
     // population is fully observable in the logs.
-    const std::size_t min_conns =
-        std::max(server_certs.size(), client_certs.size());
+    const std::size_t min_conns = std::max(servers.count, clients.count);
     const std::size_t total_conns = std::max(cluster.connections, min_conns);
 
     for (std::size_t c = 0; c < total_conns; ++c) {
@@ -766,9 +859,9 @@ class TraceGenerator::Impl {
         ts = sample_timestamp(cluster, rng, weights, first_month);
       }
 
-      const x509::Certificate* server_cert = pick_cert(servers, ts, c, rng);
+      CertId server_cert = pick_cert(servers, ts, c, rng);
 
-      const x509::Certificate* client_cert = nullptr;
+      CertId client_cert = kNoCert;
       if (cluster.mutual) {
         if (cluster.sharing == SharingMode::kSameCertBothEnds) {
           client_cert = server_cert;
@@ -780,19 +873,21 @@ class TraceGenerator::Impl {
       // Cross-connection sharing: the same certificate population appears
       // on alternating sides of different connections.
       if (cluster.sharing == SharingMode::kCrossConnection &&
-          !server_certs.empty() && !client_certs.empty()) {
+          servers.count != 0 && clients.count != 0) {
         // Alternate each certificate between the server role (even
         // connections) and the client role (odd connections). The pair
         // index c/2 decouples cert selection from connection parity so
         // every certificate sees both roles.
-        const std::size_t si = (c / 2) % server_certs.size();
-        const std::size_t ci = (c / 2) % client_certs.size();
+        const CertId si =
+            servers.first + static_cast<CertId>((c / 2) % servers.count);
+        const CertId ci =
+            clients.first + static_cast<CertId>((c / 2) % clients.count);
         if (c % 2 == 0) {
-          server_cert = &server_certs[si];
-          client_cert = &client_certs[ci];
+          server_cert = si;
+          client_cert = ci;
         } else {
-          client_cert = &server_certs[si];
-          server_cert = &client_certs[ci];
+          client_cert = si;
+          server_cert = ci;
         }
       }
 
@@ -819,38 +914,33 @@ class TraceGenerator::Impl {
         server_idx = rng.below(server_pool.size());
       }
       const auto& server_ip = server_pool[server_idx];
-      const x509::Certificate* intermediate = nullptr;
-      if (server_cert != nullptr && !server_certs.empty() &&
-          server_cert >= server_certs.data() &&
-          server_cert < server_certs.data() + server_certs.size()) {
-        intermediate = server_intermediate_for(
-            cluster.server_certs,
-            static_cast<std::size_t>(server_cert - server_certs.data()));
-      }
-      emit_connection(sink, cluster, ts, client_ip, sample_port(cluster, rng),
-                      server_ip, cluster.tunnel_client_only ? nullptr
-                                                            : server_cert,
+      const CertId intermediate =
+          servers.contains(server_cert)
+              ? server_intermediate_for(cluster.server_certs,
+                                        server_cert - servers.first)
+              : kNoCert;
+      plan_connection(cluster, ts, client_ip, sample_port(cluster, rng),
+                      server_ip,
+                      cluster.tunnel_client_only ? kNoCert : server_cert,
                       client_cert, tls13, rng, intermediate);
     }
   }
 
   // --- Interception ---------------------------------------------------------------
 
-  void emit_interception(const Sink& sink) {
+  void plan_interception() {
     const auto& spec = model_.interception;
     if (spec.connections == 0 && spec.certificates == 0) return;
     Rng rng = rng_.fork(0x1ce);
 
     // Popular public domains with legitimate CT records.
     std::vector<std::string> domains;
-    std::vector<x509::DistinguishedName> true_issuers;
     const auto& pki = trust::public_pki();
     for (std::size_t d = 0; d < spec.domains; ++d) {
       const std::string domain = "cdn-site" + std::to_string(d) + ".com";
       const auto& ca = pki.cas()[d % pki.cas().size()].intermediate;
       ct_.log_certificate(domain, ca.dn());
       domains.push_back(domain);
-      true_issuers.push_back(ca.dn());
     }
 
     // Proxy CAs re-sign those domains.
@@ -869,35 +959,27 @@ class TraceGenerator::Impl {
     }
 
     // Unique interception certificates: proxy × domain × client batch.
-    TrafficCluster pseudo;
-    pseudo.name = "interception";
-    pseudo.direction = Direction::kOutbound;
     const std::size_t cert_count = std::max<std::size_t>(
         spec.certificates, proxies.size() * domains.size());
-    std::vector<x509::Certificate> certs;
+    const CertId first_cert = static_cast<CertId>(certs_.size());
     std::vector<std::size_t> cert_domain;
-    certs.reserve(cert_count);
     for (std::size_t i = 0; i < cert_count; ++i) {
       const std::size_t d = i % domains.size();
-      const auto& proxy = *proxies[i % proxies.size()];
-      CertSpec spec_cert;
-      spec_cert.cn = {{CnContent::kFixed, 1.0}};
-      spec_cert.fixed_cn = domains[d];
-      spec_cert.validity.typical_days = 30;
-      pseudo.sld = domains[d];
-      x509::CertificateBuilder b;
-      b.serial_from_label("icept:" + std::to_string(i))
+      CertSlot slot;
+      slot.validity = {model_.study_start - 86400 * 30,
+                       model_.study_end + 86400 * 365};
+      slot.builder.serial_from_label("icept:" + std::to_string(i))
           .subject(x509::DistinguishedName().add_cn(domains[d]))
-          .validity(model_.study_start - 86400 * 30,
-                    model_.study_end + 86400 * 365)
-          .public_key(crypto::TsigKey::derive("ik" + std::to_string(i)).key)
+          .validity(slot.validity.not_before, slot.validity.not_after)
           .add_san_dns(domains[d]);
-      certs.push_back(proxy.issue(b));
+      slot.key_label = "ik" + std::to_string(i);
+      slot.issuer = proxies[i % proxies.size()];
+      add_cert(std::move(slot));
       cert_domain.push_back(d);
       ++stats_.certificates_minted;
     }
 
-    const std::size_t conns = std::max(spec.connections, certs.size());
+    const std::size_t conns = std::max(spec.connections, cert_count);
     const int first_month = util::month_index(model_.study_start);
     const int month_count =
         util::month_index(model_.study_end - 1) - first_month + 1;
@@ -909,18 +991,19 @@ class TraceGenerator::Impl {
     shape.client_ips = std::max<std::size_t>(20, conns / 300);
     const auto client_pool = make_client_pool(shape, rng);
     for (std::size_t c = 0; c < conns; ++c) {
-      const std::size_t i = c % certs.size();
+      const std::size_t i = c % cert_count;
       shape.sld = domains[cert_domain[i]];
       const auto ts = sample_timestamp(shape, rng, weights, first_month);
-      emit_connection(sink, shape, ts, client_pool[c % client_pool.size()],
-                      443, make_server_ip(shape, rng), &certs[i], nullptr,
-                      false, rng);
+      plan_connection(shape, ts, client_pool[c % client_pool.size()], 443,
+                      make_server_ip(shape, rng),
+                      first_cert + static_cast<CertId>(i), kNoCert, false,
+                      rng);
     }
   }
 
   // --- Background (certificate-less volume) -----------------------------------------
 
-  void emit_background(const Sink& sink) {
+  void plan_background() {
     if (model_.background_connections == 0) return;
     Rng rng = rng_.fork(0xb6);
 
@@ -935,13 +1018,12 @@ class TraceGenerator::Impl {
     spec.issuer_kind = IssuerKind::kPublicCa;
     spec.cn = {{CnContent::kHostUnderDomain, 1.0}};
     spec.san_dns_probability = 1.0;
-    std::vector<x509::Certificate> pool;
+    const CertId first_cert = static_cast<CertId>(certs_.size());
     for (std::size_t i = 0; i < spec.count; ++i) {
       // Background certs must cover the whole study window: connections
       // are sampled across all 23 months.
-      pool.push_back(mint(shape, spec, i, rng,
-                          model_.study_start - 30 * 86'400,
-                          model_.study_end + 30 * 86'400));
+      mint(shape, spec, i, rng, model_.study_start - 30 * 86'400,
+           model_.study_end + 30 * 86'400);
     }
 
     const int first_month = util::month_index(model_.study_start);
@@ -1006,10 +1088,93 @@ class TraceGenerator::Impl {
                 : bg_servers[tls13_servers * 9 / 10 +
                              rng.below(bg_servers.size() -
                                        tls13_servers * 9 / 10)];
-      emit_connection(sink, shape, ts, bg_client, port, bg_server,
-                      tls13 ? nullptr : &pool[c % pool.size()], nullptr,
-                      tls13, rng);
+      plan_connection(
+          shape, ts, bg_client, port, bg_server,
+          tls13 ? kNoCert : first_cert + static_cast<CertId>(c % spec.count),
+          kNoCert, tls13, rng);
     }
+  }
+
+  // --- Materialize stage ----------------------------------------------------
+  //
+  // Pure with respect to the plan: it reads the planned slots and
+  // connections and writes only their materialized fields and its
+  // output, so the result cannot depend on the thread count.
+
+  /// Builds any planned certificates, then renders the planned
+  /// connections (and the x509 rows they first show) into the output.
+  void materialize() {
+    const std::size_t pending = certs_.size() - certs_built_;
+    util::parallel_ranges(
+        pending, workers_for(pending, kCertsPerWorker, threads_),
+        [this](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            certs_[certs_built_ + i].materialize();
+          }
+        });
+    certs_built_ = certs_.size();
+    if (dataset_ != nullptr) {
+      fill_dataset();
+    } else {
+      emit_connections();
+    }
+    conns_.clear();
+    new_rows_.clear();
+  }
+
+  void fill_dataset() {
+    const std::span<zeek::SslRecord> rows =
+        dataset_->append_ssl_slots(conns_.size());
+    util::parallel_ranges(
+        conns_.size(), workers_for(conns_.size(), kConnsPerWorker, threads_),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const ConnPlan& plan = conns_[i];
+            zeek::SslRecord& row = rows[i];
+            row = zeek::ssl_row(plan.conn);
+            for (const CertId id : plan.server_chain) {
+              if (id != kNoCert) {
+                row.cert_chain_fuids.push_back(certs_[id].fuid);
+              }
+            }
+            if (plan.client_leaf != kNoCert) {
+              row.client_cert_chain_fuids.push_back(
+                  certs_[plan.client_leaf].fuid);
+            }
+          }
+        });
+    std::vector<zeek::X509Record> x509(new_rows_.size());
+    util::parallel_ranges(
+        x509.size(), workers_for(x509.size(), kCertsPerWorker, threads_),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const CertSlot& slot = certs_[new_rows_[i]];
+            x509[i] = zeek::to_x509_record(slot.cert(), slot.fuid);
+          }
+        });
+    for (auto& record : x509) dataset_->add_x509(std::move(record));
+  }
+
+  void emit_connections() {
+    for (ConnPlan& plan : conns_) {
+      tls::TlsConnection conn = std::move(plan.conn);
+      for (const CertId id : plan.server_chain) {
+        if (id != kNoCert) conn.server_chain.push_back(certs_[id].cert());
+      }
+      if (plan.client_leaf != kNoCert) {
+        conn.client_chain.push_back(certs_[plan.client_leaf].cert());
+      }
+      (*sink_)(conn);
+    }
+  }
+
+  /// Materializes what is left of the unit and drops its certificates:
+  /// no later unit refers to them.
+  void end_unit() {
+    materialize();
+    certs_.clear();
+    certs_built_ = 0;
+    prebuilt_ids_.clear();
   }
 
   CampusModel model_;
@@ -1019,6 +1184,19 @@ class TraceGenerator::Impl {
   std::map<std::string, trust::CertificateAuthority> private_cas_;
   std::unique_ptr<trust::CertificateAuthority> hosting_subca_;
   std::uint64_t uid_counter_ = 0;
+
+  // Output of the materialize stage: exactly one of sink_ / dataset_.
+  const Sink* sink_ = nullptr;
+  zeek::Dataset* dataset_ = nullptr;
+  std::size_t threads_ = 1;
+
+  // Plan buffers of the current unit (a cluster, interception, or
+  // background).
+  std::deque<CertSlot> certs_;  // grows without moving slots
+  std::size_t certs_built_ = 0;  // certs_[0, certs_built_) materialized
+  std::map<const x509::Certificate*, CertId> prebuilt_ids_;
+  std::vector<ConnPlan> conns_;   // planned, not yet materialized
+  std::vector<CertId> new_rows_;  // first visible sightings in conns_
 };
 
 TraceGenerator::TraceGenerator(CampusModel model)
@@ -1026,13 +1204,13 @@ TraceGenerator::TraceGenerator(CampusModel model)
 
 TraceGenerator::~TraceGenerator() = default;
 
-void TraceGenerator::generate(const Sink& sink) { impl_->generate(sink); }
+void TraceGenerator::generate(const Sink& sink) {
+  impl_->generate(&sink, nullptr, 1);
+}
 
-zeek::Dataset TraceGenerator::generate_dataset() {
+zeek::Dataset TraceGenerator::generate_dataset(std::size_t threads) {
   zeek::Dataset dataset;
-  generate([&dataset](const tls::TlsConnection& conn) {
-    dataset.add_connection(conn);
-  });
+  impl_->generate(nullptr, &dataset, threads);
   return dataset;
 }
 

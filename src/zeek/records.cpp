@@ -1,5 +1,7 @@
 #include "mtlscope/zeek/records.hpp"
 
+#include <bit>
+
 #include "mtlscope/crypto/encoding.hpp"
 
 namespace mtlscope::zeek {
@@ -10,8 +12,12 @@ std::string fuid_of(const x509::Certificate& cert) {
 }
 
 X509Record to_x509_record(const x509::Certificate& cert) {
+  return to_x509_record(cert, colfmt::Str(fuid_of(cert)));
+}
+
+X509Record to_x509_record(const x509::Certificate& cert, colfmt::Str fuid) {
   X509Record rec;
-  rec.fuid = fuid_of(cert);
+  rec.fuid = fuid;
   rec.version = cert.version;
   rec.serial = cert.serial_hex();
   rec.subject = cert.subject.to_string();
@@ -45,7 +51,7 @@ X509Record to_x509_record(const x509::Certificate& cert) {
   return rec;
 }
 
-void Dataset::add_connection(const tls::TlsConnection& conn) {
+SslRecord ssl_row(const tls::TlsConnection& conn) {
   SslRecord rec;
   rec.ts = conn.timestamp;
   rec.uid = conn.uid;
@@ -53,18 +59,23 @@ void Dataset::add_connection(const tls::TlsConnection& conn) {
   rec.orig_p = conn.client.port;
   rec.resp_h = conn.server.addr.to_string();
   rec.resp_p = conn.server.port;
-  rec.version = std::string(tls::version_name(conn.version));
+  rec.version = tls::version_name(conn.version);
   rec.server_name = conn.sni;
   rec.established = conn.established;
+  return rec;
+}
+
+void Dataset::add_connection(const tls::TlsConnection& conn) {
+  SslRecord rec = ssl_row(conn);
   for (const auto& cert : conn.server_chain) {
     const colfmt::Str fuid(fuid_of(cert));
     rec.cert_chain_fuids.push_back(fuid);
-    if (!x509_.contains(fuid)) x509_.emplace(fuid, to_x509_record(cert));
+    if (!x509_.contains(fuid)) x509_.emplace(fuid, to_x509_record(cert, fuid));
   }
   for (const auto& cert : conn.client_chain) {
     const colfmt::Str fuid(fuid_of(cert));
     rec.client_cert_chain_fuids.push_back(fuid);
-    if (!x509_.contains(fuid)) x509_.emplace(fuid, to_x509_record(cert));
+    if (!x509_.contains(fuid)) x509_.emplace(fuid, to_x509_record(cert, fuid));
   }
   ssl_.push_back(std::move(rec));
 }
@@ -76,6 +87,15 @@ const X509Record* Dataset::find_certificate(std::string_view fuid) const {
 
 void Dataset::add_x509(X509Record record) {
   x509_.emplace(record.fuid, std::move(record));
+}
+
+std::span<SslRecord> Dataset::append_ssl_slots(std::size_t n) {
+  const std::size_t first = ssl_.size();
+  // Grow to powers of two, as push_back would: resize() alone sizes the
+  // buffer from the append pattern, which can move a much larger vector.
+  if (first + n > ssl_.capacity()) ssl_.reserve(std::bit_ceil(first + n));
+  ssl_.resize(first + n);
+  return std::span<SslRecord>(ssl_).subspan(first);
 }
 
 }  // namespace mtlscope::zeek

@@ -55,20 +55,45 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
-// Boundary lengths around the 55/56/64-byte padding edges.
-class Sha256PaddingEdge : public ::testing::TestWithParam<std::size_t> {};
+// Boundary lengths around the 55/56/64-byte padding edges: lengths 55
+// and 119 leave room for exactly the 0x80 byte and the length field, 56
+// and 120 push the length into an extra block. Digests are of n bytes
+// of 'x', from an independent SHA-256 implementation.
+struct PaddingCase {
+  std::size_t length;
+  const char* digest;
+};
 
-TEST_P(Sha256PaddingEdge, MatchesByteAtATime) {
-  const std::string data(GetParam(), 'x');
-  const auto oneshot = Sha256::hash(data);
-  Sha256 h;
-  for (const char c : data) h.update(std::string_view(&c, 1));
-  EXPECT_EQ(h.finish(), oneshot);
+class Sha256PaddingEdge : public ::testing::TestWithParam<PaddingCase> {};
+
+TEST_P(Sha256PaddingEdge, MatchesKnownDigest) {
+  const std::string data(GetParam().length, 'x');
+  EXPECT_EQ(digest_hex(Sha256::hash(data)), GetParam().digest);
 }
 
-INSTANTIATE_TEST_SUITE_P(Boundaries, Sha256PaddingEdge,
-                         ::testing::Values(0, 1, 54, 55, 56, 57, 63, 64, 65,
-                                           119, 120, 128, 1000));
+TEST_P(Sha256PaddingEdge, MatchesByteAtATime) {
+  const std::string data(GetParam().length, 'x');
+  Sha256 h;
+  for (const char c : data) h.update(std::string_view(&c, 1));
+  EXPECT_EQ(digest_hex(h.finish()), GetParam().digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Boundaries, Sha256PaddingEdge,
+    ::testing::Values(
+        PaddingCase{0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+        PaddingCase{1, "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881"},
+        PaddingCase{54, "45f316e10b2c99abf374b22bda893cf3300d77263f1e272349ed414680522952"},
+        PaddingCase{55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+        PaddingCase{56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+        PaddingCase{57, "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217"},
+        PaddingCase{63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+        PaddingCase{64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+        PaddingCase{65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9"},
+        PaddingCase{119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+        PaddingCase{120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+        PaddingCase{128, "24da1b81d0b16df6428eee73c69fcb2a93c76bc6df706f0c6670fe6bfe800464"},
+        PaddingCase{1000, "44f8354494a5ba03ba1792a8d3e9c534c47a9181980fde7a3f44b06ef2ae7c7f"}));
 
 // --- HMAC-SHA256 RFC 4231 vectors ------------------------------------------
 

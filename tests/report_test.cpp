@@ -515,6 +515,33 @@ TEST(JsonRoundTrip, ByteStableAcrossThreadCounts) {
   }
 }
 
+TEST(JsonRoundTrip, GenerateSecondsOnlyInPerfEnvelope) {
+  // Synthetic runs time trace generation apart from the pipeline pass.
+  // The figure is volatile: it reaches the perf block and the text
+  // footer, and --stable-output (include_perf = false) suppresses both.
+  experiments::RunOptions options = small_run_options();
+  options.stable_output = false;
+  const auto doc = experiments::run_experiment("table1", options);
+  EXPECT_GT(doc.run.generate_seconds, 0.0);
+  const JsonValue parsed =
+      JsonParser(core::render_json_with_perf(doc, 0, true)).parse();
+  const JsonValue* perf = parsed.find("perf");
+  ASSERT_NE(perf, nullptr);
+  const JsonValue* generate = perf->find("generate_seconds");
+  ASSERT_NE(generate, nullptr);
+  EXPECT_EQ(generate->kind, JsonValue::Kind::kNumber);
+  EXPECT_GT(generate->number, 0.0);
+  EXPECT_NE(core::render_text(doc).find("generated in"), std::string::npos);
+
+  options.stable_output = true;
+  const auto stable = experiments::run_experiment("table1", options);
+  EXPECT_EQ(core::render_json_with_perf(stable, 0, !options.stable_output)
+                .find("generate_seconds"),
+            std::string::npos);
+  EXPECT_EQ(core::render_text(stable).find("generated in"),
+            std::string::npos);
+}
+
 TEST(JsonRoundTrip, ByteStableStreamedVersusInMemory) {
   // Write a small log pair, then run the same experiment through the
   // streaming ingest path (tiny chunks) and the in-memory path.

@@ -113,6 +113,63 @@ TEST(Handshake, MissingSniRecordedAsEmpty) {
   EXPECT_TRUE(conn.sni.empty());
 }
 
+// --- handshake outcome (shared with the trace generator) ---------------------
+
+tls::HandshakeTerms mutual_terms() {
+  tls::HandshakeTerms terms;
+  terms.request_client_certificate = true;
+  terms.client_leaf = x509::Validity{to_unix({2023, 1, 1, 0, 0, 0}),
+                                     to_unix({2024, 1, 1, 0, 0, 0})};
+  terms.validation_time = to_unix({2023, 6, 1, 0, 0, 0});
+  return terms;
+}
+
+TEST(HandshakeOutcome, MutualShowsBothChains) {
+  const auto outcome = tls::handshake_outcome(mutual_terms());
+  EXPECT_EQ(outcome.version, tls::TlsVersion::kTls12);
+  EXPECT_TRUE(outcome.established);
+  EXPECT_TRUE(outcome.server_chain_visible);
+  EXPECT_TRUE(outcome.client_chain_visible);
+}
+
+TEST(HandshakeOutcome, ValidatingServerRejectsExpiredClientLeaf) {
+  auto terms = mutual_terms();
+  terms.validate_client_certificate = true;
+  terms.validation_time = to_unix({2025, 1, 1, 0, 0, 0});
+  const auto outcome = tls::handshake_outcome(terms);
+  EXPECT_FALSE(outcome.established);
+  // The monitor still records what was sent.
+  EXPECT_TRUE(outcome.client_chain_visible);
+  terms.validate_client_certificate = false;
+  EXPECT_TRUE(tls::handshake_outcome(terms).established);
+}
+
+TEST(HandshakeOutcome, Tls13HidesBothChains) {
+  auto terms = mutual_terms();
+  terms.client_max = tls::TlsVersion::kTls13;
+  terms.server_max = tls::TlsVersion::kTls13;
+  const auto outcome = tls::handshake_outcome(terms);
+  EXPECT_EQ(outcome.version, tls::TlsVersion::kTls13);
+  EXPECT_TRUE(outcome.established);
+  EXPECT_FALSE(outcome.server_chain_visible);
+  EXPECT_FALSE(outcome.client_chain_visible);
+  // One side capped at 1.2 negotiates 1.2, and the chains show again.
+  terms.server_max = tls::TlsVersion::kTls12;
+  EXPECT_TRUE(tls::handshake_outcome(terms).client_chain_visible);
+}
+
+TEST(HandshakeOutcome, NoRequestNoClientChain) {
+  auto terms = mutual_terms();
+  terms.request_client_certificate = false;
+  // Validation has nothing to check when no chain is sent.
+  terms.validate_client_certificate = true;
+  terms.validation_time = to_unix({2025, 1, 1, 0, 0, 0});
+  const auto outcome = tls::handshake_outcome(terms);
+  EXPECT_TRUE(outcome.established);
+  EXPECT_TRUE(outcome.server_chain_visible);
+  EXPECT_FALSE(outcome.client_chain_visible);
+}
+
 TEST(TlsVersion, NamesRoundTrip) {
   for (const auto v :
        {tls::TlsVersion::kTls10, tls::TlsVersion::kTls11,
