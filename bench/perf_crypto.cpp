@@ -1,9 +1,12 @@
-// Microbenchmarks: SHA-256, HMAC, hex/base64, tsig signing.
+// Microbenchmarks: SHA-256 (the dispatched kernel and the portable one),
+// HMAC, hex/base64, tsig signing. bench/run_benches.sh records them in
+// BENCH_crypto.json.
 #include <benchmark/benchmark.h>
 
 #include "mtlscope/crypto/encoding.hpp"
 #include "mtlscope/crypto/rng.hpp"
 #include "mtlscope/crypto/sha256.hpp"
+#include "mtlscope/crypto/sha256_detail.hpp"
 #include "mtlscope/crypto/tsig.hpp"
 
 using namespace mtlscope::crypto;
@@ -25,7 +28,28 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536)->Arg(64 << 20);
+
+// The same hash (every argument is whole blocks, plus one padding block)
+// on the portable kernel, whatever kernel Sha256 dispatches to.
+void BM_Sha256Portable(benchmark::State& state) {
+  const auto data = make_data(static_cast<std::size_t>(state.range(0)));
+  std::array<std::uint8_t, 64> pad{};
+  pad[0] = 0x80;
+  const std::uint64_t bits = std::uint64_t{data.size()} * 8;
+  for (int i = 0; i < 8; ++i) {
+    pad[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  }
+  for (auto _ : state) {
+    auto h = detail::kSha256Init;
+    detail::sha256_compress_portable(h.data(), data.data(), data.size() / 64);
+    detail::sha256_compress_portable(h.data(), pad.data(), 1);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(1024)->Arg(65536)->Arg(64 << 20);
 
 void BM_HmacSha256(benchmark::State& state) {
   const auto key = make_data(32);

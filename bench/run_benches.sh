@@ -5,17 +5,18 @@
 # shard-state serialization bench to BENCH_state.json, the watch
 # tail/checkpoint bench to BENCH_watch.json, the compact-container
 # ingest bench to BENCH_compact.json, the enrichment-memoization /
-# scan-strategy bench to BENCH_enrich.json, and the durable write-path
-# bench to BENCH_chaos.json. Afterwards it runs the extended multi-seed
-# chaos sweep (`ctest -C chaos -L chaos`), which the default ctest run
-# skips.
+# scan-strategy bench to BENCH_enrich.json, the durable write-path
+# bench to BENCH_chaos.json, and the SHA-256 / HMAC / tsig bench to
+# BENCH_crypto.json (five repetitions, aggregates only). Afterwards it
+# runs the extended multi-seed chaos sweep (`ctest -C chaos -L chaos`),
+# which the default ctest run skips.
 #
 #   bench/run_benches.sh [BUILD_DIR] [PARSE_OUT] [STATE_OUT] [WATCH_OUT] \
-#                        [COMPACT_OUT] [ENRICH_OUT] [CHAOS_OUT]
+#                        [COMPACT_OUT] [ENRICH_OUT] [CHAOS_OUT] [CRYPTO_OUT]
 #
 # BUILD_DIR defaults to ./build; outputs to ./BENCH_parse.json,
 # ./BENCH_state.json, ./BENCH_watch.json, ./BENCH_compact.json,
-# ./BENCH_enrich.json, and ./BENCH_chaos.json.
+# ./BENCH_enrich.json, ./BENCH_chaos.json, and ./BENCH_crypto.json.
 # Scale the parse/compact/enrich fixtures down for a quick smoke run with
 #   MTLSCOPE_PARSE_BENCH_CONN=2000000 MTLSCOPE_COMPACT_BENCH_CONN=2000000 \
 #     MTLSCOPE_ENRICH_BENCH_CONN=2000000 bench/run_benches.sh
@@ -30,10 +31,13 @@ watch_out=${4:-"$repo_root/BENCH_watch.json"}
 compact_out=${5:-"$repo_root/BENCH_compact.json"}
 enrich_out=${6:-"$repo_root/BENCH_enrich.json"}
 chaos_out=${7:-"$repo_root/BENCH_chaos.json"}
+crypto_out=${8:-"$repo_root/BENCH_crypto.json"}
 
+# run_bench BINARY OUT_FILE [EXTRA_BENCHMARK_FLAG...] (later flags win)
 run_bench() {
   bench_bin="$build_dir/bench/$1"
   out_file=$2
+  shift 2
   if [ ! -x "$bench_bin" ]; then
     echo "error: $bench_bin not built (cmake --build $build_dir)" >&2
     exit 1
@@ -41,7 +45,8 @@ run_bench() {
   "$bench_bin" \
     --benchmark_out="$out_file" \
     --benchmark_out_format=json \
-    --benchmark_repetitions=1
+    --benchmark_repetitions=1 \
+    "$@"
   echo "wrote $out_file"
 }
 
@@ -51,6 +56,8 @@ run_bench perf_watch "$watch_out"
 run_bench perf_compact "$compact_out"
 run_bench perf_enrich "$enrich_out"
 run_bench perf_chaos "$chaos_out"
+run_bench perf_crypto "$crypto_out" \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 
 # Extended chaos campaign: the default ctest run already covers the
 # fixed ~26-schedule campaign (chaos_torture); the sweep re-runs it with

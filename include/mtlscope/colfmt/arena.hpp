@@ -56,8 +56,10 @@ class Str {
   bool empty() const { return size_ == 0; }
 
   friend bool operator==(const Str& a, const Str& b) {
+    // A default Str holds a null pointer, and memcmp must not see one
+    // even for zero bytes.
     return a.size_ == b.size_ &&
-           (a.data_ == b.data_ ||
+           (a.data_ == b.data_ || a.size_ == 0 ||
             std::memcmp(a.data_, b.data_, a.size_) == 0);
   }
   friend bool operator==(const Str& a, std::string_view b) {

@@ -73,13 +73,14 @@ struct Cursor {
       : p(data.data()), end(data.data() + data.size()) {}
 
   const char* need(std::size_t n) {
-    if (static_cast<std::size_t>(end - p) < n) {
+    if (remaining() < n) {
       throw core::StateError("truncated block payload");
     }
     const char* q = p;
     p += n;
     return q;
   }
+  std::size_t remaining() const { return static_cast<std::size_t>(end - p); }
   std::uint8_t u8() { return static_cast<std::uint8_t>(*need(1)); }
   std::uint32_t u32() { return get_u32(need(4)); }
   std::uint64_t u64() { return get_u64(need(8)); }
@@ -135,7 +136,8 @@ inline std::uint64_t count_sum(Cursor counts, std::uint32_t rows) {
 inline std::vector<Str> read_dict(Cursor& c) {
   const std::uint32_t count = c.u32();
   std::vector<Str> dict;
-  dict.reserve(count);
+  // Each entry is at least its u64 length prefix.
+  dict.reserve(core::bounded_reserve(count, c.remaining(), 8));
   for (std::uint32_t i = 0; i < count; ++i) {
     dict.push_back(Str(c.view()));
   }

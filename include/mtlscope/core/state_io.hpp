@@ -11,6 +11,7 @@
 // throwing reader indicates a framing bug, never silent corruption.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -26,6 +27,18 @@ class StateError : public std::runtime_error {
  public:
   explicit StateError(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// Capacity to reserve for a run of `count` entries read from the input
+/// when `remaining` bytes are left and each entry encodes to at least
+/// `min_entry_bytes`. A SHA-256 trailer proves integrity, not origin: a
+/// re-sealed file can claim 2^60 entries. Clamped, the reservation never
+/// outgrows what the bytes could hold, and the entry loop's own bounds
+/// checks end a lying count with a StateError.
+inline std::size_t bounded_reserve(std::uint64_t count, std::size_t remaining,
+                                   std::size_t min_entry_bytes) {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, remaining / min_entry_bytes));
+}
 
 /// Appends fixed-width little-endian fields to a growing byte buffer.
 class StateWriter {

@@ -1,5 +1,9 @@
 // SHA-256 (FIPS 180-4). Self-contained implementation used for certificate
 // fingerprints and as the primitive behind the tsig toy signature scheme.
+// Every full block goes through one compression kernel, chosen once per
+// process: x86 SHA-NI when the CPU has it, else a portable loop
+// (sha256_detail.hpp). No build flag is involved, so one binary runs on
+// any CPU of its architecture.
 #pragma once
 
 #include <array>
@@ -39,8 +43,6 @@ class Sha256 {
   static Digest hash(std::string_view data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;

@@ -45,6 +45,17 @@ constexpr char kMagic[8] = {'M', 'T', 'L', 'S', 'S', 'T', 'A', 'T'};
 /// Stored little-endian; a big-endian writer would emit 0x04030201.
 constexpr std::uint32_t kEndianSentinel = 0x01020304;
 
+// Smallest encoding of one entry of each count-prefixed run, which
+// bounds what a claimed count may reserve (bounded_reserve).
+constexpr std::size_t kMinStrBytes = 8;  // u64 length, no bytes
+// input, byte_offset, line, raw_length, reason, digest.
+constexpr std::size_t kMinLedgerEntryBytes = 1 + 3 * 8 + 2 * 8;
+// fuid … validity (10 fields), the SAN-name count, three SAN counts, four
+// class bytes, the SAN-type count, eight flag bytes, connection_count,
+// first/last seen, two subnet-set counts, context_sld, context_assoc.
+constexpr std::size_t kMinCertFactsBytes =
+    10 * 8 + 8 + 3 * 8 + 4 + 8 + 8 + 3 * 8 + 2 * 8 + 8 + 1;
+
 void write_str_set(StateWriter& w, const std::set<std::string>& s) {
   w.u64(s.size());
   for (const auto& v : s) w.str(v);
@@ -162,7 +173,7 @@ void CertFacts::deserialize(StateReader& r) {
   validity.not_after = r.i64();
   san_dns.clear();
   const std::uint64_t n_san = r.u64();
-  san_dns.reserve(static_cast<std::size_t>(n_san));
+  san_dns.reserve(bounded_reserve(n_san, r.remaining(), kMinStrBytes));
   for (std::uint64_t i = 0; i < n_san; ++i) san_dns.push_back(r.str());
   san_email_count = static_cast<int>(r.i64());
   san_uri_count = static_cast<int>(r.i64());
@@ -173,7 +184,7 @@ void CertFacts::deserialize(StateReader& r) {
   cn_type = static_cast<textclass::InfoType>(r.u8());
   san_dns_types.clear();
   const std::uint64_t n_types = r.u64();
-  san_dns_types.reserve(static_cast<std::size_t>(n_types));
+  san_dns_types.reserve(bounded_reserve(n_types, r.remaining(), 1));
   for (std::uint64_t i = 0; i < n_types; ++i) {
     san_dns_types.push_back(static_cast<textclass::InfoType>(r.u8()));
   }
@@ -227,7 +238,8 @@ void Pipeline::deserialize(StateReader& r) {
   excluded_connections_ = static_cast<std::size_t>(r.u64());
   certs_.clear();
   const std::uint64_t n_certs = r.u64();
-  certs_.reserve(static_cast<std::size_t>(n_certs));
+  certs_.reserve(
+      bounded_reserve(n_certs, r.remaining(), kMinCertFactsBytes));
   for (std::uint64_t i = 0; i < n_certs; ++i) {
     CertFacts facts;
     facts.deserialize(r);
@@ -281,7 +293,8 @@ void ErrorLedger::serialize(StateWriter& w) const {
 void ErrorLedger::deserialize(StateReader& r) {
   clear();
   const std::uint64_t n_entries = r.u64();
-  entries_.reserve(static_cast<std::size_t>(n_entries));
+  entries_.reserve(
+      bounded_reserve(n_entries, r.remaining(), kMinLedgerEntryBytes));
   for (std::uint64_t i = 0; i < n_entries; ++i) {
     QuarantinedRecord e;
     e.input = static_cast<InputRole>(r.u8());
@@ -293,7 +306,7 @@ void ErrorLedger::deserialize(StateReader& r) {
     entries_.push_back(std::move(e));
   }
   const std::uint64_t n_notes = r.u64();
-  io_notes_.reserve(static_cast<std::size_t>(n_notes));
+  io_notes_.reserve(bounded_reserve(n_notes, r.remaining(), kMinStrBytes));
   for (std::uint64_t i = 0; i < n_notes; ++i) io_notes_.push_back(r.str());
   for (std::size_t i = 0; i < kInputRoles; ++i) quarantined_[i] = r.u64();
   for (std::size_t i = 0; i < kInputRoles; ++i) {

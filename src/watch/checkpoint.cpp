@@ -48,6 +48,17 @@ const char* section_name(std::uint32_t id) {
   return "unknown";
 }
 
+// Smallest encoding of one entry of each count-prefixed run, which
+// bounds what a claimed count may reserve (core::bounded_reserve).
+constexpr std::size_t kMinStrBytes = 8;  // u64 length, no bytes
+// ts, uid, orig_h, orig_p, resp_h, resp_p, version, server_name,
+// established, and the two chain counts.
+constexpr std::size_t kMinSslRecordBytes = 8 + 8 + 8 + 4 + 8 + 4 + 8 + 8 + 1 +
+                                           8 + 8;
+// fuid, version, serial, subject, issuer, not_before, not_after, key_alg,
+// key_length, the four SAN counts, and cert_der.
+constexpr std::size_t kMinX509RecordBytes = 9 * 8 + 4 * 8 + 8;
+
 void serialize_strings(StateWriter& w, const std::vector<std::string>& v) {
   w.u64(v.size());
   for (const auto& s : v) w.str(s);
@@ -56,7 +67,7 @@ void serialize_strings(StateWriter& w, const std::vector<std::string>& v) {
 std::vector<std::string> parse_strings(StateReader& r) {
   const std::uint64_t n = r.u64();
   std::vector<std::string> out;
-  out.reserve(static_cast<std::size_t>(n));
+  out.reserve(core::bounded_reserve(n, r.remaining(), kMinStrBytes));
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.str());
   return out;
 }
@@ -71,7 +82,7 @@ void serialize_strings(StateWriter& w, const colfmt::StrVec& v) {
 colfmt::StrVec parse_interned_strings(StateReader& r) {
   const std::uint64_t n = r.u64();
   colfmt::StrVec out;
-  out.reserve(static_cast<std::size_t>(n));
+  out.reserve(core::bounded_reserve(n, r.remaining(), kMinStrBytes));
   for (std::uint64_t i = 0; i < n; ++i) out.emplace_back(r.str());
   return out;
 }
@@ -107,7 +118,7 @@ void serialize_ssl_rows(StateWriter& w,
 std::vector<zeek::SslRecord> parse_ssl_rows(StateReader& r) {
   const std::uint64_t n = r.u64();
   std::vector<zeek::SslRecord> out;
-  out.reserve(static_cast<std::size_t>(n));
+  out.reserve(core::bounded_reserve(n, r.remaining(), kMinSslRecordBytes));
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(parse_ssl_record(r));
   return out;
 }
@@ -334,7 +345,8 @@ std::optional<WatchCheckpoint> parse_watch_checkpoint(std::string_view data,
           break;
         case kSecX509Seen: {
           const std::uint64_t n = section.u64();
-          ckpt.x509_seen.reserve(static_cast<std::size_t>(n));
+          ckpt.x509_seen.reserve(core::bounded_reserve(
+              n, section.remaining(), kMinX509RecordBytes));
           for (std::uint64_t j = 0; j < n; ++j) {
             ckpt.x509_seen.push_back(parse_x509_record(section));
           }

@@ -34,6 +34,7 @@
 #include "mtlscope/colfmt/arena.hpp"
 #include "mtlscope/colfmt/container.hpp"
 #include "mtlscope/colfmt/convert.hpp"
+#include "mtlscope/colfmt/wire.hpp"
 #include "mtlscope/core/state_io.hpp"
 #include "mtlscope/watch/checkpoint.hpp"
 #include "mtlscope/watch/container_tail.hpp"
@@ -436,6 +437,22 @@ std::string x509_row(int i) {
          "\tCN=host.example\tCN=Example CA\t1600000000.000000"
          "\t1700000000.000000\trsaEncryption\t2048\thost.example"
          "\t-\t-\t-\n";
+}
+
+// The footer digest proves integrity, not origin, and the streaming tail
+// decodes frames before any footer exists: a block's dictionary count is
+// attacker-chosen. A 2^32-1 count over a few bytes must end in the
+// cursor's structured error, never a multi-GB reservation.
+TEST_F(ColfmtTest, HostileDictionaryCountIsAStructuredError) {
+  std::string payload;
+  colfmt::wire::put_u32(payload, 0);            // rows
+  colfmt::wire::put_u32(payload, 0xFFFFFFFFu);  // dictionary count
+  for (int i = 0; i < 3; ++i) colfmt::wire::put_u64(payload, 0);  // "" x3
+  EXPECT_THROW(colfmt::decode_ssl_block_payload(payload), core::StateError);
+  EXPECT_THROW(colfmt::decode_ssl_block_payload(
+                   payload, colfmt::FrameKind::kSslBlockDelta),
+               core::StateError);
+  EXPECT_THROW(colfmt::decode_x509_block_payload(payload), core::StateError);
 }
 
 TEST_F(ColfmtTest, CompactLogsVerifiesAgainstTheTsvPair) {

@@ -7,6 +7,7 @@
 #include "mtlscope/crypto/encoding.hpp"
 #include "mtlscope/crypto/rng.hpp"
 #include "mtlscope/crypto/sha256.hpp"
+#include "mtlscope/crypto/sha256_detail.hpp"
 #include "mtlscope/crypto/tsig.hpp"
 
 namespace mtlscope::crypto {
@@ -64,6 +65,22 @@ struct PaddingCase {
   const char* digest;
 };
 
+constexpr PaddingCase kPaddingCases[] = {
+    {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {1, "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881"},
+    {54, "45f316e10b2c99abf374b22bda893cf3300d77263f1e272349ed414680522952"},
+    {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+    {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+    {57, "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217"},
+    {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+    {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+    {65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9"},
+    {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+    {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+    {128, "24da1b81d0b16df6428eee73c69fcb2a93c76bc6df706f0c6670fe6bfe800464"},
+    {1000, "44f8354494a5ba03ba1792a8d3e9c534c47a9181980fde7a3f44b06ef2ae7c7f"},
+};
+
 class Sha256PaddingEdge : public ::testing::TestWithParam<PaddingCase> {};
 
 TEST_P(Sha256PaddingEdge, MatchesKnownDigest) {
@@ -78,22 +95,145 @@ TEST_P(Sha256PaddingEdge, MatchesByteAtATime) {
   EXPECT_EQ(digest_hex(h.finish()), GetParam().digest);
 }
 
+INSTANTIATE_TEST_SUITE_P(Boundaries, Sha256PaddingEdge,
+                         ::testing::ValuesIn(kPaddingCases));
+
+// --- Compression kernels ---------------------------------------------------
+//
+// Sha256 runs whichever kernel the CPU supports. These tests drive the
+// portable and SHA-NI kernels directly, through a padding routine written
+// independently of Sha256::finish, so each kernel is checked on every
+// machine that can run it.
+
+/// SHA-256 of `message` computed with `kernel` alone. The padded message
+/// starts `misalign` bytes into its buffer, to exercise unaligned loads.
+Sha256::Digest hash_with(detail::Sha256Compress kernel,
+                         std::string_view message, std::size_t misalign = 0) {
+  std::string buffer(misalign, '\0');
+  buffer.append(message);
+  buffer.push_back('\x80');
+  while ((buffer.size() - misalign) % 64 != 56) buffer.push_back('\0');
+  const std::uint64_t bits = std::uint64_t{message.size()} * 8;
+  for (int i = 7; i >= 0; --i) {
+    buffer.push_back(static_cast<char>(bits >> (8 * i)));
+  }
+  auto state = detail::kSha256Init;
+  kernel(state.data(),
+         reinterpret_cast<const std::uint8_t*>(buffer.data()) + misalign,
+         (buffer.size() - misalign) / 64);
+  Sha256::Digest out;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      out[4 * i + j] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+/// Deterministic non-repeating bytes, so a misrouted block shows.
+std::string pseudo_random_bytes(std::size_t n) {
+  Rng rng(2024);
+  std::string out(n, '\0');
+  for (auto& c : out) c = static_cast<char>(rng() & 0xff);
+  return out;
+}
+
+struct KernelCase {
+  const char* name;
+  detail::Sha256Compress kernel;
+  bool hardware;
+};
+
+class Sha256Kernel : public ::testing::TestWithParam<KernelCase> {
+ protected:
+  void SetUp() override {
+    if (GetParam().hardware && !detail::sha256_hw_available()) {
+      GTEST_SKIP() << "CPU lacks the SHA extensions; SHA-NI kernel not run";
+    }
+  }
+  Sha256::Digest hash(std::string_view message) const {
+    return hash_with(GetParam().kernel, message);
+  }
+};
+
+TEST_P(Sha256Kernel, NistVectors) {
+  EXPECT_EQ(digest_hex(hash("")),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(digest_hex(hash("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(digest_hex(hash(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(digest_hex(hash(std::string(1'000'000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256Kernel, PaddingEdgeVectors) {
+  for (const auto& c : kPaddingCases) {
+    EXPECT_EQ(digest_hex(hash(std::string(c.length, 'x'))), c.digest)
+        << "length " << c.length;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Boundaries, Sha256PaddingEdge,
+    Kernels, Sha256Kernel,
     ::testing::Values(
-        PaddingCase{0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
-        PaddingCase{1, "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881"},
-        PaddingCase{54, "45f316e10b2c99abf374b22bda893cf3300d77263f1e272349ed414680522952"},
-        PaddingCase{55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
-        PaddingCase{56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
-        PaddingCase{57, "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217"},
-        PaddingCase{63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
-        PaddingCase{64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
-        PaddingCase{65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9"},
-        PaddingCase{119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
-        PaddingCase{120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
-        PaddingCase{128, "24da1b81d0b16df6428eee73c69fcb2a93c76bc6df706f0c6670fe6bfe800464"},
-        PaddingCase{1000, "44f8354494a5ba03ba1792a8d3e9c534c47a9181980fde7a3f44b06ef2ae7c7f"}));
+        KernelCase{"portable", detail::sha256_compress_portable, false},
+        KernelCase{"sha_ni", detail::sha256_compress_hw, true}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(Sha256Kernels, HardwareMatchesPortableOnEveryLength) {
+  if (!detail::sha256_hw_available()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions; SHA-NI kernel not run";
+  }
+  const std::string data = pseudo_random_bytes(2048);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const std::string_view message = std::string_view(data).substr(0, n);
+    ASSERT_EQ(hash_with(detail::sha256_compress_hw, message, n % 16),
+              hash_with(detail::sha256_compress_portable, message))
+        << "length " << n;
+  }
+}
+
+// Sha256 feeds the kernel a buffered block when update() completes one
+// and hands it a run of whole blocks in place otherwise. Splitting every
+// length 0..2048 at these offsets sends input down both paths (and
+// through the dispatched kernel, SHA-NI on CPUs that have it).
+TEST(Sha256Kernels, StreamingMatchesPortableAtEverySplit) {
+  const std::string data = pseudo_random_bytes(2048);
+  const std::size_t splits[] = {0, 1, 31, 63, 64, 65, 127, 128, 200, 1000};
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const std::string_view message = std::string_view(data).substr(0, n);
+    const auto expected =
+        hash_with(detail::sha256_compress_portable, message);
+    ASSERT_EQ(Sha256::hash(message), expected) << "length " << n;
+    for (const std::size_t split : splits) {
+      if (split > n) break;
+      Sha256 h;
+      h.update(message.substr(0, split));
+      h.update(message.substr(split, (n - split) / 2));
+      h.update(message.substr(split + (n - split) / 2));
+      ASSERT_EQ(h.finish(), expected) << "length " << n << " split " << split;
+    }
+  }
+}
+
+TEST(Sha256Kernels, CopyMidStreamForksIndependently) {
+  const std::string data = pseudo_random_bytes(700);
+  const std::string_view prefix = std::string_view(data).substr(0, 100);
+  const std::string_view left = std::string_view(data).substr(100, 300);
+  const std::string_view right = std::string_view(data).substr(400);
+
+  Sha256 h;
+  h.update(prefix);  // one block compressed, 36 bytes buffered
+  Sha256 fork = h;
+  h.update(left);
+  fork.update(right);
+  EXPECT_EQ(h.finish(), hash_with(detail::sha256_compress_portable,
+                                  std::string(prefix) + std::string(left)));
+  EXPECT_EQ(fork.finish(), hash_with(detail::sha256_compress_portable,
+                                     std::string(prefix) + std::string(right)));
+}
 
 // --- HMAC-SHA256 RFC 4231 vectors ------------------------------------------
 

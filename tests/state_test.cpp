@@ -230,6 +230,31 @@ TEST(ShardState, UnknownSectionIdIsReported) {
       << error;
 }
 
+// A re-sealed state file can claim any entry count: 2^60 quarantined
+// records or io notes must end in a structured error, not a
+// std::length_error or bad_alloc from the reservation ahead of the loop.
+TEST(ShardState, HugeEntryCountWithValidDigestFailsCleanly) {
+  const std::string bytes = core::serialize_shard_state(empty_state());
+  // The ledger is the last section: its entry count, then (no entries)
+  // its io-note count, then the rest of the ledger and the digest.
+  core::StateWriter ledger;
+  core::ErrorLedger().serialize(ledger);
+  const std::size_t entries_at =
+      bytes.size() - crypto::Sha256::kDigestSize - ledger.buffer().size();
+  for (const std::size_t at : {entries_at, entries_at + 8}) {
+    std::string hostile = bytes;
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(hostile[at + i], '\0') << "layout drifted at " << at;
+      hostile[at + i] = static_cast<char>((std::uint64_t{1} << 60) >> (8 * i));
+    }
+    std::string error;
+    EXPECT_FALSE(
+        core::parse_shard_state(refresh_digest(hostile), nullptr, &error)
+            .has_value());
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  }
+}
+
 TEST(ShardState, MetaCompatibilityGatesReduce) {
   core::ShardStateMeta a;
   a.seed = 1;

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "mtlscope/core/result_doc.hpp"
+#include "mtlscope/crypto/sha256.hpp"
 #include "mtlscope/experiments/registry.hpp"
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/ingest/durable_io.hpp"
@@ -535,6 +536,34 @@ TEST_F(WatchSchedulerTest, CheckpointRoundTripsExactly) {
   skewed[8] = static_cast<char>(watch::kWatchFormatVersion + 1);
   EXPECT_FALSE(watch::parse_watch_checkpoint(skewed, &error).has_value());
   EXPECT_NE(error.find("version"), std::string::npos);
+}
+
+// A re-sealed checkpoint can claim any entry count: 2^60 x509 records or
+// buffered ssl rows must end in a structured error, not a std::length_error
+// or bad_alloc from the reservation ahead of the entry loop.
+TEST(WatchCheckpointFormat, HugeEntryCountWithValidDigestFailsCleanly) {
+  const std::string bytes =
+      watch::serialize_watch_checkpoint(watch::WatchCheckpoint{});
+  // The file ends with the x509_seen section (one u64 count), the
+  // ssl_buffers section (three u64 counts) and the 32-byte digest.
+  const std::size_t digest_at = bytes.size() - 32;
+  const std::size_t ssl_rows_at = digest_at - 24;
+  const std::size_t x509_seen_at = ssl_rows_at - 12 - 8;
+  for (const std::size_t at : {x509_seen_at, ssl_rows_at}) {
+    std::string hostile = bytes;
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(hostile[at + i], '\0') << "layout drifted at " << at;
+      hostile[at + i] = static_cast<char>((std::uint64_t{1} << 60) >> (8 * i));
+    }
+    const auto digest =
+        crypto::Sha256::hash(std::string_view(hostile.data(), digest_at));
+    hostile.replace(digest_at, digest.size(),
+                    reinterpret_cast<const char*>(digest.data()),
+                    digest.size());
+    std::string error;
+    EXPECT_FALSE(watch::parse_watch_checkpoint(hostile, &error).has_value());
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  }
 }
 
 TEST_F(WatchSchedulerTest, RestoreRefusesConfigMismatch) {
