@@ -1,7 +1,8 @@
 // Zeek record-parsing microbench: the row-materializing legacy parser
 // (parse_*_log_reference: getline + vector<string> per row) against the
 // compiled-plan zero-copy batch path (parse_*_records over in-place
-// views). Default scale yields a ~100 MB ssl.log; override with
+// views), the latter also under the pipeline and chains column
+// manifests. Default scale yields a ~100 MB ssl.log; override with
 // MTLSCOPE_PARSE_BENCH_CONN=<conn_scale> for quick local runs. Rates are
 // reported as both records/s (items) and parse bytes/s.
 #include <benchmark/benchmark.h>
@@ -78,12 +79,17 @@ void BM_SslParseLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_SslParseLegacy)->Unit(benchmark::kMillisecond);
 
-void BM_SslParseFast(benchmark::State& state) {
+/// The batch fast path with `columns` as the plan's manifest; every row
+/// is still validated in full.
+void ssl_parse_projected(benchmark::State& state,
+                         const zeek::SslColumns& columns) {
   const auto& logs = fixture();
   const std::string_view text(logs.ssl_text);
   const std::size_t body_begin = header_end(text);
-  const zeek::SslPlan plan = zeek::SslPlan::compile(
-      zeek::ColumnPlan::from_header(text.substr(0, body_begin)));
+  const zeek::SslPlan plan =
+      zeek::SslPlan::compile(
+          zeek::ColumnPlan::from_header(text.substr(0, body_begin)))
+          .projected(columns);
   std::vector<zeek::SslRecord> out;
   std::size_t records = 0;
   for (auto _ : state) {
@@ -99,7 +105,23 @@ void BM_SslParseFast(benchmark::State& state) {
   state.SetBytesProcessed(
       static_cast<std::int64_t>(logs.ssl_text.size() * state.iterations()));
 }
+
+void BM_SslParseFast(benchmark::State& state) {
+  ssl_parse_projected(state, zeek::SslColumns::all());
+}
 BENCHMARK(BM_SslParseFast)->Unit(benchmark::kMillisecond);
+
+/// What phases C and D parse: every field but uid.
+void BM_SslParsePipeline(benchmark::State& state) {
+  ssl_parse_projected(state, zeek::SslColumns::pipeline());
+}
+BENCHMARK(BM_SslParsePipeline)->Unit(benchmark::kMillisecond);
+
+/// What phase B parses: the established flag and both chain lists.
+void BM_SslParseChains(benchmark::State& state) {
+  ssl_parse_projected(state, zeek::SslColumns::chains());
+}
+BENCHMARK(BM_SslParseChains)->Unit(benchmark::kMillisecond);
 
 void BM_X509ParseLegacy(benchmark::State& state) {
   const auto& logs = fixture();

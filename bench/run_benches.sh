@@ -7,9 +7,11 @@
 # ingest bench to BENCH_compact.json, the enrichment-memoization /
 # scan-strategy bench to BENCH_enrich.json, the durable write-path
 # bench to BENCH_chaos.json, and the SHA-256 / HMAC / tsig bench to
-# BENCH_crypto.json (five repetitions, aggregates only). Afterwards it
-# runs the extended multi-seed chaos sweep (`ctest -C chaos -L chaos`),
-# which the default ctest run skips.
+# BENCH_crypto.json. The parse and crypto benches run five repetitions
+# and keep the aggregates only. Every file's context is stamped with the
+# git SHA, the build type and `nproc`. Afterwards it runs the extended
+# multi-seed chaos sweep (`ctest -C chaos -L chaos`), which the default
+# ctest run skips.
 #
 #   bench/run_benches.sh [BUILD_DIR] [PARSE_OUT] [STATE_OUT] [WATCH_OUT] \
 #                        [COMPACT_OUT] [ENRICH_OUT] [CHAOS_OUT] [CRYPTO_OUT]
@@ -33,6 +35,13 @@ enrich_out=${6:-"$repo_root/BENCH_enrich.json"}
 chaos_out=${7:-"$repo_root/BENCH_chaos.json"}
 crypto_out=${8:-"$repo_root/BENCH_crypto.json"}
 
+git_sha=$(git -C "$repo_root" describe --always --dirty --abbrev=40 \
+  2>/dev/null || echo unknown)
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+  "$build_dir/CMakeCache.txt" 2>/dev/null)
+# An empty cached build type means the top-level default, RelWithDebInfo.
+context="git_sha=$git_sha,build_type=${build_type:-RelWithDebInfo},nproc=$(nproc)"
+
 # run_bench BINARY OUT_FILE [EXTRA_BENCHMARK_FLAG...] (later flags win)
 run_bench() {
   bench_bin="$build_dir/bench/$1"
@@ -46,11 +55,13 @@ run_bench() {
     --benchmark_out="$out_file" \
     --benchmark_out_format=json \
     --benchmark_repetitions=1 \
+    --benchmark_context="$context" \
     "$@"
   echo "wrote $out_file"
 }
 
-run_bench perf_zeek_parse "$parse_out"
+run_bench perf_zeek_parse "$parse_out" \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 run_bench perf_state "$state_out"
 run_bench perf_watch "$watch_out"
 run_bench perf_compact "$compact_out"

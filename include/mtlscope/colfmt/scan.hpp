@@ -25,28 +25,11 @@
 
 namespace mtlscope::colfmt {
 
-/// Column manifest: which ssl-row fields the consumer will read. Fields
-/// not requested are left untouched in the output record — a consumer
-/// reusing one record must clear pruned fields once before the scan.
-struct SslScanColumns {
-  bool ts = true;
-  bool uid = true;  ///< the only per-row variable-width column
-  bool endpoints = true;  ///< orig_h/orig_p/resp_h/resp_p
-  bool version = true;
-  bool server_name = true;
-  bool established = true;
-  bool chains = true;  ///< both certificate-chain fuid columns
-
-  static SslScanColumns all() { return {}; }
-
-  /// What the analysis pipeline reads: everything except uid, which no
-  /// enrichment rule or analyzer consults.
-  static SslScanColumns pipeline() {
-    SslScanColumns columns;
-    columns.uid = false;
-    return columns;
-  }
-};
+/// The scan's column manifest is the zeek layer's (zeek::SslColumns),
+/// shared with the TSV batch parsers. Fields not requested are left
+/// untouched in the output record — a consumer reusing one record must
+/// clear pruned fields once before the scan.
+using SslScanColumns = zeek::SslColumns;
 
 /// Sequential scan over one ssl block payload (kind 2 or kind 6).
 /// Throws core::StateError from the constructor on malformed bytes.
@@ -54,7 +37,7 @@ struct SslScanColumns {
 class SslBlockScan {
  public:
   SslBlockScan(std::string_view payload, FrameKind kind,
-               const SslScanColumns& columns = SslScanColumns::all());
+               const zeek::SslColumns& columns = zeek::SslColumns::all());
 
   std::uint32_t rows() const { return rows_; }
   bool done() const { return index_ == rows_; }
@@ -68,7 +51,7 @@ class SslBlockScan {
   std::uint32_t next(zeek::SslRecord& rec);
 
  private:
-  SslScanColumns columns_;
+  zeek::SslColumns columns_;
   bool delta_ts_ = false;
   std::uint32_t rows_ = 0;
   std::uint32_t index_ = 0;

@@ -13,6 +13,9 @@
 //   B  chain upgrades: whole-stream pass marking leaves public when any
 //      connection carries a public intermediate for them (§3.2.1) —
 //      monotonic, so a single pre-pass equals the streaming fixpoint.
+//      Workers read only `established` and the chain fuids and resolve
+//      the chains to registry entries in parallel; the caller's thread
+//      folds the upgrades in stream order.
 //   C  interception pre-pass (when CT is configured): shard-local
 //      candidate maps (issuer → distinct CT-mismatching SLDs) merged by
 //      set union; issuers at or above the confirmation threshold form the

@@ -63,7 +63,10 @@ class ColumnPlan {
 
 /// ssl.log schema resolved to direct slot indices. ts..resp_p are
 /// required (missing → `missing` names the first absent one); the rest
-/// default when kNoColumn.
+/// default when kNoColumn. `projection` is the parsers' column manifest:
+/// it decides which fields are decoded and interned, never which rows
+/// are accepted — the field count and the ts/orig_p/resp_p numerics are
+/// validated on every row whatever it holds.
 struct SslPlan {
   std::size_t ts = kNoColumn;
   std::size_t uid = kNoColumn;
@@ -79,8 +82,16 @@ struct SslPlan {
   std::size_t columns = 0;      // expected field count per row
   bool valid = false;           // a #fields header was compiled
   const char* missing = nullptr;  // first missing required field, or null
+  SslColumns projection = SslColumns::all();
 
   static SslPlan compile(const ColumnPlan& columns);
+
+  /// This plan with `columns` as its manifest.
+  SslPlan projected(const SslColumns& columns) const {
+    SslPlan plan = *this;
+    plan.projection = columns;
+    return plan;
+  }
 };
 
 /// x509.log schema resolved to slot indices. Only fuid is required.
@@ -127,6 +138,8 @@ std::string_view decode_field(std::string_view raw, std::string& storage);
 /// offsets physical line numbers in errors so chunked and whole-file
 /// parses report identical positions. Returns false with `error` filled
 /// on the first malformed row; `out` contents are unspecified then.
+/// ssl rows decode only the fields in `plan.projection`; a #fields line
+/// compiled from inside the body keeps that manifest.
 bool parse_ssl_records(std::string_view body, const SslPlan& plan,
                        std::vector<SslRecord>& out,
                        LogParseError* error = nullptr,

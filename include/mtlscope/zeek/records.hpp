@@ -40,6 +40,43 @@ struct SslRecord {
   }
 };
 
+/// Column manifest: which SslRecord fields a reader decodes. One type
+/// for both ssl readers, the TSV batch parsers (via SslPlan::projection)
+/// and the columnar block scan. Fields not requested are never decoded
+/// or interned and are left untouched in the output record. A manifest
+/// never changes which rows are accepted (DESIGN §10).
+struct SslColumns {
+  bool ts = true;
+  bool uid = true;
+  bool endpoints = true;  ///< orig_h/orig_p/resp_h/resp_p
+  bool version = true;
+  bool server_name = true;
+  bool established = true;
+  bool chain_fuids = true;  ///< both certificate-chain fuid columns
+
+  static SslColumns all() { return {}; }
+
+  /// What the analysis pipeline reads: everything except uid, which no
+  /// enrichment rule or analyzer consults.
+  static SslColumns pipeline() {
+    SslColumns columns;
+    columns.uid = false;
+    return columns;
+  }
+
+  /// What the chain-upgrade pass reads: the established flag and both
+  /// chain fuid lists.
+  static SslColumns chains() {
+    SslColumns columns;
+    columns.ts = false;
+    columns.uid = false;
+    columns.endpoints = false;
+    columns.version = false;
+    columns.server_name = false;
+    return columns;
+  }
+};
+
 /// One x509.log row. Zeek logs parsed fields; we additionally carry the
 /// DER (as Zeek can be configured to do), which lets the analysis
 /// pipeline re-parse certificates rather than trusting the log fields.

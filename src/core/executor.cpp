@@ -1,5 +1,6 @@
 #include "mtlscope/core/executor.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -18,6 +19,9 @@ namespace {
 
 using util::parallel_ranges;
 
+/// Rows per in-memory phase-B part: one default container block.
+constexpr std::size_t kRowsPerPart = 65536;
+
 const CertFacts* find_facts(const Pipeline::CertMap& certs,
                             const colfmt::StrVec& fuids) {
   if (fuids.empty()) return nullptr;
@@ -25,33 +29,117 @@ const CertFacts* find_facts(const Pipeline::CertMap& certs,
   return it == certs.end() ? nullptr : &it->second;
 }
 
-/// Phase B's chain-level public upgrade (§3.2.1): the leaf goes public
-/// when any intermediate on the chain already is. Upgrades can chain
-/// through later connections, so callers apply this serially in stream
-/// order.
-void upgrade_chain(Pipeline::CertMap& base,
-                   const colfmt::StrVec& fuids) {
-  if (fuids.size() < 2) return;  // no intermediates to inherit from
-  const auto leaf_it = base.find(fuids.front());
-  if (leaf_it == base.end() ||
-      leaf_it->second.issuer_class == trust::IssuerClass::kPublic) {
+/// Phase A's registry over x509 rows in stream order: CertFacts built in
+/// parallel row ranges, folded first-fuid-wins in row order. An exception
+/// out of make_facts (which degrades hostile DER and should never throw)
+/// is rethrown on the caller's thread rather than crossing a worker's.
+std::shared_ptr<Pipeline::CertMap> build_registry(
+    const Enricher& enricher, const std::vector<const zeek::X509Record*>& rows,
+    std::size_t k) {
+  std::vector<std::vector<CertFacts>> built(k);
+  std::vector<std::exception_ptr> failures(k);
+  parallel_ranges(rows.size(), k,
+                  [&](std::size_t shard, std::size_t begin, std::size_t end) {
+                    auto& out = built[shard];
+                    out.reserve(end - begin);
+                    try {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        out.push_back(enricher.make_facts(*rows[i]));
+                      }
+                    } catch (...) {
+                      failures[shard] = std::current_exception();
+                    }
+                  });
+  for (const auto& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
+  }
+  auto registry = std::make_shared<Pipeline::CertMap>();
+  registry->reserve(rows.size());
+  for (auto& chunk : built) {
+    for (auto& facts : chunk) {
+      const colfmt::Str fuid = facts.fuid;
+      registry->emplace(fuid, std::move(facts));
+    }
+  }
+  return registry;
+}
+
+/// Phase B's chain-level public upgrade (§3.2.1), one implementation in
+/// two halves for every engine. A leaf goes public when any intermediate
+/// on its chain already is; upgrades chain through later connections, so
+/// they apply in stream order. Workers resolve rows to registry entries
+/// (resolve_chains); the caller's thread folds the resolved lists in
+/// stream order (fold_upgrades). Workers only call CertMap::find(), whose
+/// map structure phase A froze, and never read issuer_class, which the
+/// fold writes concurrently.
+///
+/// Layout: per established row, the server chain and then the client
+/// chain each append the leaf's entry and every registered
+/// intermediate's, closed by a null. A chain that cannot upgrade (no
+/// intermediate, unregistered leaf, no registered intermediate) appends
+/// nothing.
+using ResolvedChains = std::vector<CertFacts*>;
+
+void resolve_chain(Pipeline::CertMap& registry, const colfmt::StrVec& fuids,
+                   ResolvedChains& out) {
+  if (fuids.size() < 2) return;
+  const auto leaf = registry.find(fuids.front());
+  if (leaf == registry.end()) return;
+  const std::size_t mark = out.size();
+  out.push_back(&leaf->second);
+  for (std::size_t i = 1; i < fuids.size(); ++i) {
+    const auto it = registry.find(fuids[i]);
+    if (it != registry.end()) out.push_back(&it->second);
+  }
+  if (out.size() == mark + 1) {
+    out.pop_back();
     return;
   }
-  for (std::size_t i = 1; i < fuids.size(); ++i) {
-    const auto it = base.find(fuids[i]);
-    if (it != base.end() &&
-        it->second.issuer_class == trust::IssuerClass::kPublic) {
-      leaf_it->second.issuer_class = trust::IssuerClass::kPublic;
-      leaf_it->second.issuer_category = IssuerCategory::kPublic;
-      return;
+  out.push_back(nullptr);
+}
+
+void resolve_chains(Pipeline::CertMap& registry, const zeek::SslRecord& row,
+                    ResolvedChains& out) {
+  if (!row.established) return;
+  resolve_chain(registry, row.cert_chain_fuids, out);
+  resolve_chain(registry, row.client_cert_chain_fuids, out);
+}
+
+void fold_upgrades(const ResolvedChains& resolved) {
+  for (std::size_t i = 0; i < resolved.size(); ++i) {
+    CertFacts& leaf = *resolved[i];
+    bool public_intermediate = false;
+    while (resolved[++i] != nullptr) {  // stops on the chain's closing null
+      public_intermediate = public_intermediate ||
+                            resolved[i]->issuer_class ==
+                                trust::IssuerClass::kPublic;
+    }
+    if (public_intermediate &&
+        leaf.issuer_class != trust::IssuerClass::kPublic) {
+      leaf.issuer_class = trust::IssuerClass::kPublic;
+      leaf.issuer_category = IssuerCategory::kPublic;
     }
   }
 }
 
-void apply_upgrades(Pipeline::CertMap& base, const zeek::SslRecord& record) {
-  if (!record.established) return;
-  upgrade_chain(base, record.cert_chain_fuids);
-  upgrade_chain(base, record.client_cert_chain_fuids);
+/// Phase B over `parts` stream-ordered parts (row ranges or blocks):
+/// windows of k parts resolve in parallel, then fold in part order, so
+/// at most k parts' resolved chains are resident at once.
+template <typename ResolvePart>
+void upgrade_parts(std::size_t parts, std::size_t k,
+                   const ResolvePart& resolve_part) {
+  std::vector<ResolvedChains> window(std::min(parts, k));
+  for (std::size_t first = 0; first < parts; first += window.size()) {
+    const std::size_t n = std::min(window.size(), parts - first);
+    parallel_ranges(n, k,
+                    [&](std::size_t, std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        window[i].clear();
+                        resolve_part(first + i, window[i]);
+                      }
+                    });
+    for (std::size_t i = 0; i < n; ++i) fold_upgrades(window[i]);
+  }
 }
 
 /// Phase C candidate collection: issuer DN → distinct CT-mismatching SLDs.
@@ -239,34 +327,22 @@ Pipeline PipelineExecutor::run(const std::vector<zeek::SslRecord>& ssl,
   std::vector<const zeek::X509Record*> rows;
   rows.reserve(x509.size());
   for (const auto& [fuid, record] : x509) rows.push_back(&record);
-
-  auto base = std::make_shared<Pipeline::CertMap>();
-  base->reserve(rows.size());
-  {
-    std::vector<std::vector<CertFacts>> built(k);
-    parallel_ranges(rows.size(), k,
-                    [&](std::size_t shard, std::size_t begin,
-                        std::size_t end) {
-                      auto& out = built[shard];
-                      out.reserve(end - begin);
-                      for (std::size_t i = begin; i < end; ++i) {
-                        out.push_back(enricher->make_facts(*rows[i]));
-                      }
-                    });
-    for (auto& chunk : built) {
-      for (auto& facts : chunk) {
-        const colfmt::Str fuid = facts.fuid;
-        base->emplace(fuid, std::move(facts));
-      }
-    }
-  }
+  const auto base = build_registry(*enricher, rows, k);
 
   // --- Phase B: chain-level public upgrades (§3.2.1), whole stream. ---
   // Upgrading is monotonic (private → public, never back), so one pass
   // over every established connection's chains reaches the same fixpoint
   // the streaming pipeline converges to — without the stream-position
-  // dependence of upgrading mid-run.
-  for (const auto& record : ssl) apply_upgrades(*base, record);
+  // dependence of upgrading mid-run. Row ranges of at most one container
+  // block resolve in parallel and fold in stream order.
+  const std::size_t parts =
+      std::max(k, (ssl.size() + kRowsPerPart - 1) / kRowsPerPart);
+  upgrade_parts(parts, k, [&](std::size_t part, ResolvedChains& out) {
+    const std::size_t end = ssl.size() * (part + 1) / parts;
+    for (std::size_t i = ssl.size() * part / parts; i < end; ++i) {
+      resolve_chains(*base, ssl[i], out);
+    }
+  });
 
   // --- Phase C: interception pre-pass (when CT is configured). ---
   // Shard-local candidate maps merge by set union; confirmation compares
@@ -419,41 +495,47 @@ std::optional<Pipeline> PipelineExecutor::run_sources(
     }
   }
 
-  // --- Phase B (streaming): parse ssl chunks in parallel, apply chain
-  // upgrades serially in stream order on the folding thread. This is the
+  // --- Phase B (streaming): workers parse ssl chunks with the chains
+  // manifest (established + both chain lists; every row still validated
+  // in full) and resolve the chains against the registry; the folding
+  // thread applies the upgrades in stream order. This is the
   // authoritative ssl pass: skip-mode quarantine entries for ssl rows are
   // recorded here and nowhere else (phases C/D re-parse the same bytes
   // tolerantly and only bump per-phase counters). ---
   struct SslChunk {
-    std::vector<zeek::SslRecord> records;
+    ResolvedChains chains;
     std::vector<zeek::RowIssue> issues;
     zeek::TolerantStats stats;
   };
+  const zeek::SslPlan chains_plan =
+      ssl_plan.projected(zeek::SslColumns::chains());
   std::size_t ssl_lines_before = 0;
   ok = ok && stream_pass<SslChunk>(
                  ssl, ssl_layout, k, options, engine_error,
                  [&](const ingest::Chunk& chunk, SslChunk& out) {
+                   std::vector<zeek::SslRecord> records;
                    if (skip) {
                      out.stats = zeek::parse_ssl_records_tolerant(
-                         chunk.view(), ssl_plan, out.records, &out.issues,
+                         chunk.view(), chains_plan, records, &out.issues,
                          ssl_header_lines, chunk.offset);
-                     return true;
+                   } else {
+                     zeek::LogParseError parse_error;
+                     if (!zeek::parse_ssl_records(chunk.view(), chains_plan,
+                                                  records, &parse_error,
+                                                  ssl_header_lines)) {
+                       // failed chunks fold as empty
+                       engine_error.record(ssl.name(), chunk.offset,
+                                           describe_parse_error(parse_error));
+                       return false;
+                     }
                    }
-                   zeek::LogParseError parse_error;
-                   if (!zeek::parse_ssl_records(chunk.view(), ssl_plan,
-                                                out.records, &parse_error,
-                                                ssl_header_lines)) {
-                     out.records.clear();  // failed chunks fold as empty
-                     engine_error.record(ssl.name(), chunk.offset,
-                                         describe_parse_error(parse_error));
-                     return false;
+                   for (const auto& record : records) {
+                     resolve_chains(*base, record, out.chains);
                    }
                    return true;
                  },
                  [&](SslChunk&& r) {
-                   for (const auto& record : r.records) {
-                     apply_upgrades(*base, record);
-                   }
+                   fold_upgrades(r.chains);
                    if (skip) {
                      led->count_rows_ok(InputRole::kSsl, r.stats.rows_ok);
                      for (auto& issue : r.issues) {
@@ -483,7 +565,11 @@ std::optional<Pipeline> PipelineExecutor::run_sources(
 
   // --- Phase C (streaming): chunk-local candidate maps, set-union fold
   // (order-independent), threshold once at the end. Re-streams ssl; the
-  // registry is complete and read-only from here on. ---
+  // registry is complete and read-only from here on. Phases C and D
+  // parse with the pipeline manifest (uid pruned, as the columnar scan
+  // does): no enrichment rule or analyzer reads it. ---
+  const zeek::SslPlan pipeline_plan =
+      ssl_plan.projected(zeek::SslColumns::pipeline());
   auto confirmed = std::make_shared<Pipeline::StrSet>();
   if (ok && config_.ct != nullptr) {
     struct CandidateChunk {
@@ -499,12 +585,12 @@ std::optional<Pipeline> PipelineExecutor::run_sources(
             // Non-authoritative re-parse: tolerate the same rows phase B
             // quarantined (count only — no new ledger entries).
             const auto stats = zeek::parse_ssl_records_tolerant(
-                chunk.view(), ssl_plan, records, nullptr, ssl_header_lines,
-                chunk.offset);
+                chunk.view(), pipeline_plan, records, nullptr,
+                ssl_header_lines, chunk.offset);
             out.rows_bad = stats.rows_bad;
           } else {
             zeek::LogParseError parse_error;
-            if (!zeek::parse_ssl_records(chunk.view(), ssl_plan, records,
+            if (!zeek::parse_ssl_records(chunk.view(), pipeline_plan, records,
                                          &parse_error, ssl_header_lines)) {
               engine_error.record(ssl.name(), chunk.offset,
                                   describe_parse_error(parse_error));
@@ -554,13 +640,14 @@ std::optional<Pipeline> PipelineExecutor::run_sources(
                 // B quarantined; per-shard counts merge deterministically
                 // below.
                 const auto stats = zeek::parse_ssl_records_tolerant(
-                    chunk.view(), ssl_plan, records, nullptr,
+                    chunk.view(), pipeline_plan, records, nullptr,
                     ssl_header_lines, chunk.offset);
                 shard_rows_bad[s] += stats.rows_bad;
               } else {
                 zeek::LogParseError parse_error;
-                if (!zeek::parse_ssl_records(chunk.view(), ssl_plan, records,
-                                             &parse_error, ssl_header_lines)) {
+                if (!zeek::parse_ssl_records(chunk.view(), pipeline_plan,
+                                             records, &parse_error,
+                                             ssl_header_lines)) {
                   // Unreachable when phases B/C parsed the same bytes, but
                   // an input changing mid-run must not silently drop rows.
                   engine_error.record(ssl.name(), chunk.offset,
@@ -804,66 +891,57 @@ std::optional<Pipeline> PipelineExecutor::run_container_columnar(
     return error_block != SIZE_MAX;
   };
 
-  // --- Phase A: x509 blocks decode + facts in parallel, then fold
-  // first-fuid-wins in block (= stream) order. Certificates are the
-  // deduplicated side of the join, so this side keeps the materializing
-  // decoder; the Enricher's DER-keyed memo already collapses the work
-  // per distinct certificate. ---
-  auto base = std::make_shared<Pipeline::CertMap>();
+  // --- Phase A: x509 blocks decode in parallel, then facts build in
+  // parallel row ranges and fold first-fuid-wins in stream order, as the
+  // in-memory path does. Certificates are the deduplicated side of the
+  // join (the fixture's six thousand fit in one block), so rows, not
+  // blocks, are the unit of parallelism; the Enricher's DER-keyed memo
+  // already collapses the work per distinct certificate. ---
+  std::shared_ptr<Pipeline::CertMap> base;
   {
-    std::vector<std::vector<CertFacts>> built(x509_blocks.size());
-    parallel_ranges(
-        x509_blocks.size(), k,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            try {
-              const auto rows = reader.decode_x509_block(x509_blocks[i]);
-              auto& out = built[i];
-              out.reserve(rows.size());
-              for (const auto& record : rows) {
-                out.push_back(enricher->make_facts(record));
-              }
-            } catch (const std::exception& e) {
-              note_error(i, e.what());
-            }
-          }
-        });
+    std::vector<std::vector<zeek::X509Record>> decoded(x509_blocks.size());
+    parallel_ranges(x509_blocks.size(), k,
+                    [&](std::size_t, std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        try {
+                          decoded[i] =
+                              reader.decode_x509_block(x509_blocks[i]);
+                        } catch (const std::exception& e) {
+                          note_error(i, e.what());
+                        }
+                      }
+                    });
     if (!failed()) {
-      std::size_t total = 0;
-      for (const auto& chunk : built) total += chunk.size();
-      base->reserve(total);
-      for (auto& chunk : built) {
-        for (auto& facts : chunk) {
-          const colfmt::Str fuid = facts.fuid;
-          base->emplace(fuid, std::move(facts));
-        }
+      std::vector<const zeek::X509Record*> rows;
+      for (const auto& block : decoded) {
+        for (const auto& record : block) rows.push_back(&record);
+      }
+      try {
+        base = build_registry(*enricher, rows, k);
+      } catch (const std::exception& e) {
+        note_error(0, e.what());
       }
     }
   }
 
-  // --- Phase B: serial column scan in stream order. Chain upgrades only
-  // read the established flag and the chain fuids, so every other column
-  // is pruned (kind-6 blocks skip the ts/uid spans in O(1)). ---
+  // --- Phase B: ssl blocks scan in parallel with the chains manifest
+  // (kind-6 blocks skip the ts/uid spans in O(1)) and fold in block (=
+  // stream) order. ---
   if (!failed()) {
-    colfmt::SslScanColumns needs;
-    needs.ts = false;
-    needs.uid = false;
-    needs.endpoints = false;
-    needs.version = false;
-    needs.server_name = false;
-    zeek::SslRecord rec;
-    for (std::size_t i = 0; i < ssl_blocks.size(); ++i) {
-      try {
-        auto scan = reader.scan_ssl_block(ssl_blocks[i], needs);
-        while (!scan.done()) {
-          scan.next(rec);
-          apply_upgrades(*base, rec);
-        }
-      } catch (const StateError& e) {
-        note_error(x509_blocks.size() + i, e.what());
-        break;
-      }
-    }
+    upgrade_parts(
+        ssl_blocks.size(), k, [&](std::size_t i, ResolvedChains& out) {
+          try {
+            auto scan = reader.scan_ssl_block(ssl_blocks[i],
+                                              zeek::SslColumns::chains());
+            zeek::SslRecord rec;
+            while (!scan.done()) {
+              scan.next(rec);
+              resolve_chains(*base, rec, out);
+            }
+          } catch (const std::exception& e) {
+            note_error(x509_blocks.size() + i, e.what());
+          }
+        });
   }
 
   // --- Phases D + E: contiguous block ranges, one per shard; each row
@@ -886,7 +964,7 @@ std::optional<Pipeline> PipelineExecutor::run_container_columnar(
           for (std::size_t i = begin; i < end; ++i) {
             try {
               auto scan = reader.scan_ssl_block(
-                  ssl_blocks[i], colfmt::SslScanColumns::pipeline());
+                  ssl_blocks[i], zeek::SslColumns::pipeline());
               while (!scan.done()) {
                 scan.next(rec);
                 pipeline.add_connection(rec);

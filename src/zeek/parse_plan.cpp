@@ -154,10 +154,12 @@ std::string missing_field_message(const char* name) {
 
 /// Fills one SslRecord from a row accessor (`at(slot)` → raw field view).
 /// Shared by the batch fast path and the row-materializing reference
-/// parser, so their per-field semantics cannot drift apart.
+/// parser, so their per-field semantics cannot drift apart. The row
+/// checks (ts, orig_p, resp_p numerics) run whatever `columns` holds;
+/// the manifest only selects which fields are decoded and interned.
 template <typename FieldAt>
-bool fill_ssl_record(const SslPlan& plan, const FieldAt& at,
-                     std::size_t row_index, SslRecord& r,
+bool fill_ssl_record(const SslPlan& plan, const SslColumns& columns,
+                     const FieldAt& at, std::size_t row_index, SslRecord& r,
                      LogParseError* error) {
   const auto ts = decode_time(at(plan.ts));
   const auto orig_p = decode_int(at(plan.orig_p));
@@ -166,27 +168,31 @@ bool fill_ssl_record(const SslPlan& plan, const FieldAt& at,
     set_error(error, row_index + 1, "bad numeric field");
     return false;
   }
-  r.ts = *ts;
-  decode_scalar_into(at(plan.uid), r.uid);
-  decode_scalar_into(at(plan.orig_h), r.orig_h);
-  r.orig_p = static_cast<std::uint16_t>(*orig_p);
-  decode_scalar_into(at(plan.resp_h), r.resp_h);
-  r.resp_p = static_cast<std::uint16_t>(*resp_p);
-  if (plan.version != kNoColumn) {
+  if (columns.ts) r.ts = *ts;
+  if (columns.uid) decode_scalar_into(at(plan.uid), r.uid);
+  if (columns.endpoints) {
+    decode_scalar_into(at(plan.orig_h), r.orig_h);
+    r.orig_p = static_cast<std::uint16_t>(*orig_p);
+    decode_scalar_into(at(plan.resp_h), r.resp_h);
+    r.resp_p = static_cast<std::uint16_t>(*resp_p);
+  }
+  if (columns.version && plan.version != kNoColumn) {
     decode_scalar_into(at(plan.version), r.version);
   }
-  if (plan.server_name != kNoColumn) {
+  if (columns.server_name && plan.server_name != kNoColumn) {
     decode_scalar_into(at(plan.server_name), r.server_name);
   }
-  if (plan.established != kNoColumn) {
+  if (columns.established && plan.established != kNoColumn) {
     r.established = at(plan.established) == "T";
   }
-  if (plan.cert_chain_fuids != kNoColumn) {
-    decode_vector_into(at(plan.cert_chain_fuids), r.cert_chain_fuids);
-  }
-  if (plan.client_cert_chain_fuids != kNoColumn) {
-    decode_vector_into(at(plan.client_cert_chain_fuids),
-                       r.client_cert_chain_fuids);
+  if (columns.chain_fuids) {
+    if (plan.cert_chain_fuids != kNoColumn) {
+      decode_vector_into(at(plan.cert_chain_fuids), r.cert_chain_fuids);
+    }
+    if (plan.client_cert_chain_fuids != kNoColumn) {
+      decode_vector_into(at(plan.client_cert_chain_fuids),
+                         r.client_cert_chain_fuids);
+    }
   }
   return true;
 }
@@ -504,6 +510,17 @@ std::size_t estimate_rows(std::string_view body) {
   return lines;
 }
 
+/// Makes room for `body`'s rows after those already in `out`: exactly
+/// into an empty vector, at least geometrically when appending, so a
+/// caller that appends chunk after chunk into one vector moves each
+/// record O(1) times rather than once per chunk.
+template <typename Record>
+void reserve_rows(std::vector<Record>& out, std::string_view body) {
+  const std::size_t need = out.size() + estimate_rows(body);
+  if (need <= out.capacity()) return;
+  out.reserve(out.empty() ? need : std::max(need, 2 * out.capacity()));
+}
+
 }  // namespace
 
 // --- ColumnPlan and schema plans -------------------------------------------
@@ -639,22 +656,23 @@ std::string_view decode_field(std::string_view raw, std::string& storage) {
 bool parse_ssl_records(std::string_view body, const SslPlan& plan,
                        std::vector<SslRecord>& out, LogParseError* error,
                        std::size_t header_lines) {
-  out.reserve(out.size() + estimate_rows(body));
+  reserve_rows(out, body);
   return parse_records(
       body, plan, error, header_lines,
-      [&out](const SslPlan& active, const std::string_view* fields,
-             std::size_t row_index, LogParseError* err) {
+      [&out, &plan](const SslPlan& active, const std::string_view* fields,
+                    std::size_t row_index, LogParseError* err) {
         SslRecord& r = out.emplace_back();
         return fill_ssl_record(
-            active, [fields](std::size_t slot) { return fields[slot]; },
-            row_index, r, err);
+            active, plan.projection,
+            [fields](std::size_t slot) { return fields[slot]; }, row_index,
+            r, err);
       });
 }
 
 bool parse_x509_records(std::string_view body, const X509Plan& plan,
                         std::vector<X509Record>& out, LogParseError* error,
                         std::size_t header_lines) {
-  out.reserve(out.size() + estimate_rows(body));
+  reserve_rows(out, body);
   return parse_records(
       body, plan, error, header_lines,
       [&out](const X509Plan& active, const std::string_view* fields,
@@ -686,14 +704,15 @@ TolerantStats parse_ssl_records_tolerant(std::string_view body,
                                          std::vector<RowIssue>* issues,
                                          std::size_t header_lines,
                                          std::size_t base_offset) {
-  out.reserve(out.size() + estimate_rows(body));
+  reserve_rows(out, body);
   return parse_records_tolerant(
       body, plan, issues, header_lines, base_offset,
       [&out](const SslPlan& active, const std::string_view* fields,
              std::size_t row_index, LogParseError* err) {
         SslRecord& r = out.emplace_back();
         if (fill_ssl_record(
-                active, [fields](std::size_t slot) { return fields[slot]; },
+                active, active.projection,
+                [fields](std::size_t slot) { return fields[slot]; },
                 row_index, r, err)) {
           return true;
         }
@@ -708,7 +727,7 @@ TolerantStats parse_x509_records_tolerant(std::string_view body,
                                           std::vector<RowIssue>* issues,
                                           std::size_t header_lines,
                                           std::size_t base_offset) {
-  out.reserve(out.size() + estimate_rows(body));
+  reserve_rows(out, body);
   return parse_records_tolerant(
       body, plan, issues, header_lines, base_offset,
       [&out](const X509Plan& active, const std::string_view* fields,
@@ -771,7 +790,7 @@ std::optional<std::vector<SslRecord>> parse_ssl_log_reference(
     const auto& row = raw->rows[i];
     SslRecord& r = out.emplace_back();
     if (!fill_ssl_record(
-            plan,
+            plan, plan.projection,
             [&row](std::size_t slot) { return std::string_view(row[slot]); },
             i, r, error)) {
       return std::nullopt;

@@ -3,17 +3,22 @@
 // (CertFacts, connection analyzers) must fold correctly on their own.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
+#include "mtlscope/colfmt/container.hpp"
 #include "mtlscope/core/analyzers.hpp"
 #include "mtlscope/core/executor.hpp"
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/tls/handshake.hpp"
 #include "mtlscope/trust/authority.hpp"
 #include "mtlscope/trust/public_cas.hpp"
+#include "mtlscope/x509/name.hpp"
 #include "mtlscope/zeek/log_io.hpp"
 
 namespace mtlscope {
@@ -673,6 +678,143 @@ TEST(ExecutorTest, RunLogsReportsParseErrors) {
   const auto result = executor.run_logs("not a zeek log\n", "", &error);
   EXPECT_FALSE(result.has_value());
   EXPECT_FALSE(error.message.empty());
+}
+
+// --- Phase B: order-dependent chain upgrades --------------------------------
+
+/// A logged x509 row without DER: enrichment classifies it by the logged
+/// issuer, public exactly when a public CA issued it.
+zeek::X509Record logged_cert(const std::string& fuid,
+                             const std::string& issuer) {
+  zeek::X509Record record;
+  record.fuid = fuid;
+  record.subject = "CN=" + fuid;
+  record.issuer = issuer;
+  return record;
+}
+
+zeek::SslRecord chain_row(const std::string& uid, bool established,
+                          const std::vector<std::string>& chain) {
+  zeek::SslRecord record;
+  record.ts = 1'660'000'000;
+  record.uid = uid;
+  record.orig_h = "10.1.2.3";
+  record.orig_p = 50000;
+  record.resp_h = "93.184.216.34";
+  record.resp_p = 443;
+  record.established = established;
+  for (const auto& fuid : chain) record.cert_chain_fuids.emplace_back(fuid);
+  return record;
+}
+
+/// L1 and L2 have a private issuer, P a public intermediate's. Row
+/// [L1, L2] then row [L2, P]: L2 goes public after L1's chain was folded,
+/// so L1 stays private. Swapped, L2 is public by the time [L1, L2] folds,
+/// so both go public. A non-established row carrying [L1, P] must never
+/// upgrade anything.
+zeek::Dataset chain_upgrade_dataset(bool swapped) {
+  const std::string private_issuer = "CN=Lab CA,O=Example Lab,C=US";
+  const std::string public_issuer = trust::public_pki()
+                                        .find("lets-encrypt")
+                                        ->intermediate.dn()
+                                        .to_string();
+  zeek::Dataset dataset;
+  dataset.add_x509(logged_cert("FL1", private_issuer));
+  dataset.add_x509(logged_cert("FL2", private_issuer));
+  dataset.add_x509(logged_cert("FP", public_issuer));
+  auto first = chain_row("C1", true, {"FL1", "FL2"});
+  auto second = chain_row("C2", true, {"FL2", "FP"});
+  if (swapped) std::swap(first, second);
+  dataset.add_ssl(chain_row("C0", false, {"FL1", "FP"}));
+  dataset.add_ssl(std::move(first));
+  dataset.add_ssl(chain_row("C9", false, {"FL1", "FP"}));
+  dataset.add_ssl(std::move(second));
+  dataset.add_ssl(chain_row("C8", false, {"FL1", "FP"}));
+  return dataset;
+}
+
+void expect_classes(const core::Pipeline& result, bool l1_public,
+                    bool l2_public) {
+  const auto class_of = [&](const char* fuid) {
+    const auto it = result.certificates().find(colfmt::Str(fuid));
+    EXPECT_NE(it, result.certificates().end()) << fuid;
+    return it == result.certificates().end() ? trust::IssuerClass::kPrivate
+                                             : it->second.issuer_class;
+  };
+  const auto expected = [](bool is_public) {
+    return is_public ? trust::IssuerClass::kPublic
+                     : trust::IssuerClass::kPrivate;
+  };
+  EXPECT_EQ(class_of("FP"), trust::IssuerClass::kPublic);
+  EXPECT_EQ(class_of("FL1"), expected(l1_public));
+  EXPECT_EQ(class_of("FL2"), expected(l2_public));
+}
+
+TEST(ChainUpgradeOrderTest, EveryEngineFoldsUpgradesInStreamOrder) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("mtlscope_chain_upgrade_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  for (const bool swapped : {false, true}) {
+    SCOPED_TRACE(swapped ? "swapped" : "in order");
+    const bool l1_public = swapped;
+    const auto dataset = chain_upgrade_dataset(swapped);
+    const std::string ssl_text = zeek::ssl_log_to_string(dataset.ssl());
+    const std::string x509_text = zeek::x509_log_to_string(dataset);
+
+    // One row per container block, so phase B folds across blocks.
+    const std::string container = (dir / "chains.mtlc").string();
+    {
+      colfmt::WriterOptions writer_options;
+      writer_options.block_rows = 1;
+      colfmt::ContainerWriter writer(container, writer_options);
+      ASSERT_TRUE(writer.ok()) << writer.error();
+      for (const auto& [fuid, record] : dataset.x509()) {
+        writer.add_x509(record);
+      }
+      for (const auto& record : dataset.ssl()) writer.add_ssl(record);
+      std::string error;
+      ASSERT_TRUE(writer.finish(&error)) << error;
+    }
+    std::string open_error;
+    const auto reader = colfmt::ContainerReader::open(container, &open_error);
+    ASSERT_TRUE(reader) << open_error;
+    ASSERT_EQ(reader->ssl_blocks().size(), dataset.ssl().size());
+
+    for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const auto config = core::PipelineConfig::campus_defaults();
+      {
+        core::PipelineExecutor executor(config, threads);
+        expect_classes(executor.run(dataset), l1_public, true);
+      }
+      {
+        // Chunks far smaller than a row: every row is its own chunk.
+        core::PipelineExecutor executor(config, threads);
+        ingest::IngestOptions options;
+        options.chunk_bytes = 16;
+        zeek::LogParseError error;
+        const auto result =
+            executor.run_logs(ssl_text, x509_text, &error, options);
+        ASSERT_TRUE(result.has_value()) << error.message;
+        expect_classes(*result, l1_public, true);
+      }
+      for (const auto mode :
+           {core::ScanMode::kRows, core::ScanMode::kColumnar}) {
+        core::PipelineExecutor executor(config, threads);
+        executor.set_scan_mode(mode);
+        ingest::IngestError error;
+        const auto result = executor.run_container(*reader, &error);
+        ASSERT_TRUE(result.has_value()) << error.to_string();
+        EXPECT_STREQ(executor.last_run_stats().scan,
+                     mode == core::ScanMode::kRows ? "rows" : "columnar");
+        expect_classes(*result, l1_public, true);
+      }
+    }
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -360,6 +360,209 @@ TEST(ZeekParseSemantics, ErrorLineNumbersCountPhysicalLines) {
   EXPECT_EQ(error.line, 5u);  // physical line, header included
 }
 
+// --- column manifests ------------------------------------------------------
+
+/// One hostile ssl log: a '#' header block and the body after it.
+struct ManifestCase {
+  const char* name;
+  std::string header;
+  std::string body;
+};
+
+std::string ssl_fields_line(const std::vector<std::string>& columns,
+                            const std::string& eol = "\n") {
+  std::string line = "#fields";
+  for (const auto& name : columns) line += "\t" + name;
+  return line + eol;
+}
+
+/// The eleven ssl columns the parsers know, in Zeek's order.
+std::vector<std::string> known_ssl_columns() {
+  std::vector<std::string> columns = ssl_columns();
+  columns.pop_back();  // extra_col
+  return columns;
+}
+
+std::vector<ManifestCase> manifest_corpus() {
+  const std::string header = "#separator \\x09\n#path\tssl\n" +
+                             ssl_fields_line(known_ssl_columns());
+  const std::string good =
+      "1.5\tC1\t10.0.0.1\t50000\t10.0.0.2\t443\tTLSv12\ta.test\tT"
+      "\tF1,F2\tF3\n";
+  const std::string mixed =  // "-", "(empty)" and empty elements
+      "2.0\tC2\t10.0.0.3\t-\t10.0.0.4\t8443\t-\t(empty)\tF\t,F1,\t(empty)\n"
+      "3.0\tC3\t10.0.0.5\t50001\t10.0.0.6\t443\t(empty)\t-\tT\t-\tF2,,F3\n";
+  const std::string escaped =  // \x2c-escaped fuids stay one element
+      "4.0\tC4\t10.0.0.7\t50002\t10.0.0.8\t443\tTLSv13\tb\\x09c\tT"
+      "\tF\\x2cone,F\\x5ctwo\tF\\x2c\n";
+  std::vector<ManifestCase> corpus;
+  corpus.push_back({"clean", header, good + mixed + escaped});
+  corpus.push_back(
+      {"bad numerics", header,
+       good + "x.5\tC5\t1.1.1.1\t1\t2.2.2.2\t443\t-\t-\tT\tF1\tF2\n" +
+           "5.0\tC6\t1.1.1.1\tport\t2.2.2.2\t443\t-\t-\tT\tF1\tF2\n" + mixed +
+           "6.0\tC7\t1.1.1.1\t1\t2.2.2.2\t4x3\t-\t-\tT\tF1\tF2\n" + escaped});
+  corpus.push_back(
+      {"field count mismatch", header,
+       good + "7.0\tC8\t1.1.1.1\t1\t2.2.2.2\t443\tT\n" + mixed +
+           "8.0\tC9\t1.1.1.1\t1\t2.2.2.2\t443\t-\t-\tT\tF1\tF2\textra\n"});
+  std::string crlf = good + mixed + escaped;
+  for (std::size_t pos = crlf.find('\n'); pos != std::string::npos;
+       pos = crlf.find('\n', pos + 2)) {
+    crlf.insert(pos, "\r");
+  }
+  corpus.push_back({"crlf", "#path\tssl\r\n" +
+                                ssl_fields_line(known_ssl_columns(), "\r\n"),
+                    crlf});
+  corpus.push_back({"mid-body # lines", header,
+                    good + "#close\t2024-01-01\n" +
+                        ssl_fields_line({"uid", "ts"}) + mixed + "#\n" +
+                        escaped});
+  // No #fields in the header: the strict parser compiles the first one
+  // in the body (keeping the manifest); the tolerant one never does.
+  corpus.push_back({"#fields inside the body", "#path\tssl\n",
+                    ssl_fields_line(known_ssl_columns()) + good + mixed});
+  std::vector<std::string> no_established = known_ssl_columns();
+  no_established.erase(std::find(no_established.begin(),
+                                 no_established.end(), "established"));
+  corpus.push_back(
+      {"no established column", ssl_fields_line(no_established),
+       "1.0\tC1\t10.0.0.1\t1\t10.0.0.2\t443\tTLSv12\ta\tF1,F2\tF3\n"
+       "2.0\tC2\t10.0.0.1\tbad\t10.0.0.2\t443\tTLSv12\ta\tF1,F2\tF3\n"});
+  std::vector<std::string> no_client_chain = known_ssl_columns();
+  no_client_chain.pop_back();
+  corpus.push_back(
+      {"no client chain column", ssl_fields_line(no_client_chain),
+       "1.0\tC1\t10.0.0.1\t1\t10.0.0.2\t443\tTLSv12\ta\tT\tF1,F2\n"
+       "2.0\tC2\t10.0.0.1\t1\t10.0.0.2\t443\tTLSv12\ta\tT\tF1\tF9\n"});
+  corpus.push_back(
+      {"unterminated last row", header,
+       good + mixed + "9.0\tC9\t1.1.1.1\t1\t2.2.2.2\t443\t-\t-\tT\tF1,F2\tF3"});
+  return corpus;
+}
+
+/// The fields of `full` that `columns` projects; the rest default, as a
+/// freshly emplaced record leaves them.
+zeek::SslRecord projection_of(const zeek::SslRecord& full,
+                              const zeek::SslColumns& columns) {
+  zeek::SslRecord out;
+  if (columns.ts) out.ts = full.ts;
+  if (columns.uid) out.uid = full.uid;
+  if (columns.endpoints) {
+    out.orig_h = full.orig_h;
+    out.orig_p = full.orig_p;
+    out.resp_h = full.resp_h;
+    out.resp_p = full.resp_p;
+  }
+  if (columns.version) out.version = full.version;
+  if (columns.server_name) out.server_name = full.server_name;
+  if (columns.established) out.established = full.established;
+  if (columns.chain_fuids) {
+    out.cert_chain_fuids = full.cert_chain_fuids;
+    out.client_cert_chain_fuids = full.client_cert_chain_fuids;
+  }
+  return out;
+}
+
+TEST(ZeekParseManifest, ProjectionNeverChangesWhichRowsAreAccepted) {
+  const std::pair<const char*, zeek::SslColumns> manifests[] = {
+      {"pipeline", zeek::SslColumns::pipeline()},
+      {"chains", zeek::SslColumns::chains()},
+  };
+  for (const auto& c : manifest_corpus()) {
+    SCOPED_TRACE(c.name);
+    const zeek::SslPlan plan =
+        zeek::SslPlan::compile(zeek::ColumnPlan::from_header(c.header));
+    const std::size_t header_lines = static_cast<std::size_t>(
+        std::count(c.header.begin(), c.header.end(), '\n'));
+
+    std::vector<zeek::SslRecord> full;
+    std::vector<zeek::RowIssue> full_issues;
+    const auto full_stats = zeek::parse_ssl_records_tolerant(
+        c.body, plan, full, &full_issues, header_lines, 1000);
+    std::vector<zeek::SslRecord> strict_full;
+    zeek::LogParseError strict_full_error;
+    const bool strict_full_ok = zeek::parse_ssl_records(
+        c.body, plan, strict_full, &strict_full_error, header_lines);
+
+    for (const auto& [manifest_name, columns] : manifests) {
+      SCOPED_TRACE(manifest_name);
+      const zeek::SslPlan projected = plan.projected(columns);
+
+      std::vector<zeek::SslRecord> rows;
+      std::vector<zeek::RowIssue> issues;
+      const auto stats = zeek::parse_ssl_records_tolerant(
+          c.body, projected, rows, &issues, header_lines, 1000);
+      EXPECT_EQ(stats.rows_ok, full_stats.rows_ok);
+      EXPECT_EQ(stats.rows_bad, full_stats.rows_bad);
+      EXPECT_EQ(stats.lines, full_stats.lines);
+      ASSERT_EQ(issues.size(), full_issues.size());
+      for (std::size_t i = 0; i < issues.size(); ++i) {
+        EXPECT_EQ(issues[i].line, full_issues[i].line) << "issue " << i;
+        EXPECT_EQ(issues[i].byte_offset, full_issues[i].byte_offset);
+        EXPECT_EQ(issues[i].raw_length, full_issues[i].raw_length);
+        EXPECT_EQ(issues[i].reason, full_issues[i].reason);
+        EXPECT_EQ(issues[i].digest, full_issues[i].digest);
+      }
+      ASSERT_EQ(rows.size(), full.size());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        expect_equal(rows[i], projection_of(full[i], columns), i);
+      }
+
+      std::vector<zeek::SslRecord> strict;
+      zeek::LogParseError strict_error;
+      const bool strict_ok = zeek::parse_ssl_records(
+          c.body, projected, strict, &strict_error, header_lines);
+      ASSERT_EQ(strict_ok, strict_full_ok);
+      if (!strict_ok) {
+        EXPECT_EQ(strict_error.line, strict_full_error.line);
+        EXPECT_EQ(strict_error.message, strict_full_error.message);
+        continue;
+      }
+      ASSERT_EQ(strict.size(), strict_full.size());
+      for (std::size_t i = 0; i < strict.size(); ++i) {
+        expect_equal(strict[i], projection_of(strict_full[i], columns), i);
+      }
+    }
+  }
+}
+
+TEST(ZeekParseManifest, CorpusCoversEveryRejectionAndDecodeShape) {
+  // Pins the corpus itself, so the parity test above cannot pass
+  // vacuously: every case parses some rows, the hostile ones quarantine
+  // the expected reasons, and the odd values decode as intended.
+  std::size_t ok_rows = 0;
+  std::vector<std::string> reasons;
+  std::vector<zeek::SslRecord> clean;
+  for (const auto& c : manifest_corpus()) {
+    const zeek::SslPlan plan =
+        zeek::SslPlan::compile(zeek::ColumnPlan::from_header(c.header));
+    std::vector<zeek::SslRecord> rows;
+    std::vector<zeek::RowIssue> issues;
+    ok_rows += zeek::parse_ssl_records_tolerant(c.body, plan, rows, &issues)
+                   .rows_ok;
+    for (const auto& issue : issues) reasons.push_back(issue.reason);
+    if (std::string_view(c.name) == "clean") clean = rows;
+  }
+  EXPECT_GT(ok_rows, 20u);
+  for (const char* reason : {"bad numeric field", "field count mismatch",
+                             "data row before #fields header"}) {
+    EXPECT_NE(std::find(reasons.begin(), reasons.end(), reason),
+              reasons.end())
+        << reason;
+  }
+  ASSERT_EQ(clean.size(), 4u);
+  EXPECT_EQ(clean[1].cert_chain_fuids,
+            (std::vector<colfmt::Str>{"", "F1", ""}));
+  EXPECT_TRUE(clean[1].client_cert_chain_fuids.empty());
+  EXPECT_EQ(clean[2].client_cert_chain_fuids,
+            (std::vector<colfmt::Str>{"F2", "", "F3"}));
+  EXPECT_EQ(clean[3].cert_chain_fuids,
+            (std::vector<colfmt::Str>{"F,one", "F\\two"}));
+  EXPECT_EQ(clean[3].client_cert_chain_fuids,
+            (std::vector<colfmt::Str>{"F,"}));
+}
+
 // --- plan compiler ---------------------------------------------------------
 
 TEST(ZeekParsePlan, MissingRequiredFieldsReportInLegacyOrder) {
