@@ -5,7 +5,8 @@
 //   1. `mtlscope run --all --format=json --stable-output` over the
 //      container is byte-identical to the same run over the TSV pair,
 //      at --threads=1 and --threads=4, via both `--format=compact` and
-//      magic-probe auto-detection;
+//      magic-probe auto-detection, and a container run's perf envelope
+//      reports "scan":"columnar" (a TSV run's, "rows");
 //   2. the degraded path: skip-mode conversion of the 1%-corrupted
 //      fixture copies succeeds, `compact --verify` re-expands it against
 //      the dirty TSV pair (quarantined counts included), and a skip-mode
@@ -175,6 +176,29 @@ int main(int argc, char** argv) {
   }
   std::printf("clean parity: %d runs byte-identical (%zu bytes each)\n",
               combo, reference.size());
+
+  // 1c. The perf envelope (absent under --stable-output) names the scan
+  //     that fed the phases: the block scan for a container, rows for TSV.
+  const struct {
+    std::vector<std::string> input;
+    const char* expect;
+  } probes[] = {
+      {{"--ssl-log=" + clean_container}, "\"scan\":\"columnar\""},
+      {{"--ssl-log=" + clean_ssl, "--x509-log=" + clean_x509},
+       "\"scan\":\"rows\""},
+  };
+  for (const auto& probe : probes) {
+    std::vector<std::string> args = {"run", "table1", "--format=json"};
+    args.insert(args.end(), probe.input.begin(), probe.input.end());
+    const auto run =
+        run_child(mtlscope, args, (dir / "parity_envelope.json").string());
+    if (run.exit_code != 0 || !contains(run.output, probe.expect)) {
+      std::fprintf(stderr, "FAIL: envelope run over %s (exit %d) lacks %s\n",
+                   probe.input.front().c_str(), run.exit_code, probe.expect);
+      return 1;
+    }
+  }
+  std::printf("perf envelope reports the columnar scan for containers\n");
 
   // 2. Degraded path: deterministically dirty copies (~1% of data rows,
   //    same seeds as degraded_run_check so the fixture files coincide).

@@ -10,7 +10,7 @@
 // so one generated trace serves every compatible experiment (e.g. the
 // six pristine-model certificate tables share one pipeline pass). The
 // shared flags (--cert-scale= / --conn-scale= / --seed= / --threads= /
-// --ssl-log= / --x509-log= / --scan= / --chunk-mb= / --in-memory /
+// --ssl-log= / --x509-log= / --chunk-mb= / --in-memory /
 // --force-buffered / --stable-output / --on-error= / --max-errors= /
 // --max-error-rate=) apply to every experiment in the invocation;
 // scales default to each experiment's calibrated values.
@@ -293,7 +293,7 @@ int run_map(int argc, char** argv) {
   core::ShardState state;
   auto config = core::PipelineConfig::campus_defaults();
   if (options.file_mode() && options.compact_input()) {
-    // Compact container: decode blocks in parallel and fold. The state
+    // Compact container: scan its blocks and fold. The state
     // meta carries the original TSV labels and byte sizes from the
     // container, so the shard state merges and reports byte-identically
     // to a map over the TSV pair.
@@ -305,16 +305,6 @@ int run_map(int argc, char** argv) {
       return 1;
     }
     core::PipelineExecutor executor(config, options.threads);
-    switch (options.scan) {
-      case experiments::RunOptions::ScanMode::kRows:
-        executor.set_scan_mode(core::ScanMode::kRows);
-        break;
-      case experiments::RunOptions::ScanMode::kColumnar:
-        executor.set_scan_mode(core::ScanMode::kColumnar);
-        break;
-      case experiments::RunOptions::ScanMode::kAuto:
-        break;
-    }
     ingest::IngestError error;
     auto folded =
         executor.fold_container(*reader, &error, options.ingest_options());

@@ -1,14 +1,9 @@
-// Enrichment-memoization and scan-strategy benches (DESIGN §15). Two
-// comparisons, each read off adjacent rows of one BENCH file:
-//
-//   * cold vs memoized enrichment — certificate facts recomputed from
-//     DER every pass (fresh Enricher) against the DER-pointer-keyed
-//     facts cache answering repeat passes, and per-connection
-//     host/address classification with the per-run EnrichCache cleared
-//     each pass against kept warm;
-//   * row vs columnar container scan — the same end-to-end pipeline run
-//     (BM_CompactFullRun shape) forced through the materializing row
-//     decode and through the zero-materialization columnar scan.
+// Enrichment-memoization benches (DESIGN §15): cold vs memoized
+// enrichment — certificate facts recomputed from DER every pass (fresh
+// Enricher) against the DER-pointer-keyed facts cache answering repeat
+// passes, and per-connection host/address classification with the
+// per-run EnrichCache cleared each pass against kept warm — plus the
+// end-to-end columnar container run they feed (BM_CompactFullRun shape).
 //
 // Default scale matches perf_compact (~100 MB ssl.log, ~900k records);
 // override with MTLSCOPE_ENRICH_BENCH_CONN=<conn_scale> for quick runs.
@@ -154,9 +149,8 @@ void BM_ConnEnrichMemoized(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnEnrichMemoized)->Unit(benchmark::kMillisecond);
 
-/// End-to-end container runs with the scan strategy pinned; the
-/// rows/columnar ratio is the headline zero-materialization figure.
-void full_run(benchmark::State& state, core::ScanMode scan) {
+/// End-to-end container run: the columnar block scan feeding phases A–E.
+void BM_FullRunColumnarScan(benchmark::State& state) {
   const auto& logs = fixture();
   if (!logs.error.empty()) {
     state.SkipWithError(logs.error.c_str());
@@ -173,7 +167,6 @@ void full_run(benchmark::State& state, core::ScanMode scan) {
     }
     core::PipelineExecutor executor(core::PipelineConfig::campus_defaults(),
                                     static_cast<std::size_t>(state.range(0)));
-    executor.set_scan_mode(scan);
     ingest::IngestError ingest_error;
     const auto result = executor.run_container(*reader, &ingest_error);
     if (!result) {
@@ -186,21 +179,8 @@ void full_run(benchmark::State& state, core::ScanMode scan) {
   state.SetBytesProcessed(
       static_cast<std::int64_t>(logs.tsv_bytes * state.iterations()));
 }
-
-void BM_FullRunRowScan(benchmark::State& state) {
-  full_run(state, core::ScanMode::kRows);
-}
 // UseRealTime: the executor runs worker threads; wall clock is the
 // honest denominator.
-BENCHMARK(BM_FullRunRowScan)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FullRunColumnarScan(benchmark::State& state) {
-  full_run(state, core::ScanMode::kColumnar);
-}
 BENCHMARK(BM_FullRunColumnarScan)
     ->Arg(1)
     ->Arg(4)

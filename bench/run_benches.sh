@@ -4,14 +4,14 @@
 # reproducible): the Zeek-parsing microbench to BENCH_parse.json, the
 # shard-state serialization bench to BENCH_state.json, the watch
 # tail/checkpoint bench to BENCH_watch.json, the compact-container
-# ingest bench to BENCH_compact.json, the enrichment-memoization /
-# scan-strategy bench to BENCH_enrich.json, the durable write-path
+# ingest bench to BENCH_compact.json, the enrichment-memoization and
+# columnar full-run bench to BENCH_enrich.json, the durable write-path
 # bench to BENCH_chaos.json, and the SHA-256 / HMAC / tsig bench to
-# BENCH_crypto.json. The parse and crypto benches run five repetitions
-# and keep the aggregates only. Every file's context is stamped with the
-# git SHA, the build type and `nproc`. Afterwards it runs the extended
-# multi-seed chaos sweep (`ctest -C chaos -L chaos`), which the default
-# ctest run skips.
+# BENCH_crypto.json. The parse, enrich and crypto benches run five
+# repetitions and keep the aggregates only. Every file's context is
+# stamped with the git SHA, the build type and `nproc`. Afterwards it
+# runs the extended multi-seed chaos sweep (`ctest -C chaos -L chaos`),
+# which the default ctest run skips.
 #
 #   bench/run_benches.sh [BUILD_DIR] [PARSE_OUT] [STATE_OUT] [WATCH_OUT] \
 #                        [COMPACT_OUT] [ENRICH_OUT] [CHAOS_OUT] [CRYPTO_OUT]
@@ -65,7 +65,8 @@ run_bench perf_zeek_parse "$parse_out" \
 run_bench perf_state "$state_out"
 run_bench perf_watch "$watch_out"
 run_bench perf_compact "$compact_out"
-run_bench perf_enrich "$enrich_out"
+run_bench perf_enrich "$enrich_out" \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 run_bench perf_chaos "$chaos_out"
 run_bench perf_crypto "$crypto_out" \
   --benchmark_repetitions=5 --benchmark_report_aggregates_only=true

@@ -64,8 +64,8 @@ int report(const std::filesystem::path& dir, const ReportOptions& options) {
   // run_log_files() streams both logs through the bounded-memory ingest
   // layer: mmap + record-aligned chunks + one pipeline shard per worker.
   // Results are byte-identical for any --threads or --chunk-mb value, and
-  // resident memory stays O(chunk × queue depth) even for logs larger
-  // than RAM.
+  // resident memory stays O(chunk × threads) even for logs larger than
+  // RAM.
   core::PipelineExecutor executor(core::PipelineConfig::campus_defaults(),
                                   options.threads);
   core::Sharded<core::PrevalenceAnalyzer> prevalence_shards(

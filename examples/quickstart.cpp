@@ -90,9 +90,10 @@ int main() {
   std::printf("\nssl.log:\n%s", ssl_log.c_str());
 
   // --- 4. Measurement pipeline over the logs (sharded executor). ----------
-  // run_logs() splits both logs into per-worker chunks, parses them in
-  // parallel, and merges the shard pipelines deterministically — the same
-  // entry point the repro_* binaries use for full-scale traces.
+  // run_logs() cuts both logs into record-aligned parts, runs phases A–E
+  // over them in parallel, and merges the shard pipelines
+  // deterministically — the one phase engine every input (in-memory
+  // trace, on-disk logs, compact container) runs through.
   core::PipelineExecutor executor(core::PipelineConfig::campus_defaults());
   executor.add_observer_factory([](std::size_t) {
     return [](const core::EnrichedConnection& enriched) {

@@ -1,21 +1,28 @@
 // PipelineExecutor: partition-then-merge execution of the measurement
 // pipeline (the shape Internet-scale TLS measurement studies use to reach
-// billions of records). A trace — an in-memory Zeek dataset or an
-// ssl.log/x509.log text pair — is split into K contiguous shards; one
-// shard-local Pipeline runs per worker thread (std::thread, no external
-// dependencies); shard states merge deterministically in shard order, so
-// the result is bit-identical to the serial run for any K.
+// billions of records). One engine runs phases A–E over any input seen
+// as stream-ordered *parts*, each scannable into ssl/x509 rows under a
+// zeek::SslColumns manifest:
+//   * TSV logs (run_log_files / run_sources / run_logs): record-aligned
+//     byte ranges cut by RecordChunker's rule, parsed in place from the
+//     mmap'd (or buffered) file, never materialized whole;
+//   * compact containers (run_container): ssl blocks scanned
+//     column-direct; x509 blocks decoded in parallel, then row ranges;
+//   * in-memory datasets (run): row ranges, a multiple of K of them.
+// K shard-local Pipelines (std::thread, no external dependencies) merge
+// deterministically in shard order, so the result is bit-identical to
+// the serial run for any K, chunk size or input format.
 //
 // Execution phases:
-//   A  certificate registry: CertFacts for every x509 row, built in
-//      parallel over row ranges against the shared Enricher (thread-safe
-//      issuer-category memo).
-//   B  chain upgrades: whole-stream pass marking leaves public when any
+//   A  certificate registry: CertFacts built per x509 part in parallel
+//      windows against the shared Enricher, folded first-fuid-wins in
+//      stream order.
+//   B  chain upgrades: one in-order pass marking leaves public when any
 //      connection carries a public intermediate for them (§3.2.1) —
 //      monotonic, so a single pre-pass equals the streaming fixpoint.
-//      Workers read only `established` and the chain fuids and resolve
-//      the chains to registry entries in parallel; the caller's thread
-//      folds the upgrades in stream order.
+//      Workers scan windows of parts with the chains manifest and
+//      resolve the chains to registry entries; the caller's thread folds
+//      the upgrades in stream order.
 //   C  interception pre-pass (when CT is configured): shard-local
 //      candidate maps (issuer → distinct CT-mismatching SLDs) merged by
 //      set union; issuers at or above the confirmation threshold form the
@@ -23,27 +30,21 @@
 //      confirmed issuer's connections regardless of stream position —
 //      the order-independent semantics finalize() reconciles the
 //      streaming pipeline toward.
-//   D  shard run: K prepared-mode Pipelines over contiguous ssl slices,
-//      per-shard observers attached.
+//   D  shard run: K prepared-mode Pipelines, each over a contiguous range
+//      of ssl parts, per-shard observers attached.
 //   E  merge: shard registries, totals, and analyzer states fold into one
 //      Pipeline in shard order; finalize() flags interception certs.
 //
-// Two input paths drive the same phases:
-//   * in-memory (run / run_logs): records or log text already resident;
-//   * streaming (run_log_files / run_sources): logs stay on disk. Each
-//     pre-pass is queue-fed — one reader thread cuts the mmap'd file into
-//     record-aligned chunks, K workers parse them, and a bounded reorder
-//     window re-sequences results so order-sensitive phases (A's
-//     first-fuid-wins, B's serial upgrades) see records in exact stream
-//     order. Phase D streams static record-aligned byte ranges, one per
-//     shard. Peak resident memory is O(chunk_bytes × (queue_depth + K))
-//     plus the certificate registry — never O(file size) — and the output
-//     is byte-identical to the in-memory path.
+// TSV-only duties ride on the TSV parts' in-order hooks: the first
+// failing part in stream order is the abort-mode error, skip mode
+// quarantines with absolute line numbers, and each stream ends with its
+// truncation note and error-budget check. A pass keeps at most one
+// window of parts resident: O(chunk_bytes × K) of input plus the
+// certificate registry — never O(file size).
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,20 +64,7 @@ class ContainerReader;
 
 namespace mtlscope::core {
 
-/// Input-scan strategy for container runs (DESIGN §15):
-///  * kRows     — decode every block into record vectors, then run the
-///                in-memory phases (the historical path);
-///  * kColumnar — zero-materialization: phase B/D walk the packed block
-///                columns in place through colfmt::SslBlockScan, feeding
-///                one reused record per row and pruning columns the
-///                pipeline never reads (uid);
-///  * kAuto     — columnar when eligible, rows otherwise.
-/// The columnar path requires no CT database (phase C re-streams full
-/// records); a forced kColumnar run with CT configured falls back to
-/// rows. Results are byte-identical across modes by construction: both
-/// feed the same records through the same phases in the same stream
-/// order, partitioned contiguously.
-enum class ScanMode { kAuto, kRows, kColumnar };
+class PartSource;
 
 class PipelineExecutor {
  public:
@@ -115,7 +103,7 @@ class PipelineExecutor {
                const zeek::Dataset::X509Map& x509);
 
   /// In-memory log-text entry: wraps both strings in MemorySources and
-  /// runs the streaming engine over them (zero extra copies of the text).
+  /// runs the TSV engine over them (zero extra copies of the text).
   /// Returns nullopt (with `error` filled) on a parse failure. With
   /// `options.errors` in skip mode, malformed rows are quarantined into
   /// `ledger` (when non-null) instead of failing the run.
@@ -144,15 +132,13 @@ class PipelineExecutor {
                                       const ingest::IngestOptions& options = {},
                                       ErrorLedger* ledger = nullptr);
 
-  /// Compact-container entry (DESIGN §14): decodes the container's
-  /// blocks in parallel (each block carries its own dictionary, so K
-  /// workers decode K blocks independently), rebuilds the exact record
-  /// streams, and runs the in-memory phases over them — byte-identical
-  /// to a TSV run over the logs the container was converted from, for
-  /// any thread count. The conversion-time ledger stored in the
-  /// container is restored: abort mode fails on the first quarantined
-  /// row (as the TSV run would); skip mode re-checks the error budget
-  /// and hands the ledger to `ledger`.
+  /// Compact-container entry (DESIGN §14, §15): runs the phases over the
+  /// container's blocks — byte-identical to a TSV run over the logs the
+  /// container was converted from, for any thread count. The
+  /// conversion-time ledger stored in the container is restored: abort
+  /// mode fails on the first quarantined row (as the TSV run would);
+  /// skip mode re-checks the error budget and hands the ledger to
+  /// `ledger`.
   std::optional<Pipeline> run_container(
       const colfmt::ContainerReader& reader,
       ingest::IngestError* error = nullptr,
@@ -160,15 +146,12 @@ class PipelineExecutor {
 
   const PipelineConfig& config() const;
 
-  void set_scan_mode(ScanMode mode) { scan_mode_ = mode; }
-  ScanMode scan_mode() const { return scan_mode_; }
-
   /// Cache effectiveness and scan choice of the most recent completed
   /// run — the JSON perf envelope's `enrich` block. `facts_*` count the
   /// Enricher's DER-keyed certificate memo; `enrich_*` sum the per-shard
   /// host/address memos (EnrichCache) after the shard merge.
   struct RunStats {
-    const char* scan = "rows";  ///< which scan drove phase D
+    const char* scan = "rows";  ///< "columnar" for container inputs
     std::uint64_t facts_hits = 0;
     std::uint64_t facts_misses = 0;
     std::uint64_t facts_unique = 0;
@@ -200,19 +183,18 @@ class PipelineExecutor {
   /// K prepared-mode pipelines with the per-shard observers wired.
   std::vector<Pipeline> make_shards(const Pipeline::Prepared& prepared);
 
-  /// The zero-materialization container path (DESIGN §15): phase A
-  /// decodes x509 blocks in parallel; phases B and D scan the ssl blocks
-  /// column-direct, never materializing the record vectors.
-  std::optional<Pipeline> run_container_columnar(
-      const colfmt::ContainerReader& reader, ingest::IngestError* error);
+  /// The one A–E engine (see the file comment).
+  std::optional<Pipeline> run_parts(PartSource& parts,
+                                    ingest::IngestError* error);
 
-  void note_run_stats(const Enricher& enricher, const Pipeline& merged,
-                      const char* scan);
+  /// The fold entries' shared body: attaches the standard analyzers,
+  /// runs `entry(ledger)`, and moves the pipeline and analyzers out.
+  std::optional<ShardState> fold_entry(
+      const std::function<std::optional<Pipeline>(ErrorLedger*)>& entry);
 
   PipelineConfig config_;
   std::size_t threads_;
   std::vector<ObserverFactory> factories_;
-  ScanMode scan_mode_ = ScanMode::kAuto;
   RunStats stats_;
 };
 

@@ -20,13 +20,6 @@ struct RunOptions {
   /// required (and is ignored) for it.
   enum class InputFormat { kAuto, kZeek, kCompact };
 
-  /// Container-scan strategy (--scan=auto|rows|columnar), mirroring
-  /// core::ScanMode. Only affects compact-container inputs: columnar
-  /// runs the zero-materialization block scan, rows the materializing
-  /// decode, auto picks columnar when eligible. Results are
-  /// byte-identical across the three.
-  enum class ScanMode { kAuto, kRows, kColumnar };
-
   /// Concrete scales the harness runs at; filled by resolved().
   double cert_scale = 1;
   double conn_scale = 1;
@@ -45,7 +38,6 @@ struct RunOptions {
   std::string ssl_log;
   std::string x509_log;
   InputFormat format = InputFormat::kAuto;
-  ScanMode scan = ScanMode::kAuto;
   /// Streaming chunk size in MiB; fractions work (--chunk-mb=0.0625 is
   /// 64 KiB). Results are byte-identical for every value.
   double chunk_mb = 1.0;
@@ -77,7 +69,7 @@ struct RunOptions {
                       double default_conn_scale) const;
 
   /// Parses the shared flag set (--cert-scale= / --conn-scale= / --seed=
-  /// / --threads= / --ssl-log= / --x509-log= / --scan= / --chunk-mb= /
+  /// / --threads= / --ssl-log= / --x509-log= / --chunk-mb= /
   /// --in-memory / --force-buffered / --stable-output / --on-error= /
   /// --max-errors= / --max-error-rate=); unknown arguments are ignored
   /// so callers can

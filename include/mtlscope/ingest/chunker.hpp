@@ -34,11 +34,9 @@ namespace mtlscope::ingest {
 /// exception is `errors`, which selects abort-vs-skip semantics — but
 /// within a mode the output is still byte-identical for every tuning.
 struct IngestOptions {
+  /// Bytes per record-aligned part; a pass keeps O(chunk_bytes × workers)
+  /// of input resident.
   std::size_t chunk_bytes = std::size_t{1} << 20;  // 1 MiB
-  /// Bounded queue depth between the reader thread and the parse
-  /// workers. 0 → 2 × worker count. Total resident memory of a pass is
-  /// O(chunk_bytes × (queue_depth + workers)).
-  std::size_t queue_depth = 0;
   /// Skip mmap and exercise the pread fallback.
   bool force_buffered = false;
   /// Abort-vs-skip semantics for malformed records (DESIGN §11).
@@ -66,13 +64,6 @@ struct Chunk {
   std::string scratch;     // owning storage for buffered sources
 
   std::string_view view() const { return data; }
-
-  /// Call after moving a Chunk (e.g. through a ChunkQueue): a buffered
-  /// chunk's view points into its own scratch, whose storage may relocate
-  /// on move (SSO). Zero-copy chunks keep scratch empty and are unaffected.
-  void rebind() {
-    if (!scratch.empty()) data = scratch;
-  }
 };
 
 /// Walks [begin, end) of a source in ~chunk_bytes steps, always cutting
@@ -86,6 +77,9 @@ class RecordChunker {
   /// An empty range yields exactly one empty chunk (header-only logs
   /// must still be validated by the parser).
   bool next(Chunk& chunk);
+  /// Advances exactly as next() does but only reports the piece's
+  /// [begin, end), without fetching its bytes.
+  bool next_range(std::size_t& begin, std::size_t& end);
 
   const Source& source() const { return source_; }
 

@@ -1,25 +1,68 @@
 #include "mtlscope/core/executor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <mutex>
+#include <map>
+#include <span>
+#include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "mtlscope/colfmt/container.hpp"
 #include "mtlscope/colfmt/scan.hpp"
 #include "mtlscope/core/enrich.hpp"
-#include "mtlscope/ingest/chunk_queue.hpp"
 #include "mtlscope/util/parallel.hpp"
 #include "mtlscope/zeek/parse_plan.hpp"
 
 namespace mtlscope::core {
+
+/// What one part's scan reports besides its rows. Only TSV parts fill
+/// it: a strict-mode parse failure, or skip-mode row counts and (on the
+/// authoritative passes, A and B) each quarantined row.
+struct PartLog {
+  bool quarantine = false;
+  std::optional<ingest::IngestError> error;
+  std::vector<zeek::RowIssue> issues;
+  zeek::TolerantStats stats;
+};
+
+/// The engine's one input seam: the x509 and ssl streams as
+/// stream-ordered parts, each scannable into rows — a part's x509 rows
+/// in one batch, its ssl rows one at a time. Scans are const and run
+/// concurrently; the hooks run on the caller's thread in stream order.
+class PartSource {
+ public:
+  using X509Sink =
+      std::function<void(std::span<const zeek::X509Record* const>)>;
+  using SslSink = std::function<void(const zeek::SslRecord&)>;
+
+  virtual std::size_t x509_parts() const = 0;
+  virtual std::size_t ssl_parts() const = 0;
+  /// Feed one part's rows to `sink` in stream order; false, with
+  /// `log.error` set, when the part does not parse.
+  virtual bool scan_x509(std::size_t part, PartLog& log,
+                         const X509Sink& sink) const = 0;
+  virtual bool scan_ssl(std::size_t part, const zeek::SslColumns& columns,
+                        PartLog& log, const SslSink& sink) const = 0;
+  /// The error reported for an exception out of a part's scan.
+  virtual ingest::IngestError failure(bool x509, std::size_t part,
+                                      const char* what) const = 0;
+  /// Once per part (phases A, B) or per shard (C, D), in stream order.
+  virtual void account(LedgerPhase /*phase*/, PartLog& /*log*/) {}
+  /// After phase A (kRegistry) and B (kUpgrades); may fail the run.
+  virtual void end_stream(LedgerPhase /*phase*/,
+                          std::optional<ingest::IngestError>& /*failure*/) {}
+
+ protected:
+  ~PartSource() = default;  // never deleted through the seam
+};
+
 namespace {
 
 using util::parallel_ranges;
 
-/// Rows per in-memory phase-B part: one default container block.
+/// Rows per in-memory part: one default container block.
 constexpr std::size_t kRowsPerPart = 65536;
 
 const CertFacts* find_facts(const Pipeline::CertMap& certs,
@@ -29,49 +72,14 @@ const CertFacts* find_facts(const Pipeline::CertMap& certs,
   return it == certs.end() ? nullptr : &it->second;
 }
 
-/// Phase A's registry over x509 rows in stream order: CertFacts built in
-/// parallel row ranges, folded first-fuid-wins in row order. An exception
-/// out of make_facts (which degrades hostile DER and should never throw)
-/// is rethrown on the caller's thread rather than crossing a worker's.
-std::shared_ptr<Pipeline::CertMap> build_registry(
-    const Enricher& enricher, const std::vector<const zeek::X509Record*>& rows,
-    std::size_t k) {
-  std::vector<std::vector<CertFacts>> built(k);
-  std::vector<std::exception_ptr> failures(k);
-  parallel_ranges(rows.size(), k,
-                  [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                    auto& out = built[shard];
-                    out.reserve(end - begin);
-                    try {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        out.push_back(enricher.make_facts(*rows[i]));
-                      }
-                    } catch (...) {
-                      failures[shard] = std::current_exception();
-                    }
-                  });
-  for (const auto& failure : failures) {
-    if (failure) std::rethrow_exception(failure);
-  }
-  auto registry = std::make_shared<Pipeline::CertMap>();
-  registry->reserve(rows.size());
-  for (auto& chunk : built) {
-    for (auto& facts : chunk) {
-      const colfmt::Str fuid = facts.fuid;
-      registry->emplace(fuid, std::move(facts));
-    }
-  }
-  return registry;
-}
-
-/// Phase B's chain-level public upgrade (§3.2.1), one implementation in
-/// two halves for every engine. A leaf goes public when any intermediate
-/// on its chain already is; upgrades chain through later connections, so
-/// they apply in stream order. Workers resolve rows to registry entries
-/// (resolve_chains); the caller's thread folds the resolved lists in
-/// stream order (fold_upgrades). Workers only call CertMap::find(), whose
-/// map structure phase A froze, and never read issuer_class, which the
-/// fold writes concurrently.
+/// Phase B's chain-level public upgrade (§3.2.1) in two halves. A leaf
+/// goes public when any intermediate on its chain already is; upgrades
+/// chain through later connections, so they apply in stream order.
+/// Workers resolve rows to registry entries (resolve_chains); the
+/// caller's thread folds the resolved lists in stream order
+/// (fold_upgrades). Workers only call CertMap::find(), whose map
+/// structure phase A froze, and never read issuer_class, which the fold
+/// writes.
 ///
 /// Layout: per established row, the server chain and then the client
 /// chain each append the leaf's entry and every registered
@@ -122,26 +130,6 @@ void fold_upgrades(const ResolvedChains& resolved) {
   }
 }
 
-/// Phase B over `parts` stream-ordered parts (row ranges or blocks):
-/// windows of k parts resolve in parallel, then fold in part order, so
-/// at most k parts' resolved chains are resident at once.
-template <typename ResolvePart>
-void upgrade_parts(std::size_t parts, std::size_t k,
-                   const ResolvePart& resolve_part) {
-  std::vector<ResolvedChains> window(std::min(parts, k));
-  for (std::size_t first = 0; first < parts; first += window.size()) {
-    const std::size_t n = std::min(window.size(), parts - first);
-    parallel_ranges(n, k,
-                    [&](std::size_t, std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        window[i].clear();
-                        resolve_part(first + i, window[i]);
-                      }
-                    });
-    for (std::size_t i = 0; i < n; ++i) fold_upgrades(window[i]);
-  }
-}
-
 /// Phase C candidate collection: issuer DN → distinct CT-mismatching SLDs.
 /// Byte-ordered on interned keys, so merge folds iterate identically to
 /// the old string-keyed map.
@@ -171,35 +159,241 @@ void note_interception_candidate(const PipelineConfig& config,
   }
 }
 
-Pipeline::StrSet confirm_issuers(const CandidateMap& merged,
-                                 std::size_t threshold) {
-  Pipeline::StrSet confirmed;
-  for (const auto& [issuer, domains] : merged) {
-    if (domains.size() >= threshold) confirmed.insert(issuer);
+/// Runs `scan()` for one part, turning an exception into the part's
+/// error rather than letting it cross a worker thread.
+template <typename Scan>
+bool guarded(const PartSource& parts, bool x509, std::size_t part,
+             PartLog& log, const Scan& scan) {
+  try {
+    return scan();
+  } catch (const std::exception& e) {
+    log.error = parts.failure(x509, part, e.what());
+    return false;
   }
-  return confirmed;
 }
 
-/// Failure slot shared by the streaming workers. The smallest byte offset
-/// wins, so the reported error does not depend on worker scheduling.
-struct EngineError {
-  std::mutex mutex;
-  bool set = false;
-  ingest::IngestError error;
+/// Phases A and B: windows of k parts map in parallel, one part per
+/// thread (`map(part, log, out)` into a cleared vector), then fold in
+/// part order on the caller's thread, so at most k parts' results are
+/// resident. Stops at the first failed part in stream order and returns
+/// its error.
+template <typename Out, typename Map, typename Fold>
+std::optional<ingest::IngestError> fold_windows(std::size_t parts,
+                                                std::size_t k, const Map& map,
+                                                const Fold& fold) {
+  const std::size_t width = std::max<std::size_t>(1, std::min(parts, k));
+  std::vector<Out> outs(width);
+  std::vector<PartLog> logs(width);
+  for (std::size_t first = 0; first < parts; first += width) {
+    const std::size_t n = std::min(width, parts - first);
+    parallel_ranges(n, n, [&](std::size_t i, std::size_t, std::size_t) {
+      outs[i].clear();
+      logs[i] = PartLog{};
+      logs[i].quarantine = true;
+      map(first + i, logs[i], outs[i]);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      if (logs[i].error) return std::move(logs[i].error);
+      fold(outs[i], logs[i]);
+    }
+  }
+  return std::nullopt;
+}
 
-  void record(const std::string& file, std::size_t offset,
-              std::string reason) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (set && error.byte_offset <= offset) return;
-    set = true;
-    error = {file, offset, std::move(reason)};
+/// Phases C and D: shard s scans ssl parts [P·s/k, P·(s+1)/k) in stream
+/// order with the pipeline manifest, feeding `visit(s, row)`. Each
+/// shard's log is accounted under `phase` in shard order; returns the
+/// first failed part's error in stream order.
+template <typename Visit>
+std::optional<ingest::IngestError> shard_pass(PartSource& parts,
+                                              std::size_t k, LedgerPhase phase,
+                                              const Visit& visit) {
+  std::vector<PartLog> logs(k);
+  parallel_ranges(
+      parts.ssl_parts(), k,
+      [&](std::size_t shard, std::size_t begin, std::size_t end) {
+        PartLog& log = logs[shard];
+        const PartSource::SslSink sink = [&](const zeek::SslRecord& row) {
+          visit(shard, row);
+        };
+        for (std::size_t part = begin; part < end; ++part) {
+          const bool ok = guarded(parts, false, part, log, [&] {
+            return parts.scan_ssl(part, zeek::SslColumns::pipeline(), log,
+                                  sink);
+          });
+          if (!ok) return;
+        }
+      });
+  for (auto& log : logs) parts.account(phase, log);
+  for (auto& log : logs) {
+    if (log.error) return std::move(log.error);
+  }
+  return std::nullopt;
+}
+
+/// Part `part` of `parts` equal row ranges over `rows` rows.
+std::pair<std::size_t, std::size_t> row_range(std::size_t rows,
+                                              std::size_t part,
+                                              std::size_t parts) {
+  return {rows * part / parts, rows * (part + 1) / parts};
+}
+
+/// A multiple of k parts of at most kRowsPerPart rows (once there are
+/// enough rows), so the shard-contiguous split of phases C and D gives
+/// each shard the same k balanced row ranges a plain split would.
+std::size_t row_parts(std::size_t rows, std::size_t k) {
+  const std::size_t parts = (rows + kRowsPerPart - 1) / kRowsPerPart;
+  return std::max<std::size_t>(1, (parts + k - 1) / k) * k;
+}
+
+/// Pointers to `rows` (a vector's elements or a map's values) in order.
+template <typename Rows>
+std::vector<const zeek::X509Record*> row_pointers(const Rows& rows) {
+  std::vector<const zeek::X509Record*> out;
+  out.reserve(rows.size());
+  for (const auto& row : rows) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(row)>,
+                                 zeek::X509Record>) {
+      out.push_back(&row);
+    } else {
+      out.push_back(&row.second);
+    }
+  }
+  return out;
+}
+
+/// x509 rows already in memory, as row-range parts. Phase A is their
+/// only reader, so its end drops the row index and any rows owned here.
+class X509RowParts : public PartSource {
+ public:
+  X509RowParts(std::vector<const zeek::X509Record*> rows, std::size_t k)
+      : rows_(std::move(rows)), parts_(row_parts(rows_.size(), k)) {}
+
+  std::size_t x509_parts() const override { return parts_; }
+  bool scan_x509(std::size_t part, PartLog&,
+                 const X509Sink& sink) const override {
+    const auto [begin, end] = row_range(rows_.size(), part, parts_);
+    sink({rows_.data() + begin, end - begin});
+    return true;
+  }
+  void end_stream(LedgerPhase phase,
+                  std::optional<ingest::IngestError>&) override {
+    if (phase != LedgerPhase::kRegistry) return;
+    rows_ = {};
+    owned_ = {};
+    parts_ = 0;
   }
 
-  bool failed() {
-    const std::lock_guard<std::mutex> lock(mutex);
-    return set;
-  }
+ protected:
+  /// Rows decoded for phase A, block by block; `rows_` points into them.
+  std::vector<std::vector<zeek::X509Record>> owned_;
+
+ private:
+  std::vector<const zeek::X509Record*> rows_;
+  std::size_t parts_;
 };
+
+/// An in-memory dataset: ssl rows in row-range parts too.
+class MemoryParts final : public X509RowParts {
+ public:
+  MemoryParts(const std::vector<zeek::SslRecord>& ssl,
+              const zeek::Dataset::X509Map& x509, std::size_t k)
+      : X509RowParts(row_pointers(x509), k),
+        ssl_(ssl),
+        parts_(row_parts(ssl.size(), k)) {}
+
+  std::size_t ssl_parts() const override { return parts_; }
+  bool scan_ssl(std::size_t part, const zeek::SslColumns&, PartLog&,
+                const SslSink& sink) const override {
+    const auto [begin, end] = row_range(ssl_.size(), part, parts_);
+    for (std::size_t i = begin; i < end; ++i) sink(ssl_[i]);
+    return true;
+  }
+  ingest::IngestError failure(bool, std::size_t,
+                              const char* what) const override {
+    return {"<memory>", 0, what};
+  }
+
+ private:
+  const std::vector<zeek::SslRecord>& ssl_;
+  std::size_t parts_;
+};
+
+ingest::IngestError container_error(const colfmt::ContainerReader& reader,
+                                    const char* what) {
+  return {reader.path(), 0,
+          std::string("container block decode failed: ") + what};
+}
+
+/// A container (DESIGN §15): x509 blocks decoded up front and split into
+/// row ranges; ssl parts are blocks, scanned column-direct through
+/// SslBlockScan into one reused record.
+class ContainerParts final : public X509RowParts {
+ public:
+  ContainerParts(const colfmt::ContainerReader& reader,
+                 std::vector<std::vector<zeek::X509Record>>&& x509,
+                 std::size_t k)
+      : X509RowParts(pointers(x509), k), reader_(reader) {
+    owned_ = std::move(x509);
+  }
+
+  std::size_t ssl_parts() const override {
+    return reader_.ssl_blocks().size();
+  }
+  bool scan_ssl(std::size_t part, const zeek::SslColumns& columns, PartLog&,
+                const SslSink& sink) const override {
+    auto scan = reader_.scan_ssl_block(reader_.ssl_blocks()[part], columns);
+    zeek::SslRecord row;
+    while (!scan.done()) {
+      scan.next(row);
+      sink(row);
+    }
+    return true;
+  }
+  ingest::IngestError failure(bool, std::size_t,
+                              const char* what) const override {
+    return container_error(reader_, what);
+  }
+
+ private:
+  static std::vector<const zeek::X509Record*> pointers(
+      const std::vector<std::vector<zeek::X509Record>>& blocks) {
+    std::vector<const zeek::X509Record*> out;
+    for (const auto& block : blocks) {
+      for (const auto& row : block) out.push_back(&row);
+    }
+    return out;
+  }
+
+  const colfmt::ContainerReader& reader_;
+};
+
+/// Decodes the container's x509 blocks in parallel (each carries its own
+/// dictionary). The smallest-index failing block's error wins.
+std::optional<std::vector<std::vector<zeek::X509Record>>> decode_x509(
+    const colfmt::ContainerReader& reader, std::size_t k,
+    ingest::IngestError* error) {
+  const auto& blocks = reader.x509_blocks();
+  std::vector<std::vector<zeek::X509Record>> decoded(blocks.size());
+  std::vector<std::optional<std::string>> failures(blocks.size());
+  parallel_ranges(blocks.size(), k,
+                  [&](std::size_t, std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i) {
+                      try {
+                        decoded[i] = reader.decode_x509_block(blocks[i]);
+                      } catch (const std::exception& e) {
+                        failures[i] = e.what();
+                      }
+                    }
+                  });
+  for (const auto& failure : failures) {
+    if (failure) {
+      if (error != nullptr) *error = container_error(reader, failure->c_str());
+      return std::nullopt;
+    }
+  }
+  return decoded;
+}
 
 std::string describe_parse_error(const zeek::LogParseError& error) {
   if (error.line == 0) return error.message;
@@ -207,73 +401,165 @@ std::string describe_parse_error(const zeek::LogParseError& error) {
          " of the chunk at this offset, header included)";
 }
 
-std::size_t header_line_count(const ingest::LogLayout& layout) {
-  std::size_t lines = 0;
-  for (const char c : layout.header) lines += (c == '\n');
-  return lines;
-}
+/// A Zeek TSV log pair on byte sources. Parts are the record-aligned
+/// byte ranges RecordChunker cuts, so error offsets and chunk-relative
+/// line numbers match a chunked parse. The hooks keep the skip-mode
+/// ledger: quarantine with absolute line numbers on the authoritative
+/// passes, tolerated-row counts on the re-parses, truncation notes and
+/// budget checks at the end of each stream.
+class TsvParts final : public PartSource {
+ public:
+  TsvParts(const ingest::Source& ssl, const ingest::Source& x509,
+           const ingest::IngestOptions& options, ErrorLedger& ledger)
+      : x509_(x509, options.chunk_bytes),
+        ssl_(ssl, options.chunk_bytes),
+        x509_plan_(zeek::X509Plan::compile(
+            zeek::ColumnPlan::from_header(x509_.header))),
+        ssl_plan_(zeek::SslPlan::compile(
+            zeek::ColumnPlan::from_header(ssl_.header))),
+        options_(options),
+        ledger_(ledger) {}
 
-/// One queue-fed streaming pass over a log body. A reader thread cuts
-/// [layout.body_begin, size) into record-aligned chunks and pushes them
-/// into a bounded queue (backpressure); `k` workers pop, run `map_chunk`
-/// (parse + shard-local work) and hand the result to a bounded reorder
-/// window; the caller's thread folds results back in exact stream order.
-/// Peak memory: O(chunk_bytes × (queue_depth + k)) regardless of file
-/// size. Returns false if any chunk failed (EngineError filled).
-template <typename Result, typename MapFn, typename FoldFn>
-bool stream_pass(const ingest::Source& source,
-                 const ingest::LogLayout& layout, std::size_t k,
-                 const ingest::IngestOptions& options, EngineError& error,
-                 const MapFn& map_chunk, const FoldFn& fold) {
-  const std::size_t depth =
-      options.queue_depth != 0 ? options.queue_depth : 2 * k;
-  ingest::ChunkQueue<ingest::Chunk> queue(depth);
-  // Window ≥ queue + in-flight chunks: the worker holding the next-needed
-  // sequence can always put() without blocking, so the pass cannot wedge.
-  ingest::OrderedCollector<Result> collector(depth + k);
-  std::atomic<bool> stop{false};
+  std::size_t x509_parts() const override { return x509_.parts.size(); }
+  std::size_t ssl_parts() const override { return ssl_.parts.size(); }
 
-  std::thread reader([&] {
-    ingest::RecordChunker chunker(source, options.chunk_bytes,
-                                  layout.body_begin, source.size());
-    ingest::Chunk chunk;
-    std::size_t produced = 0;
-    while (!stop.load(std::memory_order_relaxed) && chunker.next(chunk)) {
-      if (!queue.push(std::move(chunk))) break;
-      ++produced;
-      chunk = ingest::Chunk{};  // scratch was moved into the queue
+  bool scan_x509(std::size_t part, PartLog& log,
+                 const X509Sink& sink) const override {
+    return scan(x509_, part, x509_plan_, log,
+                [&](const std::vector<zeek::X509Record>& rows) {
+                  sink(row_pointers(rows));
+                });
+  }
+  bool scan_ssl(std::size_t part, const zeek::SslColumns& columns,
+                PartLog& log, const SslSink& sink) const override {
+    return scan(ssl_, part, ssl_plan_.projected(columns), log,
+                [&](const std::vector<zeek::SslRecord>& rows) {
+                  for (const auto& row : rows) sink(row);
+                });
+  }
+  ingest::IngestError failure(bool x509, std::size_t part,
+                              const char* what) const override {
+    const Stream& stream = x509 ? x509_ : ssl_;
+    return {stream.source.name(), stream.parts[part].first,
+            std::string("exception while scanning rows: ") + what};
+  }
+
+  void account(LedgerPhase phase, PartLog& log) override {
+    if (!options_.errors.skip()) return;
+    if (phase != LedgerPhase::kRegistry && phase != LedgerPhase::kUpgrades) {
+      ledger_.count_phase(phase, log.stats.rows_bad);
+      return;
     }
-    queue.close();
-    collector.finish(produced);
-  });
+    const bool x509 = phase == LedgerPhase::kRegistry;
+    Stream& stream = x509 ? x509_ : ssl_;
+    const InputRole role = x509 ? InputRole::kX509 : InputRole::kSsl;
+    ledger_.count_rows_ok(role, log.stats.rows_ok);
+    for (auto& issue : log.issues) {
+      ledger_.quarantine(
+          phase, {role, issue.byte_offset,
+                  issue.line == 0 ? 0 : issue.line + stream.lines_before,
+                  issue.raw_length, std::move(issue.reason),
+                  std::move(issue.digest)});
+    }
+    stream.lines_before += log.stats.lines;
+  }
 
-  std::vector<std::thread> workers;
-  workers.reserve(k);
-  for (std::size_t t = 0; t < k; ++t) {
-    workers.emplace_back([&] {
-      while (auto chunk = queue.pop()) {
-        chunk->rebind();
-        Result result{};
-        if (!map_chunk(*chunk, result)) {
-          // Later chunks already queued still flow through (as empty
-          // results) so the reorder window drains; the run aborts after
-          // the pass with the smallest failing offset.
-          stop.store(true, std::memory_order_relaxed);
-        }
-        source.release(chunk->offset, chunk->data.size());
-        if (!collector.put(chunk->seq, std::move(result))) break;
+  void end_stream(LedgerPhase phase,
+                  std::optional<ingest::IngestError>& failure) override {
+    const bool x509 = phase == LedgerPhase::kRegistry;
+    const ingest::Source& source = (x509 ? x509_ : ssl_).source;
+    if (source.truncation_detected()) {
+      ledger_.note_io(x509 ? InputRole::kX509 : InputRole::kSsl,
+                      "file truncated while streaming; complete records "
+                      "salvaged up to byte " +
+                          std::to_string(source.truncated_size()));
+    }
+    if (!failure && options_.errors.skip()) {
+      if (auto violation = ledger_.budget_violation(options_.errors)) {
+        failure = ingest::IngestError{source.name(), 0, *violation};
       }
-    });
+    }
   }
 
-  while (auto result = collector.take()) {
-    fold(std::move(*result));
+ private:
+  struct Stream {
+    Stream(const ingest::Source& source, std::size_t chunk_bytes)
+        : source(source) {
+      ingest::LogLayout layout = ingest::detect_log_layout(source);
+      header = std::move(layout.header);
+      header_lines = static_cast<std::size_t>(
+          std::count(header.begin(), header.end(), '\n'));
+      ingest::RecordChunker chunker(source, chunk_bytes, layout.body_begin,
+                                    source.size());
+      std::size_t begin = 0;
+      std::size_t end = 0;
+      while (chunker.next_range(begin, end)) {
+        parts.emplace_back(begin, end);
+        // The boundary probe faulted in pages around the cut: drop them
+        // as we go, or cutting would map the whole file.
+        source.release(begin, end - begin);
+      }
+    }
+
+    const ingest::Source& source;
+    std::string header;
+    std::size_t header_lines = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> parts;
+    std::size_t lines_before = 0;  // skip mode: lines folded so far
+  };
+
+  template <typename Plan, typename Deliver>
+  bool scan(const Stream& stream, std::size_t part, const Plan& plan,
+            PartLog& log, const Deliver& deliver) const {
+    constexpr bool kSsl = std::is_same_v<Plan, zeek::SslPlan>;
+    using Row = std::conditional_t<kSsl, zeek::SslRecord, zeek::X509Record>;
+    const auto [begin, end] = stream.parts[part];
+    std::string scratch;
+    const std::string_view body =
+        begin == end ? std::string_view{}
+                     : stream.source.fetch(begin, end - begin, scratch);
+    std::vector<Row> rows;
+    if (options_.errors.skip()) {
+      auto* issues = log.quarantine ? &log.issues : nullptr;
+      zeek::TolerantStats stats;
+      if constexpr (kSsl) {
+        stats = zeek::parse_ssl_records_tolerant(body, plan, rows, issues,
+                                                 stream.header_lines, begin);
+      } else {
+        stats = zeek::parse_x509_records_tolerant(body, plan, rows, issues,
+                                                  stream.header_lines, begin);
+      }
+      log.stats.rows_ok += stats.rows_ok;
+      log.stats.rows_bad += stats.rows_bad;
+      log.stats.lines += stats.lines;
+    } else {
+      zeek::LogParseError error;
+      bool ok = false;
+      if constexpr (kSsl) {
+        ok = zeek::parse_ssl_records(body, plan, rows, &error,
+                                     stream.header_lines);
+      } else {
+        ok = zeek::parse_x509_records(body, plan, rows, &error,
+                                      stream.header_lines);
+      }
+      if (!ok) {
+        log.error = ingest::IngestError{stream.source.name(), begin,
+                                        describe_parse_error(error)};
+        return false;
+      }
+    }
+    stream.source.release(begin, end - begin);  // rows hold interned copies
+    deliver(rows);
+    return true;
   }
 
-  reader.join();
-  for (auto& worker : workers) worker.join();
-  return !error.failed();
-}
+  Stream x509_;
+  Stream ssl_;
+  zeek::X509Plan x509_plan_;
+  zeek::SslPlan ssl_plan_;
+  const ingest::IngestOptions& options_;
+  ErrorLedger& ledger_;
+};
 
 }  // namespace
 
@@ -292,13 +578,111 @@ void PipelineExecutor::add_observer_factory(ObserverFactory factory) {
 
 const PipelineConfig& PipelineExecutor::config() const { return config_; }
 
-void PipelineExecutor::note_run_stats(const Enricher& enricher,
-                                      const Pipeline& merged,
-                                      const char* scan) {
-  const auto facts = enricher.facts_cache_stats();
-  const EnrichCache& cache = merged.enrich_cache();
-  stats_ = RunStats{scan,        facts.hits,   facts.misses, facts.unique,
-                    cache.hits,  cache.misses, cache.unique()};
+std::optional<Pipeline> PipelineExecutor::run_parts(
+    PartSource& parts, ingest::IngestError* error) {
+  const auto enricher = std::make_shared<const Enricher>(config_);
+  const std::size_t k = threads_;
+
+  // --- Phase A: certificate registry. Facts build per part in parallel
+  // windows and fold first-fuid-wins in stream order. ---
+  auto base = std::make_shared<Pipeline::CertMap>();
+  auto failure = fold_windows<std::vector<CertFacts>>(
+      parts.x509_parts(), k,
+      [&](std::size_t part, PartLog& log, std::vector<CertFacts>& out) {
+        return guarded(parts, true, part, log, [&] {
+          return parts.scan_x509(
+              part, log, [&](std::span<const zeek::X509Record* const> rows) {
+                out.reserve(rows.size());
+                for (const auto* row : rows) {
+                  out.push_back(enricher->make_facts(*row));
+                }
+              });
+        });
+      },
+      [&](std::vector<CertFacts>& facts, PartLog& log) {
+        for (auto& f : facts) {
+          const colfmt::Str fuid = f.fuid;
+          base->emplace(fuid, std::move(f));
+        }
+        parts.account(LedgerPhase::kRegistry, log);
+      });
+  parts.end_stream(LedgerPhase::kRegistry, failure);
+
+  // --- Phase B: chain-level public upgrades (§3.2.1) over the chains
+  // manifest. Upgrading is monotonic (private → public, never back), so
+  // one in-order pass reaches the fixpoint the streaming pipeline
+  // converges to, without its stream-position dependence. ---
+  if (!failure) {
+    failure = fold_windows<ResolvedChains>(
+        parts.ssl_parts(), k,
+        [&](std::size_t part, PartLog& log, ResolvedChains& out) {
+          return guarded(parts, false, part, log, [&] {
+            return parts.scan_ssl(part, zeek::SslColumns::chains(), log,
+                                  [&](const zeek::SslRecord& row) {
+                                    resolve_chains(*base, row, out);
+                                  });
+          });
+        },
+        [&](ResolvedChains& resolved, PartLog& log) {
+          fold_upgrades(resolved);
+          parts.account(LedgerPhase::kUpgrades, log);
+        });
+  }
+  parts.end_stream(LedgerPhase::kUpgrades, failure);
+
+  // --- Phase C: interception pre-pass (when CT is configured). Shard-
+  // local candidate maps merge by set union; confirmation compares the
+  // union against the threshold, so the confirmed set is exactly the set
+  // a serial stream (in any order) would eventually confirm. ---
+  auto confirmed = std::make_shared<Pipeline::StrSet>();
+  if (!failure && config_.ct != nullptr) {
+    std::vector<CandidateMap> local(k);
+    failure = shard_pass(parts, k, LedgerPhase::kInterception,
+                         [&](std::size_t shard, const zeek::SslRecord& row) {
+                           note_interception_candidate(config_, *enricher,
+                                                       *base, row,
+                                                       local[shard]);
+                         });
+    CandidateMap merged;
+    for (auto& candidates : local) {
+      for (auto& [issuer, domains] : candidates) {
+        merged[issuer].insert(domains.begin(), domains.end());
+      }
+    }
+    for (const auto& [issuer, domains] : merged) {
+      if (domains.size() >= config_.interception_domain_threshold) {
+        confirmed->insert(issuer);
+      }
+    }
+  }
+
+  // --- Phase D: one prepared-mode pipeline per shard over its
+  // contiguous range of parts. Any contiguous partition merges to the
+  // same bytes, so part boundaries never show in the output. ---
+  if (!failure) {
+    const Pipeline::Prepared prepared{enricher, base, confirmed};
+    std::vector<Pipeline> shards = make_shards(prepared);
+    failure = shard_pass(parts, k, LedgerPhase::kShardRun,
+                         [&](std::size_t shard, const zeek::SslRecord& row) {
+                           shards[shard].add_connection(row);
+                         });
+
+    // --- Phase E: deterministic merge in shard order. ---
+    if (!failure) {
+      Pipeline merged(prepared);
+      for (auto& shard : shards) merged.merge(std::move(shard));
+      merged.set_interception_issuers(*confirmed);
+      merged.backfill_certificates(*base);
+      merged.finalize();
+      const auto facts = enricher->facts_cache_stats();
+      const EnrichCache& cache = merged.enrich_cache();
+      stats_ = RunStats{"rows",      facts.hits,   facts.misses, facts.unique,
+                        cache.hits,  cache.misses, cache.unique()};
+      return merged;
+    }
+  }
+  if (error != nullptr) *error = std::move(*failure);
+  return std::nullopt;
 }
 
 std::vector<Pipeline> PipelineExecutor::make_shards(
@@ -320,372 +704,24 @@ Pipeline PipelineExecutor::run(const zeek::Dataset& dataset) {
 
 Pipeline PipelineExecutor::run(const std::vector<zeek::SslRecord>& ssl,
                                const zeek::Dataset::X509Map& x509) {
-  const auto enricher = std::make_shared<const Enricher>(config_);
-  const std::size_t k = threads_;
-
-  // --- Phase A: certificate registry, built in parallel row ranges. ---
-  std::vector<const zeek::X509Record*> rows;
-  rows.reserve(x509.size());
-  for (const auto& [fuid, record] : x509) rows.push_back(&record);
-  const auto base = build_registry(*enricher, rows, k);
-
-  // --- Phase B: chain-level public upgrades (§3.2.1), whole stream. ---
-  // Upgrading is monotonic (private → public, never back), so one pass
-  // over every established connection's chains reaches the same fixpoint
-  // the streaming pipeline converges to — without the stream-position
-  // dependence of upgrading mid-run. Row ranges of at most one container
-  // block resolve in parallel and fold in stream order.
-  const std::size_t parts =
-      std::max(k, (ssl.size() + kRowsPerPart - 1) / kRowsPerPart);
-  upgrade_parts(parts, k, [&](std::size_t part, ResolvedChains& out) {
-    const std::size_t end = ssl.size() * (part + 1) / parts;
-    for (std::size_t i = ssl.size() * part / parts; i < end; ++i) {
-      resolve_chains(*base, ssl[i], out);
-    }
-  });
-
-  // --- Phase C: interception pre-pass (when CT is configured). ---
-  // Shard-local candidate maps merge by set union; confirmation compares
-  // the union against the threshold, so the confirmed set is exactly the
-  // set a serial stream (in any order) would eventually confirm.
-  auto confirmed = std::make_shared<Pipeline::StrSet>();
-  if (config_.ct != nullptr) {
-    std::vector<CandidateMap> local(k);
-    parallel_ranges(ssl.size(), k,
-                    [&](std::size_t shard, std::size_t begin,
-                        std::size_t end) {
-                      auto& candidates = local[shard];
-                      for (std::size_t i = begin; i < end; ++i) {
-                        note_interception_candidate(config_, *enricher, *base,
-                                                    ssl[i], candidates);
-                      }
-                    });
-    CandidateMap merged;
-    for (auto& candidates : local) {
-      for (auto& [issuer, domains] : candidates) {
-        merged[issuer].insert(domains.begin(), domains.end());
-      }
-    }
-    *confirmed = confirm_issuers(merged, config_.interception_domain_threshold);
-  }
-
-  // --- Phase D: one prepared-mode pipeline per shard. ---
-  const Pipeline::Prepared prepared{enricher, base, confirmed};
-  std::vector<Pipeline> shards = make_shards(prepared);
-  parallel_ranges(ssl.size(), k,
-                  [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                    Pipeline& pipeline = shards[shard];
-                    for (std::size_t i = begin; i < end; ++i) {
-                      pipeline.add_connection(ssl[i]);
-                    }
-                  });
-
-  // --- Phase E: deterministic merge in shard order. ---
-  Pipeline result(prepared);
-  for (auto& shard : shards) result.merge(std::move(shard));
-  result.set_interception_issuers(*confirmed);
-  result.backfill_certificates(*base);
-  result.finalize();
-  note_run_stats(*enricher, result, "rows");
-  return result;
+  MemoryParts parts(ssl, x509, threads_);
+  ingest::IngestError error;
+  auto result = run_parts(parts, &error);
+  if (!result) throw std::runtime_error(error.to_string());
+  return std::move(*result);
 }
 
 std::optional<Pipeline> PipelineExecutor::run_sources(
     const ingest::Source& ssl, const ingest::Source& x509,
     ingest::IngestError* error, const ingest::IngestOptions& options,
     ErrorLedger* ledger) {
-  const auto enricher = std::make_shared<const Enricher>(config_);
-  const std::size_t k = threads_;
-  EngineError engine_error;
-  const bool skip = options.errors.skip();
   // Skip mode always accounts through a ledger: budget enforcement needs
   // the counts even when the caller did not ask for the samples.
   ErrorLedger local_ledger;
-  ErrorLedger* const led = ledger != nullptr ? ledger : &local_ledger;
-
-  const ingest::LogLayout x509_layout = ingest::detect_log_layout(x509);
-  const ingest::LogLayout ssl_layout = ingest::detect_log_layout(ssl);
-
-  // The column plans are compiled ONCE per source; every chunk then
-  // tokenizes its record-aligned bytes in place (no ChunkStream, no
-  // per-row string materialization). Error line numbers still count the
-  // header lines so reports match the historical chunk-relative numbers.
-  const zeek::X509Plan x509_plan =
-      zeek::X509Plan::compile(zeek::ColumnPlan::from_header(x509_layout.header));
-  const zeek::SslPlan ssl_plan =
-      zeek::SslPlan::compile(zeek::ColumnPlan::from_header(ssl_layout.header));
-  const std::size_t x509_header_lines = header_line_count(x509_layout);
-  const std::size_t ssl_header_lines = header_line_count(ssl_layout);
-
-  // --- Phase A (streaming): parse x509 chunks in parallel, build facts
-  // shard-locally, fold into the registry in stream order (duplicate
-  // fuids: first record wins, exactly as the in-memory path). This is the
-  // authoritative x509 pass: in skip mode its fold is the ONLY place x509
-  // quarantine entries are recorded, with chunk-relative issue lines
-  // rewritten to absolute file lines via the running line count. ---
-  auto base = std::make_shared<Pipeline::CertMap>();
-  struct FactsChunk {
-    std::vector<CertFacts> facts;
-    std::vector<zeek::RowIssue> issues;
-    zeek::TolerantStats stats;
-  };
-  std::size_t x509_lines_before = 0;
-  bool ok = stream_pass<FactsChunk>(
-      x509, x509_layout, k, options, engine_error,
-      [&](const ingest::Chunk& chunk, FactsChunk& out) {
-        std::vector<zeek::X509Record> records;
-        if (skip) {
-          out.stats = zeek::parse_x509_records_tolerant(
-              chunk.view(), x509_plan, records, &out.issues,
-              x509_header_lines, chunk.offset);
-        } else {
-          zeek::LogParseError parse_error;
-          if (!zeek::parse_x509_records(chunk.view(), x509_plan, records,
-                                        &parse_error, x509_header_lines)) {
-            engine_error.record(x509.name(), chunk.offset,
-                                describe_parse_error(parse_error));
-            return false;
-          }
-        }
-        out.facts.reserve(records.size());
-        for (const auto& record : records) {
-          try {
-            out.facts.push_back(enricher->make_facts(record));
-          } catch (const std::exception& e) {
-            // make_facts degrades hostile DER to the logged fields and
-            // should never throw; this guard keeps any regression from
-            // crossing the worker-thread boundary as std::terminate.
-            engine_error.record(
-                x509.name(), chunk.offset,
-                std::string("exception while building certificate facts: ") +
-                    e.what());
-            return false;
-          }
-        }
-        return true;
-      },
-      [&](FactsChunk&& r) {
-        for (auto& f : r.facts) {
-          const colfmt::Str fuid = f.fuid;
-          base->emplace(fuid, std::move(f));
-        }
-        if (skip) {
-          led->count_rows_ok(InputRole::kX509, r.stats.rows_ok);
-          for (auto& issue : r.issues) {
-            led->quarantine(
-                LedgerPhase::kRegistry,
-                {InputRole::kX509, issue.byte_offset,
-                 issue.line == 0 ? 0 : issue.line + x509_lines_before,
-                 issue.raw_length, std::move(issue.reason),
-                 std::move(issue.digest)});
-          }
-        }
-        x509_lines_before += r.stats.lines;
-      });
-  if (x509.truncation_detected()) {
-    led->note_io(InputRole::kX509,
-                 "file truncated while streaming; complete records salvaged "
-                 "up to byte " +
-                     std::to_string(x509.truncated_size()));
-  }
-  if (ok && skip) {
-    if (auto violation = led->budget_violation(options.errors)) {
-      engine_error.record(x509.name(), 0, *violation);
-      ok = false;
-    }
-  }
-
-  // --- Phase B (streaming): workers parse ssl chunks with the chains
-  // manifest (established + both chain lists; every row still validated
-  // in full) and resolve the chains against the registry; the folding
-  // thread applies the upgrades in stream order. This is the
-  // authoritative ssl pass: skip-mode quarantine entries for ssl rows are
-  // recorded here and nowhere else (phases C/D re-parse the same bytes
-  // tolerantly and only bump per-phase counters). ---
-  struct SslChunk {
-    ResolvedChains chains;
-    std::vector<zeek::RowIssue> issues;
-    zeek::TolerantStats stats;
-  };
-  const zeek::SslPlan chains_plan =
-      ssl_plan.projected(zeek::SslColumns::chains());
-  std::size_t ssl_lines_before = 0;
-  ok = ok && stream_pass<SslChunk>(
-                 ssl, ssl_layout, k, options, engine_error,
-                 [&](const ingest::Chunk& chunk, SslChunk& out) {
-                   std::vector<zeek::SslRecord> records;
-                   if (skip) {
-                     out.stats = zeek::parse_ssl_records_tolerant(
-                         chunk.view(), chains_plan, records, &out.issues,
-                         ssl_header_lines, chunk.offset);
-                   } else {
-                     zeek::LogParseError parse_error;
-                     if (!zeek::parse_ssl_records(chunk.view(), chains_plan,
-                                                  records, &parse_error,
-                                                  ssl_header_lines)) {
-                       // failed chunks fold as empty
-                       engine_error.record(ssl.name(), chunk.offset,
-                                           describe_parse_error(parse_error));
-                       return false;
-                     }
-                   }
-                   for (const auto& record : records) {
-                     resolve_chains(*base, record, out.chains);
-                   }
-                   return true;
-                 },
-                 [&](SslChunk&& r) {
-                   fold_upgrades(r.chains);
-                   if (skip) {
-                     led->count_rows_ok(InputRole::kSsl, r.stats.rows_ok);
-                     for (auto& issue : r.issues) {
-                       led->quarantine(
-                           LedgerPhase::kUpgrades,
-                           {InputRole::kSsl, issue.byte_offset,
-                            issue.line == 0 ? 0
-                                            : issue.line + ssl_lines_before,
-                            issue.raw_length, std::move(issue.reason),
-                            std::move(issue.digest)});
-                     }
-                   }
-                   ssl_lines_before += r.stats.lines;
-                 });
-  if (ssl.truncation_detected()) {
-    led->note_io(InputRole::kSsl,
-                 "file truncated while streaming; complete records salvaged "
-                 "up to byte " +
-                     std::to_string(ssl.truncated_size()));
-  }
-  if (ok && skip) {
-    if (auto violation = led->budget_violation(options.errors)) {
-      engine_error.record(ssl.name(), 0, *violation);
-      ok = false;
-    }
-  }
-
-  // --- Phase C (streaming): chunk-local candidate maps, set-union fold
-  // (order-independent), threshold once at the end. Re-streams ssl; the
-  // registry is complete and read-only from here on. Phases C and D
-  // parse with the pipeline manifest (uid pruned, as the columnar scan
-  // does): no enrichment rule or analyzer reads it. ---
-  const zeek::SslPlan pipeline_plan =
-      ssl_plan.projected(zeek::SslColumns::pipeline());
-  auto confirmed = std::make_shared<Pipeline::StrSet>();
-  if (ok && config_.ct != nullptr) {
-    struct CandidateChunk {
-      CandidateMap candidates;
-      std::size_t rows_bad = 0;
-    };
-    CandidateMap merged;
-    ok = stream_pass<CandidateChunk>(
-        ssl, ssl_layout, k, options, engine_error,
-        [&](const ingest::Chunk& chunk, CandidateChunk& out) {
-          std::vector<zeek::SslRecord> records;
-          if (skip) {
-            // Non-authoritative re-parse: tolerate the same rows phase B
-            // quarantined (count only — no new ledger entries).
-            const auto stats = zeek::parse_ssl_records_tolerant(
-                chunk.view(), pipeline_plan, records, nullptr,
-                ssl_header_lines, chunk.offset);
-            out.rows_bad = stats.rows_bad;
-          } else {
-            zeek::LogParseError parse_error;
-            if (!zeek::parse_ssl_records(chunk.view(), pipeline_plan, records,
-                                         &parse_error, ssl_header_lines)) {
-              engine_error.record(ssl.name(), chunk.offset,
-                                  describe_parse_error(parse_error));
-              return false;
-            }
-          }
-          for (const auto& record : records) {
-            note_interception_candidate(config_, *enricher, *base, record,
-                                        out.candidates);
-          }
-          return true;
-        },
-        [&](CandidateChunk&& local) {
-          for (auto& [issuer, domains] : local.candidates) {
-            merged[issuer].insert(domains.begin(), domains.end());
-          }
-          if (skip) {
-            led->count_phase(LedgerPhase::kInterception, local.rows_bad);
-          }
-        });
-    *confirmed = confirm_issuers(merged, config_.interception_domain_threshold);
-  }
-
-  // --- Phase D (streaming): static record-aligned byte ranges, one
-  // contiguous range per shard; each worker re-chunks its own range and
-  // feeds its shard pipeline in order. Shard boundaries differ from the
-  // in-memory row split, which is immaterial: the merge is shard-order
-  // deterministic for ANY contiguous partition. ---
-  std::optional<Pipeline> result;
-  if (ok) {
-    const Pipeline::Prepared prepared{enricher, base, confirmed};
-    std::vector<Pipeline> shards = make_shards(prepared);
-    const auto ranges =
-        ingest::shard_record_ranges(ssl, ssl_layout.body_begin, ssl.size(), k);
-    std::vector<std::uint64_t> shard_rows_bad(k, 0);
-    parallel_ranges(
-        k, k, [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-          for (std::size_t s = begin; s < end; ++s) {
-            ingest::RecordChunker chunker(ssl, options.chunk_bytes,
-                                          ranges[s].first, ranges[s].second);
-            ingest::Chunk chunk;
-            std::vector<zeek::SslRecord> records;  // capacity reused
-            while (chunker.next(chunk)) {
-              records.clear();
-              if (skip) {
-                // Non-authoritative re-parse: skip exactly the rows phase
-                // B quarantined; per-shard counts merge deterministically
-                // below.
-                const auto stats = zeek::parse_ssl_records_tolerant(
-                    chunk.view(), pipeline_plan, records, nullptr,
-                    ssl_header_lines, chunk.offset);
-                shard_rows_bad[s] += stats.rows_bad;
-              } else {
-                zeek::LogParseError parse_error;
-                if (!zeek::parse_ssl_records(chunk.view(), pipeline_plan,
-                                             records, &parse_error,
-                                             ssl_header_lines)) {
-                  // Unreachable when phases B/C parsed the same bytes, but
-                  // an input changing mid-run must not silently drop rows.
-                  engine_error.record(ssl.name(), chunk.offset,
-                                      describe_parse_error(parse_error));
-                  return;
-                }
-              }
-              Pipeline& pipeline = shards[s];
-              for (const auto& record : records) {
-                pipeline.add_connection(record);
-              }
-              ssl.release(chunk.offset, chunk.data.size());
-            }
-          }
-        });
-    if (skip) {
-      for (const auto bad : shard_rows_bad) {
-        led->count_phase(LedgerPhase::kShardRun, bad);
-      }
-    }
-
-    if (!engine_error.failed()) {
-      // --- Phase E: deterministic merge in shard order. ---
-      Pipeline merged(prepared);
-      for (auto& shard : shards) merged.merge(std::move(shard));
-      merged.set_interception_issuers(*confirmed);
-      merged.backfill_certificates(*base);
-      merged.finalize();
-      note_run_stats(*enricher, merged, "rows");
-      result.emplace(std::move(merged));
-    }
-  }
-
-  led->finalize();
-  if (!result && error != nullptr) {
-    const std::lock_guard<std::mutex> lock(engine_error.mutex);
-    *error = engine_error.error;
-  }
+  ErrorLedger& led = ledger != nullptr ? *ledger : local_ledger;
+  TsvParts parts(ssl, x509, options, led);
+  auto result = run_parts(parts, error);
+  led.finalize();
   return result;
 }
 
@@ -709,77 +745,6 @@ std::optional<Pipeline> PipelineExecutor::run_log_files(
   }
   return run_sources(*ssl, *x509, error, options, ledger);
 }
-
-namespace {
-
-/// Decodes every block of the container into the record shapes the
-/// in-memory entries take: the ssl stream concatenated in block order,
-/// and the x509 rows folded into a first-fuid-wins map in stream order
-/// (exactly what Dataset::add_x509 produces from the TSV parse).
-/// Blocks decode in parallel — each carries its own dictionary — and a
-/// decode failure reports the smallest-index failing block.
-bool decode_container_records(const colfmt::ContainerReader& reader,
-                              std::size_t k,
-                              std::vector<zeek::SslRecord>& ssl,
-                              zeek::Dataset::X509Map& x509,
-                              ingest::IngestError* error) {
-  std::mutex error_mutex;
-  std::size_t error_block = SIZE_MAX;
-  std::string error_reason;
-  const auto note_error = [&](std::size_t block, const char* what) {
-    const std::lock_guard<std::mutex> lock(error_mutex);
-    if (block < error_block) {
-      error_block = block;
-      error_reason = what;
-    }
-  };
-
-  const auto& x509_blocks = reader.x509_blocks();
-  const auto& ssl_blocks = reader.ssl_blocks();
-  std::vector<std::vector<zeek::X509Record>> x509_rows(x509_blocks.size());
-  std::vector<std::vector<zeek::SslRecord>> ssl_rows(ssl_blocks.size());
-  const std::size_t total = x509_blocks.size() + ssl_blocks.size();
-  parallel_ranges(total, k,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      try {
-                        if (i < x509_blocks.size()) {
-                          x509_rows[i] =
-                              reader.decode_x509_block(x509_blocks[i]);
-                        } else {
-                          const std::size_t j = i - x509_blocks.size();
-                          ssl_rows[j] = reader.decode_ssl_block(ssl_blocks[j]);
-                        }
-                      } catch (const StateError& e) {
-                        note_error(i, e.what());
-                      }
-                    }
-                  });
-  if (error_block != SIZE_MAX) {
-    if (error != nullptr) {
-      error->file = reader.path();
-      error->byte_offset = 0;
-      error->reason = "container block decode failed: " + error_reason;
-    }
-    return false;
-  }
-
-  for (auto& rows : x509_rows) {
-    for (auto& record : rows) {
-      const colfmt::Str fuid = record.fuid;
-      x509.emplace(fuid, std::move(record));
-    }
-  }
-  std::size_t ssl_total = 0;
-  for (const auto& rows : ssl_rows) ssl_total += rows.size();
-  ssl.reserve(ssl_total);
-  for (auto& rows : ssl_rows) {
-    for (auto& record : rows) ssl.push_back(std::move(record));
-  }
-  return true;
-}
-
-}  // namespace
 
 std::optional<Pipeline> PipelineExecutor::run_container(
     const colfmt::ContainerReader& reader, ingest::IngestError* error,
@@ -825,30 +790,16 @@ std::optional<Pipeline> PipelineExecutor::run_container(
     }
   }
 
-  // Scan-mode dispatch: auto takes the columnar path whenever it is
-  // eligible (no CT database — phase C needs full records); an explicit
-  // kColumnar with CT configured falls back to rows rather than running
-  // a different phase C.
-  const bool columnar = config_.ct == nullptr &&
-                        (scan_mode_ == ScanMode::kColumnar ||
-                         scan_mode_ == ScanMode::kAuto);
-  std::optional<Pipeline> result;
-  if (columnar) {
-    result = run_container_columnar(reader, error);
-    if (!result) return std::nullopt;
-  } else {
-    std::vector<zeek::SslRecord> ssl;
-    zeek::Dataset::X509Map x509;
-    if (!decode_container_records(reader, threads_, ssl, x509, error)) {
-      return std::nullopt;
-    }
-    result = run(ssl, x509);
-  }
-  if (ledger != nullptr) {
+  auto x509 = decode_x509(reader, threads_, error);
+  if (!x509) return std::nullopt;
+  ContainerParts parts(reader, std::move(*x509), threads_);
+  auto result = run_parts(parts, error);
+  if (result) stats_.scan = "columnar";
+  if (result && ledger != nullptr) {
     // Hand out exactly the ledger a TSV run over the original logs would
     // have produced (shard state serializes every field, so map states
     // from compact and TSV inputs must match byte-for-byte). Abort mode
-    // never accounts — run_sources only counts under skip — so a clean
+    // never accounts — the TSV parts only count under skip — so a clean
     // abort run carries an empty ledger. Skip mode carries the
     // conversion counts (phases A/B: rows_ok + quarantine) plus the
     // re-parse tolerations phases C/D would have counted over the same
@@ -864,132 +815,6 @@ std::optional<Pipeline> PipelineExecutor::run_container(
     }
     out.finalize();
     *ledger = std::move(out);
-  }
-  return result;
-}
-
-std::optional<Pipeline> PipelineExecutor::run_container_columnar(
-    const colfmt::ContainerReader& reader, ingest::IngestError* error) {
-  const auto enricher = std::make_shared<const Enricher>(config_);
-  const std::size_t k = threads_;
-  const auto& x509_blocks = reader.x509_blocks();
-  const auto& ssl_blocks = reader.ssl_blocks();
-
-  // Smallest-index failing block wins, as in decode_container_records.
-  std::mutex error_mutex;
-  std::size_t error_block = SIZE_MAX;
-  std::string error_reason;
-  const auto note_error = [&](std::size_t block, const char* what) {
-    const std::lock_guard<std::mutex> lock(error_mutex);
-    if (block < error_block) {
-      error_block = block;
-      error_reason = what;
-    }
-  };
-  const auto failed = [&] {
-    const std::lock_guard<std::mutex> lock(error_mutex);
-    return error_block != SIZE_MAX;
-  };
-
-  // --- Phase A: x509 blocks decode in parallel, then facts build in
-  // parallel row ranges and fold first-fuid-wins in stream order, as the
-  // in-memory path does. Certificates are the deduplicated side of the
-  // join (the fixture's six thousand fit in one block), so rows, not
-  // blocks, are the unit of parallelism; the Enricher's DER-keyed memo
-  // already collapses the work per distinct certificate. ---
-  std::shared_ptr<Pipeline::CertMap> base;
-  {
-    std::vector<std::vector<zeek::X509Record>> decoded(x509_blocks.size());
-    parallel_ranges(x509_blocks.size(), k,
-                    [&](std::size_t, std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        try {
-                          decoded[i] =
-                              reader.decode_x509_block(x509_blocks[i]);
-                        } catch (const std::exception& e) {
-                          note_error(i, e.what());
-                        }
-                      }
-                    });
-    if (!failed()) {
-      std::vector<const zeek::X509Record*> rows;
-      for (const auto& block : decoded) {
-        for (const auto& record : block) rows.push_back(&record);
-      }
-      try {
-        base = build_registry(*enricher, rows, k);
-      } catch (const std::exception& e) {
-        note_error(0, e.what());
-      }
-    }
-  }
-
-  // --- Phase B: ssl blocks scan in parallel with the chains manifest
-  // (kind-6 blocks skip the ts/uid spans in O(1)) and fold in block (=
-  // stream) order. ---
-  if (!failed()) {
-    upgrade_parts(
-        ssl_blocks.size(), k, [&](std::size_t i, ResolvedChains& out) {
-          try {
-            auto scan = reader.scan_ssl_block(ssl_blocks[i],
-                                              zeek::SslColumns::chains());
-            zeek::SslRecord rec;
-            while (!scan.done()) {
-              scan.next(rec);
-              resolve_chains(*base, rec, out);
-            }
-          } catch (const std::exception& e) {
-            note_error(x509_blocks.size() + i, e.what());
-          }
-        });
-  }
-
-  // --- Phases D + E: contiguous block ranges, one per shard; each row
-  // is served into ONE reused record (uid pruned and left empty — no
-  // enrichment rule or analyzer reads it) and fed straight to the shard
-  // pipeline, whose EnrichCache folds the per-row host/address work down
-  // to pointer-keyed lookups. Block boundaries are a contiguous stream
-  // partition, so the shard-order merge is byte-identical to the row
-  // path for any thread count. ---
-  std::optional<Pipeline> result;
-  if (!failed()) {
-    auto confirmed = std::make_shared<Pipeline::StrSet>();
-    const Pipeline::Prepared prepared{enricher, base, confirmed};
-    std::vector<Pipeline> shards = make_shards(prepared);
-    parallel_ranges(
-        ssl_blocks.size(), k,
-        [&](std::size_t shard, std::size_t begin, std::size_t end) {
-          Pipeline& pipeline = shards[shard];
-          zeek::SslRecord rec;
-          for (std::size_t i = begin; i < end; ++i) {
-            try {
-              auto scan = reader.scan_ssl_block(
-                  ssl_blocks[i], zeek::SslColumns::pipeline());
-              while (!scan.done()) {
-                scan.next(rec);
-                pipeline.add_connection(rec);
-              }
-            } catch (const StateError& e) {
-              note_error(x509_blocks.size() + i, e.what());
-              return;
-            }
-          }
-        });
-    if (!failed()) {
-      Pipeline merged(prepared);
-      for (auto& shard : shards) merged.merge(std::move(shard));
-      merged.set_interception_issuers(*confirmed);
-      merged.backfill_certificates(*base);
-      merged.finalize();
-      note_run_stats(*enricher, merged, "columnar");
-      result.emplace(std::move(merged));
-    }
-  }
-
-  if (!result && error != nullptr) {
-    error->file = reader.path();
-    error->byte_offset = 0;
-    error->reason = "container block decode failed: " + error_reason;
   }
   return result;
 }

@@ -1005,54 +1005,43 @@ struct ShardedSet {
 
 }  // namespace
 
-ShardState PipelineExecutor::fold(const zeek::Dataset& dataset) {
+std::optional<ShardState> PipelineExecutor::fold_entry(
+    const std::function<std::optional<Pipeline>(ErrorLedger*)>& entry) {
   ShardedSet sharded(shard_count());
   sharded.attach(*this);
   ShardState state;
-  state.pipeline.emplace(run(dataset));
-  state.analyzers = std::move(sharded).merged();
+  auto pipeline = entry(&state.ledger);
   factories_.clear();  // they reference the local ShardedSet
+  if (!pipeline) return std::nullopt;
+  state.pipeline = std::move(pipeline);
+  state.analyzers = std::move(sharded).merged();
   return state;
+}
+
+ShardState PipelineExecutor::fold(const zeek::Dataset& dataset) {
+  return fold(dataset.ssl(), dataset.x509());
 }
 
 ShardState PipelineExecutor::fold(const std::vector<zeek::SslRecord>& ssl,
                                   const zeek::Dataset::X509Map& x509) {
-  ShardedSet sharded(shard_count());
-  sharded.attach(*this);
-  ShardState state;
-  state.pipeline.emplace(run(ssl, x509));
-  state.analyzers = std::move(sharded).merged();
-  factories_.clear();  // they reference the local ShardedSet
-  return state;
+  return *fold_entry(
+      [&](ErrorLedger*) { return std::optional<Pipeline>(run(ssl, x509)); });
 }
 
 std::optional<ShardState> PipelineExecutor::fold_log_files(
     const std::string& ssl_path, const std::string& x509_path,
     ingest::IngestError* error, const ingest::IngestOptions& options) {
-  ShardedSet sharded(shard_count());
-  sharded.attach(*this);
-  ShardState state;
-  auto pipeline =
-      run_log_files(ssl_path, x509_path, error, options, &state.ledger);
-  factories_.clear();  // they reference the local ShardedSet
-  if (!pipeline) return std::nullopt;
-  state.pipeline = std::move(pipeline);
-  state.analyzers = std::move(sharded).merged();
-  return state;
+  return fold_entry([&](ErrorLedger* ledger) {
+    return run_log_files(ssl_path, x509_path, error, options, ledger);
+  });
 }
 
 std::optional<ShardState> PipelineExecutor::fold_container(
     const colfmt::ContainerReader& reader, ingest::IngestError* error,
     const ingest::IngestOptions& options) {
-  ShardedSet sharded(shard_count());
-  sharded.attach(*this);
-  ShardState state;
-  auto pipeline = run_container(reader, error, options, &state.ledger);
-  factories_.clear();  // they reference the local ShardedSet
-  if (!pipeline) return std::nullopt;
-  state.pipeline = std::move(pipeline);
-  state.analyzers = std::move(sharded).merged();
-  return state;
+  return fold_entry([&](ErrorLedger* ledger) {
+    return run_container(reader, error, options, ledger);
+  });
 }
 
 }  // namespace mtlscope::core

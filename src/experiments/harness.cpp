@@ -21,18 +21,6 @@ core::PipelineConfig make_config(const gen::TraceGenerator& generator,
   return config;
 }
 
-core::ScanMode to_core_scan(RunOptions::ScanMode scan) {
-  switch (scan) {
-    case RunOptions::ScanMode::kRows:
-      return core::ScanMode::kRows;
-    case RunOptions::ScanMode::kColumnar:
-      return core::ScanMode::kColumnar;
-    case RunOptions::ScanMode::kAuto:
-      break;
-  }
-  return core::ScanMode::kAuto;
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -56,9 +44,7 @@ std::uint64_t file_size_or_zero(const std::string& path) {
 Harness::Harness(gen::CampusModel model, const RunOptions& options)
     : generator_(std::move(model)),
       options_(options),
-      executor_(make_config(generator_, options_), options_.threads) {
-  executor_.set_scan_mode(to_core_scan(options_.scan));
-}
+      executor_(make_config(generator_, options_), options_.threads) {}
 
 Harness::Harness(const RunOptions& options, core::ShardState state)
     : generator_(gen::CampusModel{}),

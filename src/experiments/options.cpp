@@ -63,19 +63,6 @@ bool RunOptions::parse_flag(const char* arg) {
                    threads, hw, hw);
       threads = hw;
     }
-  } else if (std::strncmp(arg, "--scan=", 7) == 0) {
-    const char* value = arg + 7;
-    if (std::strcmp(value, "auto") == 0) {
-      scan = ScanMode::kAuto;
-    } else if (std::strcmp(value, "rows") == 0) {
-      scan = ScanMode::kRows;
-    } else if (std::strcmp(value, "columnar") == 0) {
-      scan = ScanMode::kColumnar;
-    } else {
-      std::fprintf(stderr, "--scan= takes auto, rows, or columnar, got %s\n",
-                   value);
-      std::exit(2);
-    }
   } else if (std::strncmp(arg, "--ssl-log=", 10) == 0) {
     ssl_log = arg + 10;
   } else if (std::strncmp(arg, "--x509-log=", 11) == 0) {

@@ -66,25 +66,31 @@ RecordChunker::RecordChunker(const Source& source, std::size_t chunk_bytes,
       pos_(begin),
       end_(std::min(end, source.size())) {}
 
-bool RecordChunker::next(Chunk& chunk) {
+bool RecordChunker::next_range(std::size_t& begin, std::size_t& end) {
   if (pos_ >= end_) {
     if (emitted_any_) return false;
     // Empty range: emit one empty chunk so the header still gets parsed
     // (and validated) downstream exactly once.
     emitted_any_ = true;
-    chunk.seq = seq_++;
-    chunk.offset = pos_;
-    chunk.data = {};
+    begin = end = pos_;
     return true;
   }
   const std::size_t target = std::min(pos_ + chunk_bytes_, end_);
-  const std::size_t cut =
+  begin = pos_;
+  end = pos_ =
       target >= end_ ? end_ : after_next_newline(source_, target, end_, probe_);
-  chunk.seq = seq_++;
-  chunk.offset = pos_;
-  chunk.data = source_.fetch(pos_, cut - pos_, chunk.scratch);
-  pos_ = cut;
   emitted_any_ = true;
+  return true;
+}
+
+bool RecordChunker::next(Chunk& chunk) {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  if (!next_range(begin, end)) return false;
+  chunk.seq = seq_++;
+  chunk.offset = begin;
+  chunk.data = begin == end ? std::string_view{}
+                            : source_.fetch(begin, end - begin, chunk.scratch);
   return true;
 }
 

@@ -2,8 +2,8 @@
 // and the per-run host/address cache are pure memo layers — every cached
 // answer must equal the uncached computation, on fixture certificates
 // and on hostile DER bodies alike, and a full run's canonical JSON must
-// be byte-identical across --scan=columnar|rows, thread counts, input
-// formats, and --on-error=skip over dirty input.
+// be byte-identical across thread counts, input formats, and
+// --on-error=skip over dirty input.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -156,7 +156,7 @@ std::string canonical_run(const experiments::RunOptions& options) {
   return core::render_json_envelope(docs, /*include_perf=*/false);
 }
 
-TEST_F(EnrichCacheRuns, CanonicalJsonIdenticalAcrossScanThreadsAndFormats) {
+TEST_F(EnrichCacheRuns, CanonicalJsonIdenticalAcrossThreadsAndFormats) {
   const auto dataset = small_dataset();
   const std::string ssl_path =
       write_file("ssl.log", zeek::ssl_log_to_string(dataset.ssl()));
@@ -175,29 +175,24 @@ TEST_F(EnrichCacheRuns, CanonicalJsonIdenticalAcrossScanThreadsAndFormats) {
 
   std::string reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const auto scan : {experiments::RunOptions::ScanMode::kRows,
-                            experiments::RunOptions::ScanMode::kColumnar}) {
-      for (const bool compact : {false, true}) {
-        experiments::RunOptions options;
-        options.threads = threads;
-        options.scan = scan;
-        options.ssl_log = compact ? container : ssl_path;
-        if (!compact) options.x509_log = x509_path;
-        const std::string json = canonical_run(options);
-        if (reference.empty()) {
-          reference = json;
-          ASSERT_FALSE(reference.empty());
-        } else {
-          EXPECT_EQ(json, reference)
-              << "threads=" << threads << " compact=" << compact
-              << " scan=" << static_cast<int>(scan);
-        }
+    for (const bool compact : {false, true}) {
+      experiments::RunOptions options;
+      options.threads = threads;
+      options.ssl_log = compact ? container : ssl_path;
+      if (!compact) options.x509_log = x509_path;
+      const std::string json = canonical_run(options);
+      if (reference.empty()) {
+        reference = json;
+        ASSERT_FALSE(reference.empty());
+      } else {
+        EXPECT_EQ(json, reference)
+            << "threads=" << threads << " compact=" << compact;
       }
     }
   }
 }
 
-TEST_F(EnrichCacheRuns, DirtySkipRunsIdenticalAcrossScanModes) {
+TEST_F(EnrichCacheRuns, DirtySkipRunsIdenticalAcrossThreadsAndFormats) {
   const auto dataset = small_dataset();
   std::size_t ssl_bad = 0, x509_bad = 0;
   const std::string ssl_path = write_file(
@@ -226,24 +221,19 @@ TEST_F(EnrichCacheRuns, DirtySkipRunsIdenticalAcrossScanModes) {
 
   std::string reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const auto scan : {experiments::RunOptions::ScanMode::kRows,
-                            experiments::RunOptions::ScanMode::kColumnar}) {
-      for (const bool compact : {false, true}) {
-        experiments::RunOptions options;
-        options.threads = threads;
-        options.scan = scan;
-        options.errors.on_error = ingest::ErrorPolicy::Action::kSkip;
-        options.ssl_log = compact ? container : ssl_path;
-        if (!compact) options.x509_log = x509_path;
-        const std::string json = canonical_run(options);
-        if (reference.empty()) {
-          reference = json;
-          EXPECT_NE(json.find("data_quality"), std::string::npos);
-        } else {
-          EXPECT_EQ(json, reference)
-              << "threads=" << threads << " compact=" << compact
-              << " scan=" << static_cast<int>(scan);
-        }
+    for (const bool compact : {false, true}) {
+      experiments::RunOptions options;
+      options.threads = threads;
+      options.errors.on_error = ingest::ErrorPolicy::Action::kSkip;
+      options.ssl_log = compact ? container : ssl_path;
+      if (!compact) options.x509_log = x509_path;
+      const std::string json = canonical_run(options);
+      if (reference.empty()) {
+        reference = json;
+        EXPECT_NE(json.find("data_quality"), std::string::npos);
+      } else {
+        EXPECT_EQ(json, reference)
+            << "threads=" << threads << " compact=" << compact;
       }
     }
   }

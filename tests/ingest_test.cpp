@@ -1,8 +1,8 @@
 // mtlscope::ingest: sources (mmap / buffered parity), record-aligned
-// chunking (boundary equivalence for any chunk size), the backpressured
-// queue + reorder window, and the streaming executor entry points —
-// run_log_files() must match the in-memory run for every thread count
-// and chunk size, and fail loudly (file + byte offset) on bad input.
+// chunking (boundary equivalence for any chunk size), and the streaming
+// executor entry points — run_log_files() must match the in-memory run
+// for every thread count and chunk size, in abort and skip mode, and
+// fail loudly (file + byte offset) on bad input.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,8 +17,8 @@
 #include "mtlscope/core/analyzers.hpp"
 #include "mtlscope/core/executor.hpp"
 #include "mtlscope/gen/generator.hpp"
-#include "mtlscope/ingest/chunk_queue.hpp"
 #include "mtlscope/ingest/chunker.hpp"
+#include "mtlscope/ingest/fault.hpp"
 #include "mtlscope/ingest/source.hpp"
 #include "mtlscope/zeek/log_io.hpp"
 #include "mtlscope/zeek/parse_plan.hpp"
@@ -285,68 +285,6 @@ TEST_F(IngestTest, HeaderOnlyAndEmptyLogsRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Queue + reorder window
-
-TEST_F(IngestTest, ChunkQueueAppliesBackpressure) {
-  ingest::ChunkQueue<int> queue(2);
-  ASSERT_TRUE(queue.push(0));
-  ASSERT_TRUE(queue.push(1));
-  EXPECT_EQ(queue.size(), 2u);
-
-  std::atomic<bool> third_pushed{false};
-  std::thread producer([&] {
-    queue.push(2);  // blocks: queue is full
-    third_pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_pushed.load()) << "push must block while full";
-  EXPECT_EQ(queue.size(), 2u) << "occupancy never exceeds capacity";
-
-  EXPECT_EQ(queue.pop(), 0);  // slow consumer finally makes room
-  producer.join();
-  EXPECT_TRUE(third_pushed.load());
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  queue.close();
-  EXPECT_EQ(queue.pop(), std::nullopt);
-  EXPECT_FALSE(queue.push(9)) << "closed queue refuses new items";
-}
-
-TEST_F(IngestTest, OrderedCollectorResequencesWorkers) {
-  ingest::OrderedCollector<std::string> collector(8);
-  std::vector<std::thread> workers;
-  for (const std::size_t seq : {2u, 0u, 3u, 1u}) {
-    workers.emplace_back(
-        [&collector, seq] { collector.put(seq, "r" + std::to_string(seq)); });
-  }
-  collector.finish(4);
-  std::vector<std::string> got;
-  while (auto value = collector.take()) got.push_back(*value);
-  for (auto& worker : workers) worker.join();
-  EXPECT_EQ(got, (std::vector<std::string>{"r0", "r1", "r2", "r3"}));
-}
-
-TEST_F(IngestTest, OrderedCollectorWindowBoundsProducers) {
-  ingest::OrderedCollector<int> collector(2);  // window: seq < next + 2
-  std::atomic<bool> far_put{false};
-  std::thread eager([&] {
-    collector.put(2, 20);  // 2 >= 0 + 2 → must block
-    far_put.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(far_put.load()) << "put beyond the window must block";
-  collector.put(0, 0);
-  collector.put(1, 10);
-  collector.finish(3);
-  EXPECT_EQ(collector.take(), 0);   // frees the window; seq 2 may land
-  EXPECT_EQ(collector.take(), 10);
-  EXPECT_EQ(collector.take(), 20);
-  eager.join();
-  EXPECT_TRUE(far_put.load());
-  EXPECT_EQ(collector.take(), std::nullopt);
-}
-
-// ---------------------------------------------------------------------------
 // Streaming executor
 
 void expect_same_totals(const core::Pipeline& a, const core::Pipeline& b) {
@@ -486,32 +424,108 @@ TEST_F(IngestTest, MissingInputFileFailsRunLogFiles) {
   EXPECT_FALSE(error.reason.empty());
 }
 
-TEST_F(IngestTest, SmallQueueDepthStillMatches) {
-  gen::TraceGenerator generator(gen::paper_model(2'000, 2'000'000));
+void expect_same_ledger(const core::ErrorLedger& a,
+                        const core::ErrorLedger& b) {
+  for (const auto role : {core::InputRole::kSsl, core::InputRole::kX509}) {
+    EXPECT_EQ(a.quarantined(role), b.quarantined(role));
+    EXPECT_EQ(a.rows_ok(role), b.rows_ok(role));
+  }
+  for (unsigned phase = 0; phase < core::kLedgerPhases; ++phase) {
+    EXPECT_EQ(a.phase_count(static_cast<core::LedgerPhase>(phase)),
+              b.phase_count(static_cast<core::LedgerPhase>(phase)))
+        << "phase " << phase;
+  }
+  ASSERT_EQ(a.entries().size(), b.entries().size());
+  for (std::size_t i = 0; i < a.entries().size(); ++i) {
+    const auto& ea = a.entries()[i];
+    const auto& eb = b.entries()[i];
+    EXPECT_EQ(ea.input, eb.input) << "entry " << i;
+    EXPECT_EQ(ea.byte_offset, eb.byte_offset) << "entry " << i;
+    EXPECT_EQ(ea.line, eb.line) << "entry " << i;
+    EXPECT_EQ(ea.reason, eb.reason) << "entry " << i;
+    EXPECT_EQ(ea.digest, eb.digest) << "entry " << i;
+  }
+}
+
+/// The '#' header of a Zeek log text plus its first `rows` data rows.
+std::string head_rows(const std::string& text, std::size_t rows) {
+  std::size_t pos = 0;
+  while (pos < text.size() && (text[pos] == '#' || rows > 0)) {
+    if (text[pos] != '#') --rows;
+    pos = text.find('\n', pos);
+    pos = pos == std::string::npos ? text.size() : pos + 1;
+  }
+  return text.substr(0, pos);
+}
+
+TEST_F(IngestTest, PartWindowsMatchSerialRunInBothErrorModes) {
+  // 16-byte parts hold one row each, so phases A and B fold across many
+  // windows (the last one ragged at 7 threads); 8 KiB parts hold many.
+  auto model = gen::paper_model(50'000, 1'000'000'000);
+  model.background_connections = 300;
+  gen::TraceGenerator generator(std::move(model));
   const auto dataset = generator.generate_dataset();
-  const std::string ssl_path =
-      write_file("ssl.log", zeek::ssl_log_to_string(dataset.ssl()));
-  const std::string x509_path =
-      write_file("x509.log", zeek::x509_log_to_string(dataset));
+  const std::string ssl_text =
+      head_rows(zeek::ssl_log_to_string(dataset.ssl()), 2'000);
+  const std::string x509_text = zeek::x509_log_to_string(dataset);
+  const std::string ssl_path = write_file("ssl.log", ssl_text);
+  const std::string x509_path = write_file("x509.log", x509_text);
+  std::size_t ssl_bad = 0, x509_bad = 0;
+  const std::string dirty_ssl = write_file(
+      "dirty_ssl.log",
+      ingest::corrupt_log_rows(ssl_text, 20240504, 0.02, &ssl_bad));
+  const std::string dirty_x509 = write_file(
+      "dirty_x509.log",
+      ingest::corrupt_log_rows(x509_text, 20240505, 0.02, &x509_bad));
+  ASSERT_GT(ssl_bad, 0u);
+  ASSERT_GT(x509_bad, 0u);
   const auto config = core::PipelineConfig::campus_defaults();
+  ingest::IngestOptions skip;
+  skip.errors.on_error = ingest::ErrorPolicy::Action::kSkip;
 
-  core::PipelineExecutor reference_executor(config, 1);
   ingest::IngestError error;
-  const auto reference =
-      reference_executor.run_log_files(ssl_path, x509_path, &error);
+  core::PipelineExecutor serial(config, 1);
+  const auto reference = serial.run_log_files(ssl_path, x509_path, &error);
   ASSERT_TRUE(reference.has_value()) << error.to_string();
+  core::ErrorLedger reference_ledger;
+  const auto dirty_reference = serial.run_log_files(
+      dirty_ssl, dirty_x509, &error, skip, &reference_ledger);
+  ASSERT_TRUE(dirty_reference.has_value()) << error.to_string();
+  EXPECT_EQ(reference_ledger.quarantined(core::InputRole::kSsl), ssl_bad);
+  EXPECT_EQ(reference_ledger.quarantined(core::InputRole::kX509), x509_bad);
 
-  // depth 1 maximizes backpressure: the reader can only ever be one chunk
-  // ahead of the slowest worker.
-  core::PipelineExecutor executor(config, 4);
-  ingest::IngestOptions options;
-  options.chunk_bytes = 8 << 10;
-  options.queue_depth = 1;
-  const auto squeezed =
-      executor.run_log_files(ssl_path, x509_path, &error, options);
-  ASSERT_TRUE(squeezed.has_value()) << error.to_string();
-  expect_same_totals(*squeezed, *reference);
-  expect_same_certificates(*squeezed, *reference);
+  for (const std::size_t chunk_bytes : {std::size_t{16}, std::size_t{8192}}) {
+    ingest::IngestOptions strict;
+    strict.chunk_bytes = chunk_bytes;
+    ingest::IngestError serial_error;
+    ASSERT_FALSE(serial.run_log_files(dirty_ssl, dirty_x509, &serial_error,
+                                      strict));
+    for (const std::size_t threads : {2u, 7u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " chunk=" + std::to_string(chunk_bytes));
+      core::PipelineExecutor executor(config, threads);
+      const auto clean =
+          executor.run_log_files(ssl_path, x509_path, &error, strict);
+      ASSERT_TRUE(clean.has_value()) << error.to_string();
+      expect_same_totals(*clean, *reference);
+      expect_same_certificates(*clean, *reference);
+
+      // Abort mode over dirty input: the first failing part wins.
+      ASSERT_FALSE(
+          executor.run_log_files(dirty_ssl, dirty_x509, &error, strict));
+      EXPECT_EQ(error.to_string(), serial_error.to_string());
+
+      ingest::IngestOptions options = skip;
+      options.chunk_bytes = chunk_bytes;
+      core::ErrorLedger ledger;
+      const auto dirty = executor.run_log_files(dirty_ssl, dirty_x509, &error,
+                                                options, &ledger);
+      ASSERT_TRUE(dirty.has_value()) << error.to_string();
+      expect_same_totals(*dirty, *dirty_reference);
+      expect_same_certificates(*dirty, *dirty_reference);
+      expect_same_ledger(ledger, reference_ledger);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
