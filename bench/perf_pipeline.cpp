@@ -1,11 +1,10 @@
 // End-to-end throughput: trace generation, Zeek log serialization, and the
-// full enrichment pipeline, in connections per second.
+// full enrichment pipeline (PipelineExecutor), in connections per second.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
 #include "mtlscope/core/executor.hpp"
-#include "mtlscope/core/pipeline.hpp"
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/zeek/log_io.hpp"
 
@@ -32,26 +31,9 @@ void BM_GenerateTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateTrace)->Unit(benchmark::kMillisecond);
 
-void BM_PipelineEndToEnd(benchmark::State& state) {
-  std::size_t conns = 0;
-  for (auto _ : state) {
-    gen::TraceGenerator generator(small_model());
-    auto config = core::PipelineConfig::campus_defaults();
-    config.ct = &generator.ct_database();
-    core::Pipeline pipeline(std::move(config));
-    generator.generate(
-        [&pipeline](const tls::TlsConnection& conn) { pipeline.feed(conn); });
-    pipeline.finalize();
-    conns += pipeline.totals().connections;
-    benchmark::DoNotOptimize(pipeline.totals());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(conns));
-}
-BENCHMARK(BM_PipelineEndToEnd)->Unit(benchmark::kMillisecond);
-
 // Sharded executor over a pre-generated dataset: the Arg is the shard /
 // worker count, so `--benchmark_filter=Executor` shows the scaling curve
-// against Threads/1 (the inline serial path).
+// against threads:1, the inline serial figure.
 void BM_PipelineExecutor(benchmark::State& state) {
   gen::TraceGenerator generator(small_model());
   const auto dataset = generator.generate_dataset();

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "mtlscope/core/executor.hpp"
-#include "mtlscope/core/pipeline.hpp"
 #include "mtlscope/ctlog/ct_database.hpp"
 #include "mtlscope/tls/handshake.hpp"
 #include "mtlscope/trust/authority.hpp"
@@ -96,42 +95,47 @@ int main() {
                        "internal:intranet"),
       "intranet.quickstart-labs.com", conn_id++));
 
-  // Path 1: the legacy streaming pipeline, fed connection by connection.
-  core::Pipeline pipeline(config);
-  for (const auto& conn : trace) pipeline.feed(conn);
-  pipeline.finalize();
+  zeek::Dataset dataset;
+  for (const auto& conn : trace) dataset.add_connection(conn);
+
+  // Confirmation is a whole-stream pre-pass (executor phase C), so the
+  // verdict must not depend on the worker count.
+  core::PipelineExecutor serial(config, 1);
+  const auto pipeline = serial.run(dataset);
+  core::PipelineExecutor parallel(config, 4);
+  const auto sharded = parallel.run(dataset);
 
   std::printf("interception issuers detected: %zu\n",
               pipeline.interception_issuers().size());
   for (const auto& issuer : pipeline.interception_issuers()) {
     std::printf("  FLAGGED: %s\n", issuer.c_str());
   }
-  std::printf("connections excluded: %zu of %d\n",
-              pipeline.interception_excluded_connections(), conn_id);
+  const std::size_t intercepted = 2 * std::size(kDomains);
+  std::printf("connections excluded: %zu of %d (expected %zu)\n",
+              pipeline.interception_excluded_connections(), conn_id,
+              intercepted);
   std::printf("certificates flagged: %zu\n",
               pipeline.interception_flagged_certificates());
 
   bool internal_flagged = false;
-  for (const auto& issuer : pipeline.interception_issuers()) {
-    if (issuer.view().find("Quickstart") != std::string_view::npos) {
+  for (const auto& [fuid, facts] : pipeline.certificates()) {
+    if (facts.issuer_org == "Quickstart Labs" &&
+        (facts.flagged_interception ||
+         pipeline.interception_issuers().contains(facts.issuer_dn))) {
       internal_flagged = true;
     }
   }
   std::printf("legitimate internal CA left alone: %s\n",
               internal_flagged ? "NO (bug!)" : "yes");
 
-  // Path 2: the sharded executor over the Zeek-log view of the same trace.
-  // Interception confirmation there is a whole-stream pre-pass, so the
-  // verdict must agree with the streaming hunt regardless of shard count.
-  zeek::Dataset dataset;
-  for (const auto& conn : trace) dataset.add_connection(conn);
-  core::PipelineExecutor executor(config, 4);
-  const auto sharded = executor.run(dataset);
   const bool agree =
       sharded.interception_issuers() == pipeline.interception_issuers() &&
       sharded.interception_excluded_connections() ==
           pipeline.interception_excluded_connections();
-  std::printf("sharded executor (4 workers) agrees: %s\n",
-              agree ? "yes" : "NO (bug!)");
-  return (internal_flagged || !agree) ? 1 : 0;
+  std::printf("1 and 4 workers agree: %s\n", agree ? "yes" : "NO (bug!)");
+  const bool ok = agree && pipeline.interception_issuers().size() == 1 &&
+                  pipeline.interception_excluded_connections() ==
+                      intercepted &&
+                  !internal_flagged;
+  return ok ? 0 : 1;
 }

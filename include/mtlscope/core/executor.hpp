@@ -18,20 +18,19 @@
 //      windows against the shared Enricher, folded first-fuid-wins in
 //      stream order.
 //   B  chain upgrades: one in-order pass marking leaves public when any
-//      connection carries a public intermediate for them (§3.2.1) —
-//      monotonic, so a single pre-pass equals the streaming fixpoint.
-//      Workers scan windows of parts with the chains manifest and
-//      resolve the chains to registry entries; the caller's thread folds
-//      the upgrades in stream order.
-//   C  interception pre-pass (when CT is configured): shard-local
-//      candidate maps (issuer → distinct CT-mismatching SLDs) merged by
-//      set union; issuers at or above the confirmation threshold form the
-//      frozen confirmed set. Exclusion therefore applies to *all* of a
-//      confirmed issuer's connections regardless of stream position —
-//      the order-independent semantics finalize() reconciles the
-//      streaming pipeline toward.
-//   D  shard run: K prepared-mode Pipelines, each over a contiguous range
-//      of ssl parts, per-shard observers attached.
+//      established connection carries a public intermediate for them
+//      (§3.2.1). Upgrading is monotonic, so one pass reaches the
+//      fixpoint. Workers scan windows of parts with the chains manifest
+//      and resolve the chains to registry entries; the caller's thread
+//      folds the upgrades in stream order.
+//   C  interception pre-pass (when CT is configured), the §3.2.1 filter:
+//      shard-local candidate maps (issuer → distinct CT-mismatching SLDs)
+//      merged by set union; issuers at or above the confirmation
+//      threshold form the frozen confirmed set. Exclusion therefore
+//      applies to *all* of a confirmed issuer's connections regardless
+//      of stream position or order.
+//   D  shard run: K Pipelines over the prepared state, each over a
+//      contiguous range of ssl parts, per-shard observers attached.
 //   E  merge: shard registries, totals, and analyzer states fold into one
 //      Pipeline in shard order; finalize() flags interception certs.
 //
@@ -180,7 +179,7 @@ class PipelineExecutor {
       const ingest::IngestOptions& options = {});
 
  private:
-  /// K prepared-mode pipelines with the per-shard observers wired.
+  /// K shard pipelines with the per-shard observers wired.
   std::vector<Pipeline> make_shards(const Pipeline::Prepared& prepared);
 
   /// The one A–E engine (see the file comment).

@@ -1,25 +1,20 @@
-// The measurement pipeline: consumes Zeek-schema records (or raw
-// TlsConnections), performs the paper's §3.2 enrichment — interception
-// filtering, mutual-TLS identification, server/client role labeling,
-// public/private classification, direction inference, issuer
-// categorization, server association — and exposes per-connection
-// enriched views plus a per-certificate fact registry for the
-// population-level analyses.
+// The measurement result of one shard, and of a whole run once shards
+// merge: the per-certificate fact registry with its usage aggregates,
+// connection totals, and the interception-filter verdicts (§3.2).
 //
-// Two modes of operation:
-//  * streaming (legacy): one Pipeline owns its Enricher and builds every
-//    state — certificate registry, interception candidates — as records
-//    arrive. This is the single-threaded path.
-//  * prepared (sharded): the PipelineExecutor builds the certificate
-//    registry and the confirmed-interception set in pre-passes, then runs
-//    one Pipeline per shard against that shared read-only state; shard
-//    pipelines are combined with merge(). See core/executor.hpp.
+// The PipelineExecutor (core/executor.hpp) builds the certificate
+// registry (phases A and B) and the confirmed-interception set (phase C)
+// in pre-passes, then runs one Pipeline per shard against that shared
+// read-only state (phase D): add_connection() enriches each row, drops
+// rows of confirmed interception issuers, accounts usage, and hands the
+// enriched view to the observers. Shard pipelines combine with merge()
+// (phase E). A Pipeline built without prepared state only holds results:
+// a merge target, or one loaded from a shard-state file.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -32,7 +27,6 @@
 #include "mtlscope/gen/model.hpp"
 #include "mtlscope/net/ip.hpp"
 #include "mtlscope/textclass/classifier.hpp"
-#include "mtlscope/tls/connection.hpp"
 #include "mtlscope/trust/store.hpp"
 #include "mtlscope/zeek/records.hpp"
 
@@ -212,10 +206,6 @@ class Pipeline {
   /// result determinism are unchanged by the interning.
   using StrSet = std::set<colfmt::Str, colfmt::StrLess>;
 
-  /// Streaming mode: the pipeline owns its enrichment core and discovers
-  /// interception issuers as the stream progresses.
-  explicit Pipeline(PipelineConfig config);
-
   /// Shared read-only state for one shard of a partitioned run, built by
   /// the PipelineExecutor's pre-passes.
   struct Prepared {
@@ -223,40 +213,33 @@ class Pipeline {
     /// Fully built certificate registry (chain-upgrades applied). Shards
     /// copy an entry on first use and accumulate usage locally.
     std::shared_ptr<const CertMap> base_certificates;
-    /// Interception issuers confirmed over the whole stream; exclusion in
-    /// prepared mode is a frozen-set membership test.
+    /// Interception issuers confirmed over the whole stream; exclusion is
+    /// a frozen-set membership test.
     std::shared_ptr<const StrSet> interception_issuers;
   };
-  /// Prepared (shard) mode: enrichment state is shared and immutable;
-  /// this pipeline only accumulates shard-local usage and analyzer input.
+  /// A shard: enrichment state is shared and immutable; this pipeline
+  /// only accumulates shard-local usage and analyzer input.
   explicit Pipeline(Prepared prepared);
+  /// A result holder (merge target, shard-state loader): add_connection()
+  /// needs the prepared state and must not be called on it.
+  Pipeline() = default;
 
   using Observer = std::function<void(const EnrichedConnection&)>;
   void add_observer(Observer observer);
 
-  /// Registers a certificate row (idempotent per fuid). The DER is
-  /// re-parsed when present; otherwise the logged fields are used.
-  void add_certificate(const zeek::X509Record& record);
-
   /// Processes one connection: enrichment, interception filtering, usage
-  /// accounting, observer dispatch. Connections whose server leaf is an
-  /// interception certificate are excluded (counted, not dispatched).
+  /// accounting, observer dispatch. Connections whose server leaf comes
+  /// from a confirmed interception issuer are excluded (counted, not
+  /// dispatched).
   void add_connection(const zeek::SslRecord& record);
 
-  /// Convenience: converts a simulated connection to Zeek records and
-  /// feeds both logs.
-  void feed(const tls::TlsConnection& conn);
-
-  /// Marks every certificate issued by a confirmed interception issuer,
-  /// and reconciles Totals: streaming mode confirms issuers mid-stream,
-  /// so connections seen before confirmation were counted; finalize()
-  /// moves them to the excluded tally, making the accounting independent
-  /// of stream order. Call once after the stream ends, before
-  /// certificate-level analyses.
+  /// Marks every certificate issued by a confirmed interception issuer.
+  /// Idempotent; call after the stream ends, before certificate-level
+  /// analyses.
   void finalize();
 
   /// Folds a later shard into this pipeline: certificate usage aggregates,
-  /// totals, interception state. Merge shards in stream order; observers
+  /// totals, interception issuers. Merge shards in stream order; observers
   /// are not merged (shard observers are the executor's concern).
   void merge(Pipeline&& other);
 
@@ -287,8 +270,6 @@ class Pipeline {
     std::uint64_t tls13 = 0;
   };
   const Totals& totals() const { return totals_; }
-  const PipelineConfig& config() const;
-  const Enricher& enricher() const { return *enricher_; }
 
   /// The per-shard enrichment memo (hit/miss/unique counters for the perf
   /// envelope; merge() folds the counters of merged-away shards in here).
@@ -300,42 +281,30 @@ class Pipeline {
     interception_issuers_ = std::move(issuers);
   }
   /// Copies base-registry entries this pipeline never touched, so the
-  /// merged result exposes the full certificate population (zero-usage
-  /// certificates included, as the streaming pipeline would).
+  /// merged result exposes the full certificate population, zero-usage
+  /// certificates included.
   void backfill_certificates(const CertMap& base);
 
   /// Canonical shard-state encoding (core/shard_state.hpp): registry,
-  /// totals, interception state, and reconciliation ledger — everything
-  /// merge() and the certificate analyses consume. Unordered maps emit
-  /// sorted by key, so re-serialization is byte-identical regardless of
-  /// hash-table iteration order. Observers and the prepared-mode shared
-  /// pointers are deliberately excluded; a deserialized pipeline is a
-  /// streaming-mode object.
+  /// totals and interception issuers — everything merge() and the
+  /// certificate analyses consume. Unordered maps emit sorted by key, so
+  /// re-serialization is byte-identical regardless of hash-table
+  /// iteration order. Observers and the prepared state are deliberately
+  /// excluded; a deserialized pipeline is a result holder.
   void serialize(StateWriter& w) const;
   void deserialize(StateReader& r);
 
  private:
-  const CertFacts* find_base(const colfmt::Str& fuid) const;
   CertFacts* local_cert(const colfmt::Str& fuid);
 
+  // Prepared state shared by every shard (null in a result holder).
   std::shared_ptr<const Enricher> enricher_;
-  // Prepared-mode shared state (null in streaming mode).
   std::shared_ptr<const CertMap> base_certs_;
   std::shared_ptr<const StrSet> frozen_issuers_;
-  bool prepared_ = false;
 
   std::vector<Observer> observers_;
   CertMap certs_;
   StrSet interception_issuers_;
-  /// Candidate interception issuers: CT-mismatching issuer → distinct
-  /// SLDs observed. Confirmed once the issuer re-signs enough different
-  /// domains (the stand-in for the paper's manual investigation).
-  std::map<colfmt::Str, StrSet, colfmt::StrLess> interception_candidates_;
-  /// Streaming-mode reconciliation ledger: Totals contributions of counted
-  /// connections, per server-leaf issuer DN, so finalize() can un-count
-  /// connections of issuers confirmed after they streamed past.
-  std::unordered_map<colfmt::Str, Totals, colfmt::StrHash, colfmt::StrEq>
-      pending_by_issuer_;
   std::size_t excluded_connections_ = 0;
   Totals totals_;
   /// Shard-local enrichment memo: add_connection resolves hosts and

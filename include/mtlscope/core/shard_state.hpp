@@ -74,8 +74,8 @@ bool compatible_meta(const ShardStateMeta& a, const ShardStateMeta& b);
 /// Complete partial state of one map task.
 struct ShardState {
   ShardStateMeta meta;
-  /// Merged, *finalized* pipeline of the slice (streaming-mode object
-  /// after a load; merge() and the certificate analyses work the same).
+  /// Merged, *finalized* pipeline of the slice (a result holder after a
+  /// load; merge() and the certificate analyses work the same).
   std::optional<Pipeline> pipeline;
   AnalyzerSet analyzers;
   ErrorLedger ledger;

@@ -610,8 +610,7 @@ std::optional<Pipeline> PipelineExecutor::run_parts(
 
   // --- Phase B: chain-level public upgrades (§3.2.1) over the chains
   // manifest. Upgrading is monotonic (private → public, never back), so
-  // one in-order pass reaches the fixpoint the streaming pipeline
-  // converges to, without its stream-position dependence. ---
+  // one in-order pass reaches the fixpoint. ---
   if (!failure) {
     failure = fold_windows<ResolvedChains>(
         parts.ssl_parts(), k,
@@ -656,7 +655,7 @@ std::optional<Pipeline> PipelineExecutor::run_parts(
     }
   }
 
-  // --- Phase D: one prepared-mode pipeline per shard over its
+  // --- Phase D: one pipeline per shard over its
   // contiguous range of parts. Any contiguous partition merges to the
   // same bytes, so part boundaries never show in the output. ---
   if (!failure) {
@@ -669,7 +668,7 @@ std::optional<Pipeline> PipelineExecutor::run_parts(
 
     // --- Phase E: deterministic merge in shard order. ---
     if (!failure) {
-      Pipeline merged(prepared);
+      Pipeline merged;
       for (auto& shard : shards) merged.merge(std::move(shard));
       merged.set_interception_issuers(*confirmed);
       merged.backfill_certificates(*base);

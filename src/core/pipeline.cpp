@@ -59,47 +59,23 @@ void CertFacts::merge(const CertFacts& other) {
   }
 }
 
-Pipeline::Pipeline(PipelineConfig config)
-    : enricher_(std::make_shared<Enricher>(std::move(config))) {}
-
 Pipeline::Pipeline(Prepared prepared)
     : enricher_(std::move(prepared.enricher)),
       base_certs_(std::move(prepared.base_certificates)),
-      frozen_issuers_(std::move(prepared.interception_issuers)),
-      prepared_(true) {}
-
-const PipelineConfig& Pipeline::config() const { return enricher_->config(); }
+      frozen_issuers_(std::move(prepared.interception_issuers)) {}
 
 void Pipeline::add_observer(Observer observer) {
   observers_.push_back(std::move(observer));
 }
 
-void Pipeline::add_certificate(const zeek::X509Record& record) {
-  if (certs_.contains(record.fuid)) return;
-  if (prepared_ && base_certs_ != nullptr &&
-      base_certs_->contains(record.fuid)) {
-    return;  // the shared registry already carries this certificate
-  }
-  certs_.emplace(record.fuid, enricher_->make_facts(record));
-}
-
-const CertFacts* Pipeline::find_base(const colfmt::Str& fuid) const {
-  if (base_certs_ == nullptr) return nullptr;
-  const auto it = base_certs_->find(fuid);
-  return it == base_certs_->end() ? nullptr : &it->second;
-}
-
 CertFacts* Pipeline::local_cert(const colfmt::Str& fuid) {
   const auto it = certs_.find(fuid);
   if (it != certs_.end()) return &it->second;
-  if (prepared_) {
-    // Copy-on-first-use from the shared registry: the copy starts with
-    // zero usage, which this shard then accumulates locally.
-    if (const CertFacts* base = find_base(fuid)) {
-      return &certs_.emplace(fuid, *base).first->second;
-    }
-  }
-  return nullptr;
+  // Copy-on-first-use from the shared registry: the copy starts with
+  // zero usage, which this shard then accumulates locally.
+  const auto base = base_certs_->find(fuid);
+  if (base == base_certs_->end()) return nullptr;
+  return &certs_.emplace(fuid, base->second).first->second;
 }
 
 void Pipeline::add_connection(const zeek::SslRecord& record) {
@@ -119,73 +95,20 @@ void Pipeline::add_connection(const zeek::SslRecord& record) {
   CertFacts* server_leaf = find_cert(record.cert_chain_fuids);
   CertFacts* client_leaf = find_cert(record.client_cert_chain_fuids);
 
-  // Chain-level classification (§3.2.1): a leaf is public-CA-issued when
-  // its root OR INTERMEDIATE is in a trust store. The leaf's own facts are
-  // computed in isolation; upgrade it when a chain member is public. In
-  // prepared mode the executor applied this over the whole stream already.
-  if (!prepared_) {
-    const auto upgrade_by_chain =
-        [this](CertFacts* leaf, const colfmt::StrVec& fuids) {
-          if (leaf == nullptr ||
-              leaf->issuer_class == trust::IssuerClass::kPublic) {
-            return;
-          }
-          for (std::size_t i = 1; i < fuids.size(); ++i) {
-            const auto it = certs_.find(fuids[i]);
-            if (it != certs_.end() &&
-                it->second.issuer_class == trust::IssuerClass::kPublic) {
-              leaf->issuer_class = trust::IssuerClass::kPublic;
-              leaf->issuer_category = IssuerCategory::kPublic;
-              return;
-            }
-          }
-        };
-    upgrade_by_chain(server_leaf, record.cert_chain_fuids);
-    upgrade_by_chain(client_leaf, record.client_cert_chain_fuids);
-  }
-
   EnrichedConnection conn =
       enricher_->enrich(record, server_leaf, client_leaf, cache_);
 
-  // Interception filter (§3.2.1): server leaf with an untrusted issuer
-  // whose SNI domain has a *different* issuer on record in CT.
-  if (prepared_) {
-    if (server_leaf != nullptr && frozen_issuers_ != nullptr &&
-        frozen_issuers_->contains(server_leaf->issuer_dn)) {
-      server_leaf->flagged_interception = true;
-      ++excluded_connections_;
-      return;  // excluded from all analyses
-    }
-  } else if (server_leaf != nullptr && config().ct != nullptr) {
-    bool exclude = interception_issuers_.contains(server_leaf->issuer_dn);
-    if (!exclude &&
-        server_leaf->issuer_class == trust::IssuerClass::kPrivate &&
-        !conn.sld.empty() && config().ct->has_domain(conn.sld)) {
-      const auto* issuers = config().ct->issuers_for(conn.sld);
-      if (issuers != nullptr &&
-          !issuers->contains(server_leaf->issuer_dn.view())) {
-        // CT disagrees about this domain's issuer. One-off disagreements
-        // happen legitimately (shared or misconfigured certs on popular
-        // domains); an issuer re-signing several *different* CT-logged
-        // domains is an interception proxy. This threshold stands in for
-        // the paper's manual investigation of mismatches (§3.2.1).
-        auto& domains = interception_candidates_[server_leaf->issuer_dn];
-        domains.insert(conn.sld);
-        if (domains.size() >= config().interception_domain_threshold) {
-          interception_issuers_.insert(server_leaf->issuer_dn);
-          exclude = true;
-        }
-      }
-    }
-    if (exclude) {
-      server_leaf->flagged_interception = true;
-      ++excluded_connections_;
-      return;  // excluded from all analyses
-    }
+  // Interception filter (§3.2.1): phase C confirmed the issuers over the
+  // whole stream; their connections are excluded from all analyses.
+  if (server_leaf != nullptr &&
+      frozen_issuers_->contains(server_leaf->issuer_dn)) {
+    server_leaf->flagged_interception = true;
+    ++excluded_connections_;
+    return;
   }
 
   ++totals_.connections;
-  if (record.established) ++totals_.established;
+  ++totals_.established;
   if (conn.mutual) ++totals_.mutual;
   if (conn.direction == Direction::kInbound) {
     ++totals_.inbound;
@@ -193,23 +116,6 @@ void Pipeline::add_connection(const zeek::SslRecord& record) {
     ++totals_.outbound;
   }
   if (record.version == "TLSv13") ++totals_.tls13;
-
-  // Streaming-mode ledger: if this connection's server-leaf issuer is
-  // confirmed as an interception issuer later in the stream, finalize()
-  // un-counts it, so the Totals match what a stream in any order (or the
-  // executor's whole-stream pre-pass) would produce.
-  if (!prepared_ && server_leaf != nullptr && config().ct != nullptr) {
-    Totals& pending = pending_by_issuer_[server_leaf->issuer_dn];
-    ++pending.connections;
-    ++pending.established;
-    if (conn.mutual) ++pending.mutual;
-    if (conn.direction == Direction::kInbound) {
-      ++pending.inbound;
-    } else {
-      ++pending.outbound;
-    }
-    if (record.version == "TLSv13") ++pending.tls13;
-  }
 
   // Usage accounting on both leaves.
   const auto update = [&](CertFacts* facts, bool as_server) {
@@ -251,59 +157,11 @@ void Pipeline::add_connection(const zeek::SslRecord& record) {
   for (const auto& observer : observers_) observer(conn);
 }
 
-void Pipeline::feed(const tls::TlsConnection& conn) {
-  for (const auto& cert : conn.server_chain) {
-    const std::string fuid = zeek::fuid_of(cert);
-    if (!certs_.contains(std::string_view(fuid))) {
-      add_certificate(zeek::to_x509_record(cert));
-    }
-  }
-  for (const auto& cert : conn.client_chain) {
-    const std::string fuid = zeek::fuid_of(cert);
-    if (!certs_.contains(std::string_view(fuid))) {
-      add_certificate(zeek::to_x509_record(cert));
-    }
-  }
-  zeek::SslRecord record;
-  record.ts = conn.timestamp;
-  record.uid = conn.uid;
-  record.orig_h = conn.client.addr.to_string();
-  record.orig_p = conn.client.port;
-  record.resp_h = conn.server.addr.to_string();
-  record.resp_p = conn.server.port;
-  record.version = std::string(tls::version_name(conn.version));
-  record.server_name = conn.sni;
-  record.established = conn.established;
-  for (const auto& cert : conn.server_chain) {
-    record.cert_chain_fuids.push_back(zeek::fuid_of(cert));
-  }
-  for (const auto& cert : conn.client_chain) {
-    record.client_cert_chain_fuids.push_back(zeek::fuid_of(cert));
-  }
-  add_connection(record);
-}
-
 void Pipeline::finalize() {
   for (auto& [fuid, facts] : certs_) {
     if (interception_issuers_.contains(facts.issuer_dn)) {
       facts.flagged_interception = true;
     }
-  }
-  // Reconcile Totals (streaming mode): connections counted before their
-  // issuer was confirmed move to the excluded tally. Erasing the ledger
-  // entry makes finalize() idempotent.
-  for (const auto& issuer : interception_issuers_) {
-    const auto it = pending_by_issuer_.find(issuer);
-    if (it == pending_by_issuer_.end()) continue;
-    const Totals& pending = it->second;
-    totals_.connections -= pending.connections;
-    totals_.established -= pending.established;
-    totals_.mutual -= pending.mutual;
-    totals_.inbound -= pending.inbound;
-    totals_.outbound -= pending.outbound;
-    totals_.tls13 -= pending.tls13;
-    excluded_connections_ += pending.connections;
-    pending_by_issuer_.erase(it);
   }
 }
 
@@ -329,18 +187,6 @@ void Pipeline::merge(Pipeline&& other) {
 
   interception_issuers_.insert(other.interception_issuers_.begin(),
                                other.interception_issuers_.end());
-  for (auto& [issuer, domains] : other.interception_candidates_) {
-    interception_candidates_[issuer].insert(domains.begin(), domains.end());
-  }
-  for (const auto& [issuer, pending] : other.pending_by_issuer_) {
-    Totals& mine = pending_by_issuer_[issuer];
-    mine.connections += pending.connections;
-    mine.established += pending.established;
-    mine.mutual += pending.mutual;
-    mine.inbound += pending.inbound;
-    mine.outbound += pending.outbound;
-    mine.tls13 += pending.tls13;
-  }
 
   // Cache bookkeeping only — the entries themselves stay shard-local.
   cache_.hits += other.cache_.hits;

@@ -214,23 +214,10 @@ void Pipeline::serialize(StateWriter& w) const {
   w.u64(sorted.size());
   for (const CertFacts* facts : sorted) facts->serialize(w);
   write_str_set(w, interception_issuers_);
-  w.u64(interception_candidates_.size());
-  for (const auto& [issuer, domains] : interception_candidates_) {
-    w.str(issuer);
-    write_str_set(w, domains);
-  }
-  std::vector<std::pair<colfmt::Str, const Totals*>> pending;
-  pending.reserve(pending_by_issuer_.size());
-  for (const auto& [issuer, totals] : pending_by_issuer_) {
-    pending.emplace_back(issuer, &totals);
-  }
-  std::sort(pending.begin(), pending.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u64(pending.size());
-  for (const auto& [issuer, totals] : pending) {
-    w.str(issuer);
-    write_totals(w, *totals);
-  }
+  // Two retired fields (mid-stream interception candidates and their
+  // reconciliation ledger) keep their place as empty counts.
+  w.u64(0);
+  w.u64(0);
 }
 
 void Pipeline::deserialize(StateReader& r) {
@@ -247,17 +234,14 @@ void Pipeline::deserialize(StateReader& r) {
     certs_.emplace(fuid, std::move(facts));
   }
   read_str_set(r, interception_issuers_);
-  interception_candidates_.clear();
-  const std::uint64_t n_candidates = r.u64();
-  for (std::uint64_t i = 0; i < n_candidates; ++i) {
-    const colfmt::Str issuer(r.str());
-    read_str_set(r, interception_candidates_[issuer]);
-  }
-  pending_by_issuer_.clear();
-  const std::uint64_t n_pending = r.u64();
-  for (std::uint64_t i = 0; i < n_pending; ++i) {
-    const colfmt::Str issuer(r.str());
-    read_totals(r, pending_by_issuer_[issuer]);
+  // No writer ever filled the retired fields, and dropping entries would
+  // break the byte-identical re-serialization of accepted state.
+  for (const char* field :
+       {"interception candidates", "reconciliation ledger"}) {
+    if (r.u64() != 0) {
+      throw StateError(std::string("retired pipeline field '") + field +
+                       "' is not empty");
+    }
   }
 }
 
@@ -839,7 +823,7 @@ std::optional<ShardState> parse_shard_state(std::string_view data,
     }
     const std::uint32_t sections = r.u32();
     ShardState state;
-    state.pipeline.emplace(PipelineConfig::campus_defaults());
+    state.pipeline.emplace();
     bool seen[kSectionCount + 1] = {};
     for (std::uint32_t i = 0; i < sections; ++i) {
       const std::uint32_t id = r.u32();

@@ -43,7 +43,9 @@ struct CertSlot {
   x509::CertificateBuilder builder;  // everything but the public key
   std::string key_label;             // TsigKey::derive seed
   std::size_t key_bits = 2048;
-  const trust::CertificateAuthority* issuer = nullptr;  // null: self-signed
+  /// The issuing CA; null: self-signed. Set for prebuilt CA certificates
+  /// too, where only the truth sidecar reads it.
+  const trust::CertificateAuthority* issuer = nullptr;
   x509::Validity validity;  // as encoded; decides client validation
   const x509::Certificate* prebuilt = nullptr;
   bool seen = false;  // already in a visible chain: its x509 row is queued
@@ -78,6 +80,25 @@ struct ConnPlan {
 std::size_t workers_for(std::size_t items, std::size_t per_worker,
                         std::size_t threads) {
   return std::clamp<std::size_t>(items / per_worker, 1, threads);
+}
+
+/// The campus address plan: NATed clients in 10.0.0.0/8, university
+/// hosts in 128.143.0.0/16 (PipelineConfig::campus_defaults()'s subnets).
+constexpr std::uint32_t kNatNet = 0x0a000000u;
+constexpr std::uint32_t kCampusNet = 0x808f0000u;
+
+bool on_campus(const net::IpAddress& addr) {
+  if (!addr.is_v4()) return false;
+  const std::uint32_t v = addr.v4_value();
+  return (v & 0xff000000u) == kNatNet || (v & 0xffff0000u) == kCampusNet;
+}
+
+/// Whether `ca` is a root or intermediate of the public PKI.
+bool is_public_ca(const trust::CertificateAuthority* ca) {
+  for (const auto& pki_ca : trust::public_pki().cas()) {
+    if (ca == &pki_ca.root || ca == &pki_ca.intermediate) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -115,18 +136,22 @@ class TraceGenerator::Impl {
 
   /// Plans the trace unit by unit (each cluster, then interception, then
   /// background) and materializes each unit's plans into exactly one of
-  /// `sink` or `dataset`.
+  /// `sink` or `dataset`, recording each connection's labels into
+  /// `truth` when it is non-null.
   void generate(const Sink* sink, zeek::Dataset* dataset,
-                std::size_t threads) {
+                std::size_t threads, std::vector<ConnTruth>* truth) {
     sink_ = sink;
     dataset_ = dataset;
+    truth_ = truth;
     threads_ = std::max<std::size_t>(1, threads);
     for (auto& cluster : model_.clusters) {
       plan_cluster(cluster);
       end_unit();
     }
+    unit_ = ConnTruth::Unit::kInterception;
     plan_interception();
     end_unit();
+    unit_ = ConnTruth::Unit::kBackground;
     plan_background();
     end_unit();
   }
@@ -187,13 +212,17 @@ class TraceGenerator::Impl {
     return it->second;
   }
 
+  static const trust::CertificateAuthority& hosting_parent() {
+    return trust::public_pki().find("digicert")->intermediate;
+  }
+
   const trust::CertificateAuthority& hosting_subca() {
     if (!hosting_subca_) {
       x509::DistinguishedName dn;
       dn.add_org("Example Hosting").add_cn("Example Hosting Issuing CA");
       hosting_subca_ = std::make_unique<trust::CertificateAuthority>(
           trust::CertificateAuthority::make_intermediate(
-              trust::public_pki().find("digicert")->intermediate, dn,
+              hosting_parent(), dn,
               util::to_unix({2018, 1, 1, 0, 0, 0}),
               util::to_unix({2038, 1, 1, 0, 0, 0})));
     }
@@ -488,12 +517,16 @@ class TraceGenerator::Impl {
     return static_cast<CertId>(certs_.size() - 1);
   }
 
-  /// The slot of a CA certificate sent as an intermediate: one per unit.
-  CertId prebuilt_cert(const x509::Certificate& cert) {
+  /// The slot of CA `ca`'s certificate (issued by `parent`) sent as an
+  /// intermediate: one per unit.
+  CertId prebuilt_cert(const trust::CertificateAuthority& ca,
+                       const trust::CertificateAuthority& parent) {
+    const x509::Certificate& cert = ca.certificate();
     const auto it = prebuilt_ids_.find(&cert);
     if (it != prebuilt_ids_.end()) return it->second;
     CertSlot slot;
     slot.prebuilt = &cert;
+    slot.issuer = &parent;
     const CertId id = add_cert(std::move(slot));
     prebuilt_ids_.emplace(&cert, id);
     return id;
@@ -514,8 +547,8 @@ class TraceGenerator::Impl {
       if (cluster.direction == Direction::kOutbound) {
         // Internal (NATed) clients: 10.0.0.0/8 and 128.143.0.0/16.
         base = rng.chance(0.7)
-                   ? (0x0a000000u | (static_cast<std::uint32_t>(rng.below(65536)) << 8))
-                   : (0x808f0000u | (static_cast<std::uint32_t>(rng.below(256)) << 8));
+                   ? (kNatNet | (static_cast<std::uint32_t>(rng.below(65536)) << 8))
+                   : (kCampusNet | (static_cast<std::uint32_t>(rng.below(256)) << 8));
       } else {
         // External clients anywhere in unicast space.
         base = ((static_cast<std::uint32_t>(rng.below(223) + 1) << 24) |
@@ -535,8 +568,11 @@ class TraceGenerator::Impl {
     if (cluster.direction == Direction::kInbound) {
       // University-hosted server.
       return net::IpAddress::v4(
-          0x808f0000u | static_cast<std::uint32_t>(rng.below(65536)));
+          kCampusNet | static_cast<std::uint32_t>(rng.below(65536)));
     }
+    // Anywhere in unicast space, campus ranges included: a draw that
+    // lands on campus is an inbound server to the monitor (and to the
+    // truth sidecar).
     return net::IpAddress::v4(
         (static_cast<std::uint32_t>(rng.below(223) + 1) << 24) |
         static_cast<std::uint32_t>(rng.below(1u << 24)));
@@ -665,6 +701,7 @@ class TraceGenerator::Impl {
     if (plan.server_chain[0] != kNoCert && plan.client_leaf != kNoCert) {
       ++stats_.mutual_connections;
     }
+    if (truth_ != nullptr) record_truth(plan);
     // First sight of a certificate in a visible chain queues its x509
     // row, in plan order (Dataset::add_connection's first-wins rule).
     for (const CertId id :
@@ -676,6 +713,27 @@ class TraceGenerator::Impl {
     }
     conns_.push_back(std::move(plan));
     if (conns_.size() == kConnBatch) materialize();
+  }
+
+  void record_truth(const ConnPlan& plan) {
+    const auto public_issuer = [this](CertId id) {
+      return id != kNoCert && is_public_ca(certs_[id].issuer);
+    };
+    ConnTruth& t = truth_->emplace_back();
+    t.uid = plan.conn.uid;
+    t.unit = unit_;
+    t.direction = on_campus(plan.conn.server.addr) ? Direction::kInbound
+                                                   : Direction::kOutbound;
+    t.established = plan.conn.established;
+    t.tls13 = plan.conn.version == tls::TlsVersion::kTls13;
+    t.mutual = plan.server_chain[0] != kNoCert && plan.client_leaf != kNoCert;
+    t.server_leaf_public = public_issuer(plan.server_chain[0]);
+    t.server_intermediate_public = public_issuer(plan.server_chain[1]);
+    t.client_leaf_public = public_issuer(plan.client_leaf);
+    if (unit_ == ConnTruth::Unit::kInterception &&
+        plan.server_chain[0] != kNoCert) {
+      t.proxy_issuer = certs_[plan.server_chain[0]].issuer->dn().to_string();
+    }
   }
 
   std::uint16_t sample_port(const TrafficCluster& cluster, Rng& rng) {
@@ -793,21 +851,20 @@ class TraceGenerator::Impl {
   /// The intermediate a public-CA server certificate chains through, or
   /// kNoCert (private CAs typically send leaf-only chains in the data).
   CertId server_intermediate_for(const CertSpec& spec, std::size_t index) {
+    const auto& pki = trust::public_pki();
     if (spec.issuer_kind == IssuerKind::kHostingSubCa) {
-      return prebuilt_cert(hosting_subca().certificate());
+      return prebuilt_cert(hosting_subca(), hosting_parent());
     }
     if (spec.issuer_kind != IssuerKind::kPublicCa) return kNoCert;
-    const auto& pki = trust::public_pki();
     if (!spec.issuer_ref.empty()) {
       const auto* ca = pki.find(spec.issuer_ref);
-      return ca == nullptr ? kNoCert
-                           : prebuilt_cert(ca->intermediate.certificate());
+      return ca == nullptr ? kNoCert : prebuilt_cert(ca->intermediate, ca->root);
     }
     static constexpr const char* kWebCas[] = {
         "lets-encrypt", "digicert", "sectigo", "godaddy", "amazon",
         "globalsign", "entrust"};
-    return prebuilt_cert(pki.find(kWebCas[index % std::size(kWebCas)])
-                             ->intermediate.certificate());
+    const auto* ca = pki.find(kWebCas[index % std::size(kWebCas)]);
+    return prebuilt_cert(ca->intermediate, ca->root);
   }
 
   void plan_cluster(const TrafficCluster& cluster) {
@@ -1055,8 +1112,9 @@ class TraceGenerator::Impl {
     const std::size_t tls13_servers = bg_servers.size() * 25 / 100;
 
     for (std::size_t c = 0; c < model_.background_connections; ++c) {
+      // Selects the port mix only: every background server was drawn by
+      // the outbound rule of make_server_ip.
       const bool inbound = rng.chance(0.35);
-      shape.direction = inbound ? Direction::kInbound : Direction::kOutbound;
       const bool tls13 =
           rng.chance(model_.background_mutualess_tls13_fraction);
       const auto ts = sample_timestamp(shape, rng, weights, first_month);
@@ -1188,6 +1246,9 @@ class TraceGenerator::Impl {
   // Output of the materialize stage: exactly one of sink_ / dataset_.
   const Sink* sink_ = nullptr;
   zeek::Dataset* dataset_ = nullptr;
+  // Truth sidecar (optional) and the unit being planned.
+  std::vector<ConnTruth>* truth_ = nullptr;
+  ConnTruth::Unit unit_ = ConnTruth::Unit::kCluster;
   std::size_t threads_ = 1;
 
   // Plan buffers of the current unit (a cluster, interception, or
@@ -1205,12 +1266,13 @@ TraceGenerator::TraceGenerator(CampusModel model)
 TraceGenerator::~TraceGenerator() = default;
 
 void TraceGenerator::generate(const Sink& sink) {
-  impl_->generate(&sink, nullptr, 1);
+  impl_->generate(&sink, nullptr, 1, nullptr);
 }
 
-zeek::Dataset TraceGenerator::generate_dataset(std::size_t threads) {
+zeek::Dataset TraceGenerator::generate_dataset(std::size_t threads,
+                                               std::vector<ConnTruth>* truth) {
   zeek::Dataset dataset;
-  impl_->generate(nullptr, &dataset, threads);
+  impl_->generate(nullptr, &dataset, threads, truth);
   return dataset;
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "mtlscope/core/analyzers.hpp"
+#include "mtlscope/core/executor.hpp"
 #include "mtlscope/core/report.hpp"
 #include "mtlscope/tls/handshake.hpp"
 #include "mtlscope/trust/authority.hpp"
@@ -38,8 +42,16 @@ x509::Certificate make_cert(
   return test_ca().issue(builder);
 }
 
+/// Collects a hand-built trace, then runs it through a one-thread
+/// PipelineExecutor with the registered observers attached.
 struct Harness {
-  Pipeline pipeline{PipelineConfig::campus_defaults()};
+  zeek::Dataset dataset;
+  std::vector<Pipeline::Observer> observers;
+  std::optional<Pipeline> pipeline;
+
+  void observe(Pipeline::Observer observer) {
+    observers.push_back(std::move(observer));
+  }
 
   void feed(const std::string& client_ip, const std::string& server_ip,
             const x509::Certificate* server_cert,
@@ -53,7 +65,19 @@ struct Harness {
     server.endpoint = {*net::IpAddress::parse(server_ip), port};
     if (server_cert != nullptr) server.chain = {*server_cert};
     server.request_client_certificate = client_cert != nullptr;
-    pipeline.feed(tls::simulate_handshake(client, server, {"Ch", ts, ts}));
+    dataset.add_connection(
+        tls::simulate_handshake(client, server, {"Ch", ts, ts}));
+  }
+
+  /// Runs everything fed so far; observers fire during the run.
+  const Pipeline& run() {
+    PipelineExecutor executor(PipelineConfig::campus_defaults(), 1);
+    for (const auto& observer : observers) {
+      executor.add_observer_factory(
+          [&observer](std::size_t) { return observer; });
+    }
+    pipeline.emplace(executor.run(dataset));
+    return *pipeline;
   }
 };
 
@@ -63,13 +87,13 @@ const util::UnixSeconds kT2 = to_unix({2023, 7, 1, 0, 0, 0});
 TEST(PrevalenceAnalyzer, MonthlyBuckets) {
   Harness h;
   PrevalenceAnalyzer prevalence;
-  h.pipeline.add_observer(
-      [&](const EnrichedConnection& c) { prevalence.observe(c); });
+  h.observe([&](const EnrichedConnection& c) { prevalence.observe(c); });
   const auto server = make_cert("prev-server");
   const auto client = make_cert("prev-client");
   h.feed("10.0.0.1", "198.51.100.1", &server, &client, "a.example.com", kT1);
   h.feed("10.0.0.1", "198.51.100.1", &server, nullptr, "a.example.com", kT1);
   h.feed("10.0.0.1", "198.51.100.1", &server, &client, "a.example.com", kT2);
+  h.run();
   const auto series = prevalence.series();
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0].total, 2u);
@@ -83,8 +107,7 @@ TEST(PrevalenceAnalyzer, MonthlyBuckets) {
 TEST(ServicePortAnalyzer, QuadrantsAndGlobusRange) {
   Harness h;
   ServicePortAnalyzer ports;
-  h.pipeline.add_observer(
-      [&](const EnrichedConnection& c) { ports.observe(c); });
+  h.observe([&](const EnrichedConnection& c) { ports.observe(c); });
   const auto server = make_cert("port-server");
   const auto client = make_cert("port-client");
   for (int i = 0; i < 6; ++i) {
@@ -97,6 +120,7 @@ TEST(ServicePortAnalyzer, QuadrantsAndGlobusRange) {
          kT1, 50999);
   h.feed("10.0.0.1", "198.51.100.1", &server, nullptr, "y.example.com", kT1,
          443);
+  h.run();
   const auto in_mutual = ports.top(Direction::kInbound, true);
   ASSERT_GE(in_mutual.size(), 2u);
   EXPECT_EQ(in_mutual[0].port_label, "443");
@@ -111,8 +135,7 @@ TEST(ServicePortAnalyzer, QuadrantsAndGlobusRange) {
 TEST(DummyIssuerAnalyzer, DetectsDummyClientAndServer) {
   Harness h;
   DummyIssuerAnalyzer dummies;
-  h.pipeline.add_observer(
-      [&](const EnrichedConnection& c) { dummies.observe(c); });
+  h.observe([&](const EnrichedConnection& c) { dummies.observe(c); });
 
   x509::DistinguishedName widgits_dn;
   widgits_dn.add_country("AU").add_org("Internet Widgits Pty Ltd");
@@ -134,6 +157,7 @@ TEST(DummyIssuerAnalyzer, DetectsDummyClientAndServer) {
   // Dummy on BOTH ends.
   h.feed("10.0.0.2", "198.51.100.2", &dummy_leaf, &dummy_leaf,
          "fireboard.io", kT1);
+  h.run();
 
   const auto rows = dummies.rows();
   ASSERT_GE(rows.size(), 2u);
@@ -155,13 +179,13 @@ TEST(DummyIssuerAnalyzer, DetectsDummyClientAndServer) {
 TEST(SerialCollisionAnalyzer, GroupsByIssuerAndSerial) {
   Harness h;
   SerialCollisionAnalyzer serials;
-  h.pipeline.add_observer(
-      [&](const EnrichedConnection& c) { serials.observe(c); });
+  h.observe([&](const EnrichedConnection& c) { serials.observe(c); });
   const auto s1 = make_cert("serial-a", "00");
   const auto s2 = make_cert("serial-b", "00");
   const auto c1 = make_cert("serial-c", "00");
   h.feed("10.0.0.1", "198.51.100.1", &s1, &c1, "a.example.com", kT1);
   h.feed("10.0.0.2", "198.51.100.1", &s2, &c1, "a.example.com", kT1);
+  h.run();
   const auto groups = serials.collision_groups();
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].serial, "00");
@@ -175,24 +199,24 @@ TEST(SerialCollisionAnalyzer, GroupsByIssuerAndSerial) {
 TEST(SerialCollisionAnalyzer, UniqueSerialsIgnored) {
   Harness h;
   SerialCollisionAnalyzer serials;
-  h.pipeline.add_observer(
-      [&](const EnrichedConnection& c) { serials.observe(c); });
+  h.observe([&](const EnrichedConnection& c) { serials.observe(c); });
   const auto s1 = make_cert("uniq-a");  // 16-byte random serial
   const auto s2 = make_cert("uniq-b");
   h.feed("10.0.0.1", "198.51.100.1", &s1, &s2, "a.example.com", kT1);
+  h.run();
   EXPECT_TRUE(serials.collision_groups().empty());
 }
 
 TEST(SharedCertAnalyzer, SameConnectionDetection) {
   Harness h;
   SharedCertAnalyzer shared;
-  h.pipeline.add_observer(
-      [&](const EnrichedConnection& c) { shared.observe(c); });
+  h.observe([&](const EnrichedConnection& c) { shared.observe(c); });
   const auto cert = make_cert("shared-one");
   const auto other = make_cert("shared-other");
   h.feed("10.0.0.1", "198.51.100.1", &cert, &cert, "dup.example.com", kT1);
   h.feed("10.0.0.1", "198.51.100.1", &cert, &cert, "dup.example.com", kT2);
   h.feed("10.0.0.1", "198.51.100.1", &cert, &other, "dup.example.com", kT1);
+  h.run();
   const auto rows = shared.same_connection_rows();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].sld, "example.com");
@@ -204,8 +228,7 @@ TEST(SharedCertAnalyzer, SameConnectionDetection) {
 TEST(SharedCertAnalyzer, SubnetQuantilesExcludeSameConn) {
   Harness h;
   SharedCertAnalyzer shared;
-  h.pipeline.add_observer(
-      [&](const EnrichedConnection& c) { shared.observe(c); });
+  h.observe([&](const EnrichedConnection& c) { shared.observe(c); });
   const auto cross = make_cert("cross-cert");
   const auto partner = make_cert("cross-partner");
   const auto same = make_cert("same-cert");
@@ -215,7 +238,8 @@ TEST(SharedCertAnalyzer, SubnetQuantilesExcludeSameConn) {
   h.feed("10.2.0.1", "198.51.100.2", &partner, &cross, "a.example.com", kT1);
   // same-cert: both ends of one conn → excluded from Table 6.
   h.feed("10.0.0.9", "198.51.100.9", &same, &same, "b.example.com", kT1);
-  const auto q = shared.subnet_quantiles(h.pipeline);
+  const Pipeline& pipeline = h.run();
+  const auto q = shared.subnet_quantiles(pipeline);
   EXPECT_EQ(q.cross_shared_certs, 2u);  // cross-cert and partner
   EXPECT_GE(q.client[3], 2u);           // cross used from two /24s as client
 }
@@ -223,8 +247,7 @@ TEST(SharedCertAnalyzer, SubnetQuantilesExcludeSameConn) {
 TEST(IncorrectDateAnalyzer, DetectsAndGroups) {
   Harness h;
   IncorrectDateAnalyzer dates;
-  h.pipeline.add_observer(
-      [&](const EnrichedConnection& c) { dates.observe(c); });
+  h.observe([&](const EnrichedConnection& c) { dates.observe(c); });
   const auto wrong_client = make_cert("idrive-client", "",
                                       to_unix({2019, 8, 2, 0, 0, 0}),
                                       to_unix({1849, 10, 24, 0, 0, 0}));
@@ -236,6 +259,7 @@ TEST(IncorrectDateAnalyzer, DetectsAndGroups) {
          "idrive.com", kT1);
   h.feed("10.0.0.2", "198.51.100.1", &normal, &wrong_client, "idrive.com",
          kT2);
+  h.run();
   const auto rows = dates.rows();
   ASSERT_EQ(rows.size(), 2u);  // client row and server row
   const auto both = dates.both_ends_rows();
@@ -260,7 +284,7 @@ TEST(CertInventory, CountsRolesAndMutual) {
   const auto lonely = make_cert("inv-nonmutual");
   h.feed("10.0.0.1", "198.51.100.1", &server, &client, "a.example.com", kT1);
   h.feed("10.0.0.1", "198.51.100.1", &lonely, nullptr, "b.example.com", kT1);
-  const auto result = analyze_cert_inventory(h.pipeline);
+  const auto result = analyze_cert_inventory(h.run());
   EXPECT_EQ(result.total.total, 3u);
   EXPECT_EQ(result.total.mutual, 2u);
   EXPECT_EQ(result.server.total, 2u);
@@ -281,9 +305,10 @@ TEST(Utilization, ScopesAreDisjoint) {
          "b.example.com", kT1);
   h.feed("10.0.0.1", "198.51.100.1", &nonmutual, nullptr, "c.example.com",
          kT1);
-  const auto mutual = analyze_utilization(h.pipeline, CertScope::kMutual);
-  const auto shared = analyze_utilization(h.pipeline, CertScope::kShared);
-  const auto nonmut = analyze_utilization(h.pipeline, CertScope::kNonMutual);
+  const Pipeline& pipeline = h.run();
+  const auto mutual = analyze_utilization(pipeline, CertScope::kMutual);
+  const auto shared = analyze_utilization(pipeline, CertScope::kShared);
+  const auto nonmut = analyze_utilization(pipeline, CertScope::kNonMutual);
   EXPECT_EQ(mutual.all.total, 3u);  // server, client, shared (all mutual)
   EXPECT_EQ(shared.all.total, 1u);
   EXPECT_EQ(nonmut.all.total, 1u);
@@ -298,8 +323,9 @@ TEST(InfoTypes, SharedExcludedFromMutualScope) {
   h.feed("10.0.0.1", "198.51.100.1", &server, &client, "a.example.com", kT1);
   h.feed("10.0.0.1", "198.51.100.1", &shared_cert, &shared_cert,
          "b.example.com", kT1);
-  const auto mutual = analyze_info_types(h.pipeline, CertScope::kMutual);
-  const auto shared = analyze_info_types(h.pipeline, CertScope::kShared);
+  const Pipeline& pipeline = h.run();
+  const auto mutual = analyze_info_types(pipeline, CertScope::kMutual);
+  const auto shared = analyze_info_types(pipeline, CertScope::kShared);
   // Mutual scope: one server CN + one client CN; shared cert not counted.
   EXPECT_EQ(mutual.cells[0][1].cn_total, 1u);
   EXPECT_EQ(mutual.cells[1][1].cn_total, 1u);
@@ -313,7 +339,7 @@ TEST(ExpiredAnalyzer, ComputesDaysExpiredAndActivity) {
                                  to_unix({2022, 1, 1, 0, 0, 0}));
   h.feed("10.0.0.1", "198.51.100.1", &server, &expired, "apple.com", kT1);
   h.feed("10.0.0.1", "198.51.100.1", &server, &expired, "apple.com", kT2);
-  const auto result = analyze_expired(h.pipeline);
+  const auto result = analyze_expired(h.run());
   ASSERT_EQ(result.outbound.size(), 1u);
   EXPECT_TRUE(result.inbound.empty());
   EXPECT_NEAR(result.outbound[0].days_expired_at_first_use, 181.0, 1.5);
@@ -323,8 +349,7 @@ TEST(ExpiredAnalyzer, ComputesDaysExpiredAndActivity) {
 TEST(OutboundFlow, FlowsAndStatistics) {
   Harness h;
   OutboundFlowAnalyzer flows;
-  h.pipeline.add_observer(
-      [&](const EnrichedConnection& c) { flows.observe(c); });
+  h.observe([&](const EnrichedConnection& c) { flows.observe(c); });
   const auto pub_server = [] {
     x509::DistinguishedName dn;
     dn.add_cn("pub.example.com");
@@ -348,6 +373,7 @@ TEST(OutboundFlow, FlowsAndStatistics) {
   h.feed("10.0.0.1", "198.51.100.1", &pub_server, &client, "", kT1);
   h.feed("203.0.113.9", "128.143.1.1", &pub_server, &client,
          "x.brexample.edu", kT1);
+  h.run();
 
   const auto slds = flows.top_slds(5);
   ASSERT_EQ(slds.size(), 2u);
@@ -371,7 +397,7 @@ TEST(Tracking, RanksPersistentIdentifiers) {
   h.feed("10.0.1.1", "198.51.100.1", &server, &sticky, "a.example.com", kT1);
   h.feed("10.0.2.1", "198.51.100.1", &server, &sticky, "a.example.com", kT2);
   h.feed("10.0.3.1", "198.51.100.1", &server, &oneoff, "a.example.com", kT1);
-  const auto result = analyze_tracking(h.pipeline);
+  const auto result = analyze_tracking(h.run());
   EXPECT_EQ(result.client_certs, 2u);
   EXPECT_EQ(result.reused, 1u);
   EXPECT_EQ(result.cross_network, 1u);
@@ -387,7 +413,7 @@ TEST(Tracking, PiiLongLivedWorstCase) {
   const auto named = make_cert("John Smith");
   h.feed("10.0.1.1", "198.51.100.1", &server, &named, "a.example.com", kT1);
   h.feed("10.0.1.1", "198.51.100.1", &server, &named, "a.example.com", kT2);
-  const auto result = analyze_tracking(h.pipeline);
+  const auto result = analyze_tracking(h.run());
   EXPECT_EQ(result.long_lived_with_pii, 1u);
 }
 
@@ -421,7 +447,7 @@ TEST(Renewal, DetectsSequentialChains) {
          to_unix({2023, 1, 1, 0, 0, 0}));
   h.feed("10.0.0.1", "198.51.100.1", &server, &g3, "a.example.com",
          to_unix({2023, 7, 1, 0, 0, 0}));
-  const auto result = analyze_renewals(h.pipeline);
+  const auto result = analyze_renewals(h.run());
   EXPECT_EQ(result.chains, 1u);
   EXPECT_EQ(result.certificates_in_chains, 3u);
   EXPECT_EQ(result.seamless, 1u);
@@ -450,7 +476,7 @@ TEST(Renewal, GenericCnReuseIsNotARenewal) {
   const auto w2 = make_webrtc("rr2");
   h.feed("10.0.0.1", "198.51.100.1", &server, &w1, "a.example.com", kT1);
   h.feed("10.0.0.2", "198.51.100.1", &server, &w2, "a.example.com", kT1);
-  const auto result = analyze_renewals(h.pipeline);
+  const auto result = analyze_renewals(h.run());
   EXPECT_EQ(result.chains, 0u);
   EXPECT_EQ(result.cn_reuse_groups, 1u);
 }

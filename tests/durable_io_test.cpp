@@ -326,7 +326,7 @@ TEST_F(DurableIoTest, ContainerWriterClassifiesEnospc) {
 
 TEST_F(DurableIoTest, ShardStateSaveFailureLeavesPreviousStateReadable) {
   core::ShardState state;
-  state.pipeline.emplace(core::PipelineConfig::campus_defaults());
+  state.pipeline.emplace();
   state.meta.seed = 7;
   const std::string file = path("shard.state");
   std::string error;

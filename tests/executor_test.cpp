@@ -389,28 +389,6 @@ TEST(ExecutorTest, ContainerRunWithCtMatchesInMemoryRun) {
   fs::remove_all(dir, ec);
 }
 
-// --- Legacy streaming pipeline vs executor (no CT: identical by design) ----
-
-TEST(ExecutorTest, StreamingPipelineMatchesExecutorWithoutCt) {
-  gen::TraceGenerator generator(gen::paper_model(2'000, 500'000));
-  const auto dataset = generator.generate_dataset();
-
-  core::Pipeline streaming(core::PipelineConfig::campus_defaults());
-  for (const auto& [fuid, record] : dataset.x509()) {
-    streaming.add_certificate(record);
-  }
-  for (const auto& record : dataset.ssl()) {
-    streaming.add_connection(record);
-  }
-  streaming.finalize();
-
-  core::PipelineExecutor executor(core::PipelineConfig::campus_defaults(), 3);
-  const auto sharded = executor.run(dataset);
-
-  expect_same_totals(streaming, sharded);
-  expect_same_certificates(streaming, sharded);
-}
-
 // --- CertFacts::merge ------------------------------------------------------
 
 TEST(CertFactsMergeTest, FoldsUsageAggregates) {
@@ -631,45 +609,36 @@ TEST(InterceptionReconciliationTest, ExclusionIsOrderIndependent) {
         domain, conn_id++));
   }
 
-  // Threshold 3 over 4 domains: in forward order the first two proxy
-  // connections are counted before the issuer is confirmed; finalize()
-  // must take them back out.
-  const auto run_in_order = [&ct](const std::vector<tls::TlsConnection>& t,
-                                  bool reversed) {
+  // Threshold 3 over 4 domains: confirmation is a whole-stream pre-pass,
+  // so every proxy connection is excluded in either order, including the
+  // ones that precede the third domain.
+  const auto run_in_order = [&ct, &trace](bool reversed,
+                                          std::size_t threads) {
+    zeek::Dataset dataset;
+    if (reversed) {
+      for (auto it = trace.rbegin(); it != trace.rend(); ++it) {
+        dataset.add_connection(*it);
+      }
+    } else {
+      for (const auto& conn : trace) dataset.add_connection(conn);
+    }
     auto config = core::PipelineConfig::campus_defaults();
     config.ct = &ct;
-    core::Pipeline pipeline(std::move(config));
-    if (reversed) {
-      for (auto it = t.rbegin(); it != t.rend(); ++it) pipeline.feed(*it);
-    } else {
-      for (const auto& conn : t) pipeline.feed(conn);
-    }
-    pipeline.finalize();
-    return pipeline;
+    core::PipelineExecutor executor(std::move(config), threads);
+    return executor.run(dataset);
   };
 
-  const auto forward = run_in_order(trace, false);
-  const auto backward = run_in_order(trace, true);
-
+  const auto forward = run_in_order(false, 1);
   EXPECT_EQ(forward.interception_issuers().size(), 1u);
   EXPECT_EQ(forward.interception_excluded_connections(), 4u);
   EXPECT_EQ(forward.totals().connections, 0u);
-  expect_same_totals(forward, backward);
-
-  // finalize() must be idempotent: the reconciliation ledger is consumed.
-  auto again = run_in_order(trace, false);
-  again.finalize();
-  EXPECT_EQ(again.interception_excluded_connections(), 4u);
-  EXPECT_EQ(again.totals().connections, 0u);
-
-  // The sharded executor reaches the same verdict from the Zeek view.
-  zeek::Dataset dataset;
-  for (const auto& conn : trace) dataset.add_connection(conn);
-  auto config = core::PipelineConfig::campus_defaults();
-  config.ct = &ct;
-  core::PipelineExecutor executor(std::move(config), 2);
-  const auto sharded = executor.run(dataset);
-  expect_same_totals(forward, sharded);
+  for (const bool reversed : {false, true}) {
+    for (const std::size_t threads : {1u, 2u}) {
+      SCOPED_TRACE(std::string(reversed ? "reversed" : "forward") +
+                   ", threads=" + std::to_string(threads));
+      expect_same_totals(forward, run_in_order(reversed, threads));
+    }
+  }
 }
 
 // --- Zeek log splitting ----------------------------------------------------

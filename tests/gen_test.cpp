@@ -136,6 +136,23 @@ TEST(Generator, DatasetByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(Generator, TruthSidecarChangesNoByteAndFollowsRows) {
+  for (const auto& expected : kTinyDigests) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("seed " + std::to_string(expected.seed) + ", threads " +
+                   std::to_string(threads));
+      TraceGenerator g(tiny_model(expected.seed));
+      std::vector<ConnTruth> truth;
+      const auto dataset = g.generate_dataset(threads, &truth);
+      EXPECT_EQ(sha256_hex(logs_text(dataset)), expected.sha256);
+      ASSERT_EQ(truth.size(), dataset.ssl().size());
+      for (std::size_t i = 0; i < truth.size(); ++i) {
+        ASSERT_EQ(truth[i].uid, dataset.ssl()[i].uid) << "row " << i;
+      }
+    }
+  }
+}
+
 TEST(Generator, SinkAndDatasetAgree) {
   zeek::Dataset streamed;
   TraceGenerator a(tiny_model());

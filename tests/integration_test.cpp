@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "mtlscope/core/analyzers.hpp"
+#include "mtlscope/core/executor.hpp"
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/zeek/log_io.hpp"
 
@@ -43,22 +44,17 @@ class IntegrationTest : public ::testing::Test {
     // Pipeline over the PARSED records (full log round trip).
     auto config = core::PipelineConfig::campus_defaults();
     config.ct = &generator_->ct_database();
-    pipeline_ = new core::Pipeline(std::move(config));
-    prevalence_ = new core::PrevalenceAnalyzer();
-    ports_ = new core::ServicePortAnalyzer();
-    shared_ = new core::SharedCertAnalyzer();
-    pipeline_->add_observer([](const core::EnrichedConnection& c) {
-      prevalence_->observe(c);
-      ports_->observe(c);
-      shared_->observe(c);
-    });
-    for (const auto& [fuid, record] : parsed_->x509()) {
-      pipeline_->add_certificate(record);
-    }
-    for (const auto& record : parsed_->ssl()) {
-      pipeline_->add_connection(record);
-    }
-    pipeline_->finalize();
+    core::PipelineExecutor executor(std::move(config), 2);
+    core::Sharded<core::PrevalenceAnalyzer> prevalence(executor.shard_count());
+    core::Sharded<core::ServicePortAnalyzer> ports(executor.shard_count());
+    core::Sharded<core::SharedCertAnalyzer> shared(executor.shard_count());
+    executor.attach(prevalence);
+    executor.attach(ports);
+    executor.attach(shared);
+    pipeline_ = new core::Pipeline(executor.run(*parsed_));
+    prevalence_ = new core::PrevalenceAnalyzer(std::move(prevalence).merged());
+    ports_ = new core::ServicePortAnalyzer(std::move(ports).merged());
+    shared_ = new core::SharedCertAnalyzer(std::move(shared).merged());
   }
 
   static void TearDownTestSuite() {

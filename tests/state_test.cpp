@@ -37,7 +37,7 @@ core::ShardState folded_state(std::size_t threads = 2) {
 
 core::ShardState empty_state() {
   core::ShardState state;
-  state.pipeline.emplace(core::PipelineConfig::campus_defaults());
+  state.pipeline.emplace();
   return state;
 }
 
@@ -252,6 +252,48 @@ TEST(ShardState, HugeEntryCountWithValidDigestFailsCleanly) {
         core::parse_shard_state(refresh_digest(hostile), nullptr, &error)
             .has_value());
     EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  }
+}
+
+// The pipeline section ends with two retired fields, the counts of the
+// former mid-stream interception candidates and of their reconciliation
+// ledger. They are always written empty; a re-sealed file claiming an
+// entry in either must be rejected, not silently dropped, because
+// accepted state re-serializes byte-identically.
+TEST(ShardState, NonEmptyRetiredPipelineFieldIsRejected) {
+  const std::string bytes = core::serialize_shard_state(empty_state());
+  // Header: magic(8) + version(4) + endian(4) + count(4); then per
+  // section: id u32, payload length u64, payload. Meta comes first.
+  const auto u64_at = [&bytes](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) {
+      v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
+    }
+    return v;
+  };
+  const std::size_t pipeline_at = 20 + 12 + u64_at(24);
+  ASSERT_EQ(bytes[pipeline_at], 2) << "pipeline is section 2";
+  const std::size_t pipeline_end =
+      pipeline_at + 12 + u64_at(pipeline_at + 4);
+  const struct {
+    std::size_t at;
+    const char* field;
+  } kRetired[] = {{pipeline_end - 16, "interception candidates"},
+                  {pipeline_end - 8, "reconciliation ledger"}};
+  for (const auto& retired : kRetired) {
+    SCOPED_TRACE(retired.field);
+    ASSERT_EQ(u64_at(retired.at), 0u);
+    std::string hostile = bytes;
+    hostile[retired.at] = 1;
+    hostile = refresh_digest(hostile);
+    const std::string expected = std::string("retired pipeline field '") +
+                                 retired.field + "' is not empty";
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      std::string error;
+      EXPECT_FALSE(
+          core::parse_shard_state(hostile, nullptr, &error).has_value());
+      EXPECT_EQ(error, expected);
+    }
   }
 }
 
