@@ -2,7 +2,8 @@
 // (parse_*_log_reference: getline + vector<string> per row) against the
 // compiled-plan zero-copy batch path (parse_*_records over in-place
 // views), the latter also under the pipeline and chains column
-// manifests. Default scale yields a ~100 MB ssl.log; override with
+// manifests, and phase B's record-free chain scan resolving against a
+// certificate registry. Default scale yields a ~100 MB ssl.log; override with
 // MTLSCOPE_PARSE_BENCH_CONN=<conn_scale> for quick local runs. Rates are
 // reported as both records/s (items) and parse bytes/s.
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "mtlscope/core/chain_upgrade.hpp"
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/zeek/log_io.hpp"
 #include "mtlscope/zeek/parse_plan.hpp"
@@ -122,6 +124,54 @@ void BM_SslParseChains(benchmark::State& state) {
   ssl_parse_projected(state, zeek::SslColumns::chains());
 }
 BENCHMARK(BM_SslParseChains)->Unit(benchmark::kMillisecond);
+
+/// Phase B on TSV bytes: the chain scan (same row checks, no records,
+/// nothing interned) resolving each row's chains against a registry
+/// holding every fixture certificate.
+void BM_SslResolveChains(benchmark::State& state) {
+  const auto& logs = fixture();
+  const std::string_view x509_text(logs.x509_text);
+  const std::size_t x509_body = header_end(x509_text);
+  std::vector<zeek::X509Record> certs;
+  if (!zeek::parse_x509_records(
+          x509_text.substr(x509_body),
+          zeek::X509Plan::compile(
+              zeek::ColumnPlan::from_header(x509_text.substr(0, x509_body))),
+          certs)) {
+    state.SkipWithError("x509 parse failed");
+    return;
+  }
+  core::Pipeline::CertMap registry;
+  for (const auto& cert : certs) {
+    core::CertFacts facts;
+    facts.fuid = cert.fuid;
+    registry.emplace(facts.fuid, std::move(facts));
+  }
+
+  const std::string_view text(logs.ssl_text);
+  const std::size_t body_begin = header_end(text);
+  const zeek::SslPlan plan = zeek::SslPlan::compile(
+      zeek::ColumnPlan::from_header(text.substr(0, body_begin)));
+  core::ResolvedChains resolved;
+  std::size_t records = 0;
+  for (auto _ : state) {
+    resolved.clear();
+    core::ChainResolver resolver(registry, resolved);
+    const zeek::SslChainVisitor visit = [&](const zeek::SslChainRow& row) {
+      ++records;
+      resolver.add(row);
+    };
+    if (!zeek::scan_ssl_chains(text.substr(body_begin), plan, visit)) {
+      state.SkipWithError("chain scan failed");
+      return;
+    }
+    benchmark::DoNotOptimize(resolved.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(logs.ssl_text.size() * state.iterations()));
+}
+BENCHMARK(BM_SslResolveChains)->Unit(benchmark::kMillisecond);
 
 void BM_X509ParseLegacy(benchmark::State& state) {
   const auto& logs = fixture();

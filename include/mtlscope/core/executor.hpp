@@ -20,9 +20,10 @@
 //   B  chain upgrades: one in-order pass marking leaves public when any
 //      established connection carries a public intermediate for them
 //      (§3.2.1). Upgrading is monotonic, so one pass reaches the
-//      fixpoint. Workers scan windows of parts with the chains manifest
-//      and resolve the chains to registry entries; the caller's thread
-//      folds the upgrades in stream order.
+//      fixpoint. Workers resolve windows of parts' chains to registry
+//      entries (TSV parts straight from the bytes, without building
+//      records; core/chain_upgrade.hpp); the caller's thread folds the
+//      upgrades in stream order.
 //   C  interception pre-pass (when CT is configured), the §3.2.1 filter:
 //      shard-local candidate maps (issuer → distinct CT-mismatching SLDs)
 //      merged by set union; issuers at or above the confirmation

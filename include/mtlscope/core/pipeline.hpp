@@ -28,6 +28,7 @@
 #include "mtlscope/net/ip.hpp"
 #include "mtlscope/textclass/classifier.hpp"
 #include "mtlscope/trust/store.hpp"
+#include "mtlscope/util/u32_set.hpp"
 #include "mtlscope/zeek/records.hpp"
 
 namespace mtlscope::core {
@@ -84,9 +85,9 @@ struct CertFacts {
   util::UnixSeconds first_seen = std::numeric_limits<std::int64_t>::max();
   util::UnixSeconds last_seen = std::numeric_limits<std::int64_t>::min();
   /// /24 networks of the endpoint that presented this certificate, split
-  /// by role (Table 6).
-  std::set<std::uint32_t> server_subnets;
-  std::set<std::uint32_t> client_subnets;
+  /// by role (Table 6). Analyses read only their sizes.
+  util::U32Set server_subnets;
+  util::U32Set client_subnets;
   /// Representative context: first SLD / server association observed.
   colfmt::Str context_sld;
   ServerAssociation context_assoc = ServerAssociation::kNone;

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -131,6 +132,15 @@ std::size_t split_fields(std::string_view line, std::string_view* out,
 /// its capacity covers them.
 std::string_view decode_field(std::string_view raw, std::string& storage);
 
+/// Splits a raw set/vector field into its element views, decoding as the
+/// record parsers do: "-", "(empty)" and "" hold no elements; escaped
+/// commas arrive as \x2c, so the raw split on ',' is exact; an element
+/// is unescaped only when it holds a backslash, into `storage`. Views
+/// point into `raw` or `storage` and stay valid until the next call with
+/// the same `storage`. Allocates only to grow `out` or `storage`.
+void split_set_field(std::string_view raw, std::vector<std::string_view>& out,
+                     std::string& storage);
+
 /// Parses every data row of `body` (a record-aligned byte range WITHOUT
 /// the '#'-metadata header) and appends into the caller-owned `out`.
 /// '#' lines inside the body are skipped; CRLF endings are tolerated; a
@@ -203,6 +213,36 @@ TolerantStats parse_x509_records_tolerant(std::string_view body,
                                           std::vector<RowIssue>* issues,
                                           std::size_t header_lines = 0,
                                           std::size_t base_offset = 0);
+
+// --- chain scan (phase B) ---------------------------------------------------
+
+/// What the chain-upgrade pass reads of one accepted ssl row: the
+/// established flag and the two chain-fuid fields, raw (still escaped;
+/// split them with split_set_field). Absent columns read as false / "".
+/// The views point into the scanned body.
+struct SslChainRow {
+  bool established = false;
+  std::string_view cert_chain_fuids;
+  std::string_view client_cert_chain_fuids;
+};
+using SslChainVisitor = std::function<void(const SslChainRow&)>;
+
+/// parse_ssl_records / parse_ssl_records_tolerant without records: the
+/// same line walk and row checks (field count, ts/orig_p/resp_p
+/// numerics), so exactly the same rows are accepted and the same errors
+/// and issues reported, but each accepted row goes to `visit` as raw
+/// views. No SslRecord is built and nothing is interned.
+bool scan_ssl_chains(std::string_view body, const SslPlan& plan,
+                     const SslChainVisitor& visit,
+                     LogParseError* error = nullptr,
+                     std::size_t header_lines = 0);
+
+TolerantStats scan_ssl_chains_tolerant(std::string_view body,
+                                       const SslPlan& plan,
+                                       const SslChainVisitor& visit,
+                                       std::vector<RowIssue>* issues,
+                                       std::size_t header_lines = 0,
+                                       std::size_t base_offset = 0);
 
 /// Hex prefix (16 chars) of SHA-256(`raw`) — the digest format RowIssue
 /// and the error ledger use for quarantined records.

@@ -11,6 +11,7 @@
 
 #include "mtlscope/colfmt/container.hpp"
 #include "mtlscope/colfmt/scan.hpp"
+#include "mtlscope/core/chain_upgrade.hpp"
 #include "mtlscope/core/enrich.hpp"
 #include "mtlscope/util/parallel.hpp"
 #include "mtlscope/zeek/parse_plan.hpp"
@@ -45,6 +46,15 @@ class PartSource {
                          const X509Sink& sink) const = 0;
   virtual bool scan_ssl(std::size_t part, const zeek::SslColumns& columns,
                         PartLog& log, const SslSink& sink) const = 0;
+  /// Phase B: one part's accepted rows into `resolver`, in stream order.
+  /// By default the rows come from scan_ssl under the chains manifest.
+  virtual bool scan_chains(std::size_t part, PartLog& log,
+                           ChainResolver& resolver) const {
+    return scan_ssl(part, zeek::SslColumns::chains(), log,
+                    [&resolver](const zeek::SslRecord& row) {
+                      resolver.add(row);
+                    });
+  }
   /// The error reported for an exception out of a part's scan.
   virtual ingest::IngestError failure(bool x509, std::size_t part,
                                       const char* what) const = 0;
@@ -70,64 +80,6 @@ const CertFacts* find_facts(const Pipeline::CertMap& certs,
   if (fuids.empty()) return nullptr;
   const auto it = certs.find(fuids.front());
   return it == certs.end() ? nullptr : &it->second;
-}
-
-/// Phase B's chain-level public upgrade (§3.2.1) in two halves. A leaf
-/// goes public when any intermediate on its chain already is; upgrades
-/// chain through later connections, so they apply in stream order.
-/// Workers resolve rows to registry entries (resolve_chains); the
-/// caller's thread folds the resolved lists in stream order
-/// (fold_upgrades). Workers only call CertMap::find(), whose map
-/// structure phase A froze, and never read issuer_class, which the fold
-/// writes.
-///
-/// Layout: per established row, the server chain and then the client
-/// chain each append the leaf's entry and every registered
-/// intermediate's, closed by a null. A chain that cannot upgrade (no
-/// intermediate, unregistered leaf, no registered intermediate) appends
-/// nothing.
-using ResolvedChains = std::vector<CertFacts*>;
-
-void resolve_chain(Pipeline::CertMap& registry, const colfmt::StrVec& fuids,
-                   ResolvedChains& out) {
-  if (fuids.size() < 2) return;
-  const auto leaf = registry.find(fuids.front());
-  if (leaf == registry.end()) return;
-  const std::size_t mark = out.size();
-  out.push_back(&leaf->second);
-  for (std::size_t i = 1; i < fuids.size(); ++i) {
-    const auto it = registry.find(fuids[i]);
-    if (it != registry.end()) out.push_back(&it->second);
-  }
-  if (out.size() == mark + 1) {
-    out.pop_back();
-    return;
-  }
-  out.push_back(nullptr);
-}
-
-void resolve_chains(Pipeline::CertMap& registry, const zeek::SslRecord& row,
-                    ResolvedChains& out) {
-  if (!row.established) return;
-  resolve_chain(registry, row.cert_chain_fuids, out);
-  resolve_chain(registry, row.client_cert_chain_fuids, out);
-}
-
-void fold_upgrades(const ResolvedChains& resolved) {
-  for (std::size_t i = 0; i < resolved.size(); ++i) {
-    CertFacts& leaf = *resolved[i];
-    bool public_intermediate = false;
-    while (resolved[++i] != nullptr) {  // stops on the chain's closing null
-      public_intermediate = public_intermediate ||
-                            resolved[i]->issuer_class ==
-                                trust::IssuerClass::kPublic;
-    }
-    if (public_intermediate &&
-        leaf.issuer_class != trust::IssuerClass::kPublic) {
-      leaf.issuer_class = trust::IssuerClass::kPublic;
-      leaf.issuer_category = IssuerCategory::kPublic;
-    }
-  }
 }
 
 /// Phase C candidate collection: issuer DN → distinct CT-mismatching SLDs.
@@ -425,17 +377,56 @@ class TsvParts final : public PartSource {
 
   bool scan_x509(std::size_t part, PartLog& log,
                  const X509Sink& sink) const override {
-    return scan(x509_, part, x509_plan_, log,
-                [&](const std::vector<zeek::X509Record>& rows) {
-                  sink(row_pointers(rows));
-                });
+    std::vector<zeek::X509Record> rows;
+    const bool ok = scan(
+        x509_, part, log,
+        [&](auto body, auto* error, auto lines) {
+          return zeek::parse_x509_records(body, x509_plan_, rows, error,
+                                          lines);
+        },
+        [&](auto body, auto* issues, auto lines, auto offset) {
+          return zeek::parse_x509_records_tolerant(body, x509_plan_, rows,
+                                                   issues, lines, offset);
+        });
+    if (ok) sink(row_pointers(rows));
+    return ok;
   }
   bool scan_ssl(std::size_t part, const zeek::SslColumns& columns,
                 PartLog& log, const SslSink& sink) const override {
-    return scan(ssl_, part, ssl_plan_.projected(columns), log,
-                [&](const std::vector<zeek::SslRecord>& rows) {
-                  for (const auto& row : rows) sink(row);
-                });
+    const zeek::SslPlan plan = ssl_plan_.projected(columns);
+    std::vector<zeek::SslRecord> rows;
+    const bool ok = scan(
+        ssl_, part, log,
+        [&](auto body, auto* error, auto lines) {
+          return zeek::parse_ssl_records(body, plan, rows, error, lines);
+        },
+        [&](auto body, auto* issues, auto lines, auto offset) {
+          return zeek::parse_ssl_records_tolerant(body, plan, rows, issues,
+                                                  lines, offset);
+        });
+    if (ok) {
+      for (const auto& row : rows) sink(row);
+    }
+    return ok;
+  }
+  /// Phase B straight from the bytes: the same walk and row checks as
+  /// scan_ssl, but each row's chain fields resolve as raw views while
+  /// the part is fetched. No record is built and nothing is interned.
+  bool scan_chains(std::size_t part, PartLog& log,
+                   ChainResolver& resolver) const override {
+    const zeek::SslChainVisitor visit = [&resolver](
+                                            const zeek::SslChainRow& row) {
+      resolver.add(row);
+    };
+    return scan(
+        ssl_, part, log,
+        [&](auto body, auto* error, auto lines) {
+          return zeek::scan_ssl_chains(body, ssl_plan_, visit, error, lines);
+        },
+        [&](auto body, auto* issues, auto lines, auto offset) {
+          return zeek::scan_ssl_chains_tolerant(body, ssl_plan_, visit,
+                                                issues, lines, offset);
+        });
   }
   ingest::IngestError failure(bool x509, std::size_t part,
                               const char* what) const override {
@@ -508,48 +499,36 @@ class TsvParts final : public PartSource {
     std::size_t lines_before = 0;  // skip mode: lines folded so far
   };
 
-  template <typename Plan, typename Deliver>
-  bool scan(const Stream& stream, std::size_t part, const Plan& plan,
-            PartLog& log, const Deliver& deliver) const {
-    constexpr bool kSsl = std::is_same_v<Plan, zeek::SslPlan>;
-    using Row = std::conditional_t<kSsl, zeek::SslRecord, zeek::X509Record>;
+  /// Fetches part `part` of `stream` and walks it with one zeek batch
+  /// walker: `tolerant(body, issues, header_lines, base_offset)` in skip
+  /// mode, else `strict(body, error, header_lines)`. False, with
+  /// `log.error` set, when the strict walk fails. The walkers' outputs
+  /// hold interned copies or resolved entries, never views of the body,
+  /// so the part's pages are released on the way out.
+  template <typename Strict, typename Tolerant>
+  bool scan(const Stream& stream, std::size_t part, PartLog& log,
+            const Strict& strict, const Tolerant& tolerant) const {
     const auto [begin, end] = stream.parts[part];
     std::string scratch;
     const std::string_view body =
         begin == end ? std::string_view{}
                      : stream.source.fetch(begin, end - begin, scratch);
-    std::vector<Row> rows;
     if (options_.errors.skip()) {
       auto* issues = log.quarantine ? &log.issues : nullptr;
-      zeek::TolerantStats stats;
-      if constexpr (kSsl) {
-        stats = zeek::parse_ssl_records_tolerant(body, plan, rows, issues,
-                                                 stream.header_lines, begin);
-      } else {
-        stats = zeek::parse_x509_records_tolerant(body, plan, rows, issues,
-                                                  stream.header_lines, begin);
-      }
+      const zeek::TolerantStats stats =
+          tolerant(body, issues, stream.header_lines, begin);
       log.stats.rows_ok += stats.rows_ok;
       log.stats.rows_bad += stats.rows_bad;
       log.stats.lines += stats.lines;
     } else {
       zeek::LogParseError error;
-      bool ok = false;
-      if constexpr (kSsl) {
-        ok = zeek::parse_ssl_records(body, plan, rows, &error,
-                                     stream.header_lines);
-      } else {
-        ok = zeek::parse_x509_records(body, plan, rows, &error,
-                                      stream.header_lines);
-      }
-      if (!ok) {
+      if (!strict(body, &error, stream.header_lines)) {
         log.error = ingest::IngestError{stream.source.name(), begin,
                                         describe_parse_error(error)};
         return false;
       }
     }
-    stream.source.release(begin, end - begin);  // rows hold interned copies
-    deliver(rows);
+    stream.source.release(begin, end - begin);
     return true;
   }
 
@@ -616,10 +595,8 @@ std::optional<Pipeline> PipelineExecutor::run_parts(
         parts.ssl_parts(), k,
         [&](std::size_t part, PartLog& log, ResolvedChains& out) {
           return guarded(parts, false, part, log, [&] {
-            return parts.scan_ssl(part, zeek::SslColumns::chains(), log,
-                                  [&](const zeek::SslRecord& row) {
-                                    resolve_chains(*base, row, out);
-                                  });
+            ChainResolver resolver(*base, out);
+            return parts.scan_chains(part, log, resolver);
           });
         },
         [&](ResolvedChains& resolved, PartLog& log) {

@@ -47,10 +47,8 @@ void CertFacts::merge(const CertFacts& other) {
   connection_count += other.connection_count;
   first_seen = std::min(first_seen, other.first_seen);
   last_seen = std::max(last_seen, other.last_seen);
-  server_subnets.insert(other.server_subnets.begin(),
-                        other.server_subnets.end());
-  client_subnets.insert(other.client_subnets.begin(),
-                        other.client_subnets.end());
+  server_subnets.merge(other.server_subnets);
+  client_subnets.merge(other.client_subnets);
   // "First observed" context: this pipeline precedes `other` in stream
   // order, so its value wins when present.
   if (context_sld.empty()) context_sld = other.context_sld;

@@ -83,15 +83,49 @@ void read_str_set(StateReader& r, Pipeline::StrSet& s) {
   }
 }
 
+// u32 sets encode as a count followed by the values in strictly
+// increasing order, whichever container holds them in memory.
+void write_u32s(StateWriter& w, const auto& ascending) {
+  w.u64(ascending.size());
+  for (const std::uint32_t v : ascending) w.u32(v);
+}
+
 void write_u32_set(StateWriter& w, const std::set<std::uint32_t>& s) {
-  w.u64(s.size());
-  for (const std::uint32_t v : s) w.u32(v);
+  write_u32s(w, s);
+}
+
+void write_u32_set(StateWriter& w, const util::U32Set& s) {
+  write_u32s(w, s.sorted());
+}
+
+/// Reads the `n` values of a u32 set's run into `insert`. A run that is
+/// not strictly increasing was not written by write_u32s: it is rejected
+/// rather than silently deduplicated.
+template <typename Insert>
+void read_u32s(StateReader& r, std::uint64_t n, const Insert& insert) {
+  std::uint32_t prev = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint32_t v = r.u32();
+    if (i > 0 && v <= prev) {
+      throw StateError("u32 set not in strictly increasing order (value " +
+                       std::to_string(v) + " after " + std::to_string(prev) +
+                       ")");
+    }
+    insert(v);
+    prev = v;
+  }
 }
 
 void read_u32_set(StateReader& r, std::set<std::uint32_t>& s) {
   s.clear();
+  read_u32s(r, r.u64(), [&s](std::uint32_t v) { s.insert(s.end(), v); });
+}
+
+void read_u32_set(StateReader& r, util::U32Set& s) {
+  s.clear();
   const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) s.insert(s.end(), r.u32());
+  s.reserve(bounded_reserve(n, r.remaining(), sizeof(std::uint32_t)));
+  read_u32s(r, n, [&s](std::uint32_t v) { s.insert(v); });
 }
 
 void write_totals(StateWriter& w, const Pipeline::Totals& t) {

@@ -33,10 +33,10 @@ int hex_digit(char c) {
   return -1;
 }
 
-/// Replaces `out` with the unescaped form of `raw` (Zeek `\xNN`
-/// sequences; anything else passes through, including lone backslashes).
-void unescape_into(std::string_view raw, std::string& out) {
-  out.clear();
+/// Appends the unescaped form of `raw` to `out` (Zeek `\xNN` sequences;
+/// anything else passes through, including lone backslashes). Never
+/// appends more bytes than `raw` holds.
+void append_unescaped(std::string_view raw, std::string& out) {
   for (std::size_t i = 0; i < raw.size(); ++i) {
     if (raw[i] == '\\' && i + 3 < raw.size() && raw[i + 1] == 'x') {
       const int hi = hex_digit(raw[i + 2]);
@@ -49,6 +49,12 @@ void unescape_into(std::string_view raw, std::string& out) {
     }
     out.push_back(raw[i]);
   }
+}
+
+/// Replaces `out` with the unescaped form of `raw`.
+void unescape_into(std::string_view raw, std::string& out) {
+  out.clear();
+  append_unescaped(raw, out);
 }
 
 /// Scalar decode straight into the record's string: "-" clears, an
@@ -82,31 +88,44 @@ void decode_scalar_into(std::string_view raw, colfmt::Str& out) {
   out = colfmt::StringArena::global().intern(scratch);
 }
 
-/// Set/vector decode: comma-split the raw value (escaped commas arrive
-/// as \x2c, so the raw split is exact), then scalar-decode each element.
-void decode_vector_into(std::string_view raw, colfmt::StrVec& out) {
-  out.clear();
+/// The one set/vector split (split_set_field's contract), calling
+/// `fn(element)` per element. Unescaping never grows a value, so
+/// `storage` is reserved once and every view handed out stays valid
+/// until the next call with the same `storage`.
+template <typename Fn>
+void for_each_set_element(std::string_view raw, std::string& storage,
+                          const Fn& fn) {
   if (raw == kUnset || raw == kEmptySet || raw.empty()) return;
-  const std::size_t parts =
-      1 + static_cast<std::size_t>(
-              std::count(raw.begin(), raw.end(), ','));
-  if (out.capacity() < parts) out.reserve(parts);
-  thread_local std::string scratch;
+  const bool escaped = raw.find('\\') != std::string_view::npos;
+  if (escaped) {
+    storage.clear();
+    storage.reserve(raw.size());
+  }
   std::size_t pos = 0;
   while (true) {
     const std::size_t next = raw.find(',', pos);
     const std::string_view part =
         next == std::string_view::npos ? raw.substr(pos)
                                        : raw.substr(pos, next - pos);
-    if (part.find('\\') == std::string_view::npos) {
-      out.push_back(colfmt::StringArena::global().intern(part));
+    if (!escaped || part.find('\\') == std::string_view::npos) {
+      fn(part);
     } else {
-      unescape_into(part, scratch);
-      out.push_back(colfmt::StringArena::global().intern(scratch));
+      const std::size_t at = storage.size();
+      append_unescaped(part, storage);
+      fn(std::string_view(storage.data() + at, storage.size() - at));
     }
     if (next == std::string_view::npos) break;
     pos = next + 1;
   }
+}
+
+/// Set/vector decode: each element of the split, interned.
+void decode_vector_into(std::string_view raw, colfmt::StrVec& out) {
+  out.clear();
+  thread_local std::string storage;
+  for_each_set_element(raw, storage, [&out](std::string_view part) {
+    out.push_back(colfmt::StringArena::global().intern(part));
+  });
 }
 
 /// DER decode: TSV carries base64 (possibly TSV-escaped); decode once
@@ -152,6 +171,30 @@ std::string missing_field_message(const char* name) {
   return std::string("missing field ") + name;
 }
 
+/// The numeric fields every ssl row must carry.
+struct SslNumerics {
+  util::UnixSeconds ts = 0;
+  int orig_p = 0;
+  int resp_p = 0;
+};
+
+/// The ssl row checks: ts, orig_p and resp_p must parse, whatever a
+/// reader goes on to decode. A failure reports the 1-based row index.
+template <typename FieldAt>
+std::optional<SslNumerics> check_ssl_row(const SslPlan& plan,
+                                         const FieldAt& at,
+                                         std::size_t row_index,
+                                         LogParseError* error) {
+  const auto ts = decode_time(at(plan.ts));
+  const auto orig_p = decode_int(at(plan.orig_p));
+  const auto resp_p = decode_int(at(plan.resp_p));
+  if (!ts || !orig_p || !resp_p) {
+    set_error(error, row_index + 1, "bad numeric field");
+    return std::nullopt;
+  }
+  return SslNumerics{*ts, *orig_p, *resp_p};
+}
+
 /// Fills one SslRecord from a row accessor (`at(slot)` → raw field view).
 /// Shared by the batch fast path and the row-materializing reference
 /// parser, so their per-field semantics cannot drift apart. The row
@@ -161,20 +204,16 @@ template <typename FieldAt>
 bool fill_ssl_record(const SslPlan& plan, const SslColumns& columns,
                      const FieldAt& at, std::size_t row_index, SslRecord& r,
                      LogParseError* error) {
-  const auto ts = decode_time(at(plan.ts));
-  const auto orig_p = decode_int(at(plan.orig_p));
-  const auto resp_p = decode_int(at(plan.resp_p));
-  if (!ts || !orig_p || !resp_p) {
-    set_error(error, row_index + 1, "bad numeric field");
-    return false;
-  }
-  if (columns.ts) r.ts = *ts;
+  const auto numerics = check_ssl_row(plan, at, row_index, error);
+  if (!numerics) return false;
+  const auto& [ts, orig_p, resp_p] = *numerics;
+  if (columns.ts) r.ts = ts;
   if (columns.uid) decode_scalar_into(at(plan.uid), r.uid);
   if (columns.endpoints) {
     decode_scalar_into(at(plan.orig_h), r.orig_h);
-    r.orig_p = static_cast<std::uint16_t>(*orig_p);
+    r.orig_p = static_cast<std::uint16_t>(orig_p);
     decode_scalar_into(at(plan.resp_h), r.resp_h);
-    r.resp_p = static_cast<std::uint16_t>(*resp_p);
+    r.resp_p = static_cast<std::uint16_t>(resp_p);
   }
   if (columns.version && plan.version != kNoColumn) {
     decode_scalar_into(at(plan.version), r.version);
@@ -194,6 +233,26 @@ bool fill_ssl_record(const SslPlan& plan, const SslColumns& columns,
                          r.client_cert_chain_fuids);
     }
   }
+  return true;
+}
+
+/// The chain scan's emit step: the row checks, then the raw chain view.
+bool emit_chain_row(const SslPlan& plan, const std::string_view* fields,
+                    std::size_t row_index, LogParseError* error,
+                    const SslChainVisitor& visit) {
+  const auto at = [fields](std::size_t slot) { return fields[slot]; };
+  if (!check_ssl_row(plan, at, row_index, error)) return false;
+  SslChainRow row;
+  if (plan.established != kNoColumn) {
+    row.established = fields[plan.established] == "T";
+  }
+  if (plan.cert_chain_fuids != kNoColumn) {
+    row.cert_chain_fuids = fields[plan.cert_chain_fuids];
+  }
+  if (plan.client_cert_chain_fuids != kNoColumn) {
+    row.client_cert_chain_fuids = fields[plan.client_cert_chain_fuids];
+  }
+  visit(row);
   return true;
 }
 
@@ -651,6 +710,13 @@ std::string_view decode_field(std::string_view raw, std::string& storage) {
   return storage;
 }
 
+void split_set_field(std::string_view raw, std::vector<std::string_view>& out,
+                     std::string& storage) {
+  out.clear();
+  for_each_set_element(raw, storage,
+                       [&out](std::string_view part) { out.push_back(part); });
+}
+
 // --- batch fast path --------------------------------------------------------
 
 bool parse_ssl_records(std::string_view body, const SslPlan& plan,
@@ -681,6 +747,17 @@ bool parse_x509_records(std::string_view body, const X509Plan& plan,
         return fill_x509_record(
             active, [fields](std::size_t slot) { return fields[slot]; },
             row_index, r, err);
+      });
+}
+
+bool scan_ssl_chains(std::string_view body, const SslPlan& plan,
+                     const SslChainVisitor& visit, LogParseError* error,
+                     std::size_t header_lines) {
+  return parse_records(
+      body, plan, error, header_lines,
+      [&visit](const SslPlan& active, const std::string_view* fields,
+               std::size_t row_index, LogParseError* err) {
+        return emit_chain_row(active, fields, row_index, err, visit);
       });
 }
 
@@ -718,6 +795,20 @@ TolerantStats parse_ssl_records_tolerant(std::string_view body,
         }
         out.pop_back();  // discard the partially filled record
         return false;
+      });
+}
+
+TolerantStats scan_ssl_chains_tolerant(std::string_view body,
+                                       const SslPlan& plan,
+                                       const SslChainVisitor& visit,
+                                       std::vector<RowIssue>* issues,
+                                       std::size_t header_lines,
+                                       std::size_t base_offset) {
+  return parse_records_tolerant(
+      body, plan, issues, header_lines, base_offset,
+      [&visit](const SslPlan& active, const std::string_view* fields,
+               std::size_t row_index, LogParseError* err) {
+        return emit_chain_row(active, fields, row_index, err, visit);
       });
 }
 

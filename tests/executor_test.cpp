@@ -426,9 +426,10 @@ TEST(CertFactsMergeTest, FoldsUsageAggregates) {
   EXPECT_EQ(a.connection_count, 5u);
   EXPECT_EQ(a.first_seen, 500);
   EXPECT_EQ(a.last_seen, 2'000);
-  EXPECT_EQ(a.server_subnets,
-            (std::set<std::uint32_t>{0x0a000100u, 0x0a000200u}));
-  EXPECT_EQ(a.client_subnets, (std::set<std::uint32_t>{0xc0a80100u}));
+  EXPECT_EQ(a.server_subnets.sorted(),
+            (std::vector<std::uint32_t>{0x0a000100u, 0x0a000200u}));
+  EXPECT_EQ(a.client_subnets.sorted(),
+            (std::vector<std::uint32_t>{0xc0a80100u}));
   // Representative context: first non-empty in merge order.
   EXPECT_EQ(a.context_sld, "example.com");
 }

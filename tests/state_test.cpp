@@ -5,6 +5,7 @@
 // error, never UB.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "mtlscope/core/state_io.hpp"
 #include "mtlscope/crypto/sha256.hpp"
 #include "mtlscope/gen/generator.hpp"
+#include "mtlscope/util/u32_set.hpp"
 
 namespace mtlscope {
 namespace {
@@ -82,6 +84,130 @@ TEST(StateIo, ReaderOverrunThrowsStructuredError) {
   EXPECT_THROW(r.u64(), core::StateError);
   core::StateReader r2(bytes);
   EXPECT_THROW(r2.str(), core::StateError);  // length prefix overruns
+}
+
+// --- certificate subnet sets -----------------------------------------------
+
+TEST(U32Set, ValuesNotLayoutDecideEqualityAndOrder) {
+  util::U32Set a;
+  util::U32Set b;
+  std::vector<std::uint32_t> values;
+  for (std::uint32_t i = 0; i < 3'000; ++i) values.push_back(i * 2'654'435'761u);
+  for (const std::uint32_t v : values) EXPECT_TRUE(a.insert(v));
+  for (auto it = values.rbegin(); it != values.rend(); ++it) b.insert(*it);
+  EXPECT_FALSE(a.insert(values[7]));
+  EXPECT_EQ(a.size(), values.size());
+  EXPECT_EQ(a, b);
+  EXPECT_TRUE(a.contains(0));
+  EXPECT_FALSE(a.contains(1));
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(a.sorted(), values);
+
+  util::U32Set c = {5, 0};
+  c.merge(util::U32Set{7, 5});
+  EXPECT_EQ(c.sorted(), (std::vector<std::uint32_t>{0, 5, 7}));
+  EXPECT_FALSE(c == (util::U32Set{0, 5}));
+}
+
+/// A CertFacts encoding whose server subnet set is `server_run` (count
+/// and values as raw bytes) and whose other fields are defaults.
+std::string facts_with_server_run(const std::string& server_run) {
+  core::CertFacts facts;
+  facts.fuid = "Fsubnets";
+  core::StateWriter w;
+  facts.serialize(w);
+  const std::string bytes = std::move(w).take();
+  // Tail: server count, client count, context_sld length (8 bytes each,
+  // all zero for these defaults), context_assoc (1 byte).
+  const std::size_t tail = 8 + 8 + 8 + 1;
+  EXPECT_EQ(bytes.substr(bytes.size() - tail, 24), std::string(24, '\0'));
+  return bytes.substr(0, bytes.size() - tail) + server_run +
+         bytes.substr(bytes.size() - tail + 8);
+}
+
+std::string u32_run(std::uint64_t count,
+                    const std::vector<std::uint32_t>& values) {
+  core::StateWriter w;
+  w.u64(count);
+  for (const std::uint32_t v : values) w.u32(v);
+  return std::move(w).take();
+}
+
+std::string reader_error(const std::string& bytes) {
+  core::CertFacts facts;
+  core::StateReader r(bytes);
+  try {
+    facts.deserialize(r);
+  } catch (const core::StateError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ShardState, SubnetSetRunMustBeStrictlyIncreasing) {
+  EXPECT_EQ(reader_error(facts_with_server_run(u32_run(2, {0x0a000100u,
+                                                           0x0a000200u}))),
+            "");
+  for (const auto& values : {std::vector<std::uint32_t>{3, 1},
+                             std::vector<std::uint32_t>{5, 5},
+                             std::vector<std::uint32_t>{1, 9, 9, 12}}) {
+    const std::string error = reader_error(
+        facts_with_server_run(u32_run(values.size(), values)));
+    EXPECT_NE(error.find("strictly increasing"), std::string::npos)
+        << error;
+  }
+}
+
+TEST(ShardState, SubnetSetCountBeyondTheBytesFailsCleanly) {
+  // The buffer ends after two values; the run claims 2^60 of them.
+  std::string bytes =
+      facts_with_server_run(u32_run(std::uint64_t{1} << 60, {1, 2}));
+  bytes.resize(bytes.size() - (8 + 8 + 1));
+  const std::string error = reader_error(bytes);
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+}
+
+TEST(ShardState, SubnetSetHoldsZeroAndRoundTripsOnceGrown) {
+  const std::string with_zero =
+      facts_with_server_run(u32_run(2, {0, 0x0a000100u}));
+  core::CertFacts zero;
+  core::StateReader zr(with_zero);
+  zero.deserialize(zr);
+  EXPECT_TRUE(zr.done());
+  EXPECT_EQ(zero.server_subnets.sorted(),
+            (std::vector<std::uint32_t>{0, 0x0a000100u}));
+  core::StateWriter zw;
+  zero.serialize(zw);
+  EXPECT_EQ(zw.buffer(), with_zero);
+
+  core::CertFacts grown;
+  grown.fuid = "Fgrown";
+  std::vector<std::uint32_t> expected;
+  for (std::uint32_t i = 0; i < 20'000; ++i) {
+    const std::uint32_t v = (i * 2'246'822'519u) & 0xffffff00u;
+    grown.server_subnets.insert(v);
+    grown.client_subnets.insert(v ^ 0x80000000u);
+    expected.push_back(v);
+  }
+  grown.server_subnets.insert(0xffffff00u);
+  expected.push_back(0xffffff00u);
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+  ASSERT_EQ(grown.server_subnets.size(), expected.size());
+  EXPECT_EQ(grown.server_subnets.sorted(), expected);
+
+  core::StateWriter w;
+  grown.serialize(w);
+  core::CertFacts back;
+  core::StateReader r(w.buffer());
+  back.deserialize(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(back.server_subnets, grown.server_subnets);
+  EXPECT_EQ(back.client_subnets, grown.client_subnets);
+  core::StateWriter again;
+  back.serialize(again);
+  EXPECT_EQ(again.buffer(), w.buffer());
 }
 
 TEST(ShardState, PopulatedRoundTripIsLosslessAndCanonical) {

@@ -14,6 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "mtlscope/colfmt/arena.hpp"
+#include "mtlscope/core/chain_upgrade.hpp"
 #include "mtlscope/zeek/log_io.hpp"
 #include "mtlscope/zeek/parse_plan.hpp"
 
@@ -561,6 +563,144 @@ TEST(ZeekParseManifest, CorpusCoversEveryRejectionAndDecodeShape) {
             (std::vector<colfmt::Str>{"F,one", "F\\two"}));
   EXPECT_EQ(clean[3].client_cert_chain_fuids,
             (std::vector<colfmt::Str>{"F,"}));
+}
+
+// --- phase B chain scan ----------------------------------------------------
+
+/// The chain scan's route (raw views, nothing built) and the record
+/// route (chains-manifest records) over one body, each resolved against
+/// `registry` by core::ChainResolver.
+struct ChainRoutes {
+  std::vector<zeek::SslChainRow> raw_rows;
+  core::ResolvedChains raw;
+  core::ResolvedChains records;
+};
+
+TEST(ZeekChainScan, ResolvesLikeTheRecordRouteAndInternsNothing) {
+  core::Pipeline::CertMap registry;
+  for (const char* fuid : {"F1", "F2", "F3", "F,one", "F\\two", "F,", ""}) {
+    core::CertFacts facts;
+    facts.fuid = fuid;
+    registry.emplace(facts.fuid, facts);
+  }
+  // Fuids no other test interns, so the raw route's arena check below
+  // cannot pass merely because an earlier test interned them.
+  const std::string header = "#path\tssl\n" +
+                             ssl_fields_line(known_ssl_columns());
+  std::vector<ManifestCase> corpus = manifest_corpus();
+  corpus.push_back(
+      {"unregistered chain members", header,
+       // unregistered leaf; registered leaf past an unregistered middle
+       "1.0\tC1\t10.0.0.1\t1\t10.0.0.2\t443\t-\t-\tT\tFraw-leaf,F1"
+       "\tF1,Fraw-mid,F2\n"
+       // only unregistered intermediates; a one-element chain
+       "2.0\tC2\t10.0.0.1\t1\t10.0.0.2\t443\t-\t-\tT\tF2,Fraw-mid2\tF3\n"
+       // not established: resolves nothing
+       "3.0\tC3\t10.0.0.1\t1\t10.0.0.2\t443\t-\t-\tF\tF1,F2\tF1,F3\n"
+       // escaped members, one unregistered
+       "4.0\tC4\t10.0.0.1\t1\t10.0.0.2\t443\t-\t-\tT"
+       "\tF\\x2cone,Fraw\\x2cnew,F\\x5ctwo\t-\n"
+       "5.0\tC5\t10.0.0.1\tbad\t10.0.0.2\t443\t-\t-\tT\tF1,F2\t-\n"});
+  std::size_t resolved_total = 0;
+  for (const auto& c : corpus) {
+    SCOPED_TRACE(c.name);
+    const zeek::SslPlan plan =
+        zeek::SslPlan::compile(zeek::ColumnPlan::from_header(c.header));
+    const std::size_t header_lines = static_cast<std::size_t>(
+        std::count(c.header.begin(), c.header.end(), '\n'));
+
+    for (const bool skip : {true, false}) {
+      SCOPED_TRACE(skip ? "skip mode" : "strict mode");
+      ChainRoutes routes;
+      core::ChainResolver raw_resolver(registry, routes.raw);
+      const zeek::SslChainVisitor visit =
+          [&](const zeek::SslChainRow& row) {
+            routes.raw_rows.push_back(row);
+            raw_resolver.add(row);
+          };
+      const auto interned_before =
+          colfmt::StringArena::global().stats().strings;
+      std::vector<zeek::RowIssue> raw_issues;
+      zeek::TolerantStats raw_stats;
+      zeek::LogParseError raw_error;
+      bool raw_ok = true;
+      if (skip) {
+        raw_stats = zeek::scan_ssl_chains_tolerant(
+            c.body, plan, visit, &raw_issues, header_lines, 1000);
+      } else {
+        raw_ok = zeek::scan_ssl_chains(c.body, plan, visit, &raw_error,
+                                       header_lines);
+      }
+      EXPECT_EQ(colfmt::StringArena::global().stats().strings,
+                interned_before);
+
+      const zeek::SslPlan chains = plan.projected(zeek::SslColumns::chains());
+      std::vector<zeek::SslRecord> rows;
+      std::vector<zeek::RowIssue> issues;
+      zeek::TolerantStats stats;
+      zeek::LogParseError error;
+      bool ok = true;
+      if (skip) {
+        stats = zeek::parse_ssl_records_tolerant(c.body, chains, rows,
+                                                 &issues, header_lines, 1000);
+      } else {
+        ok = zeek::parse_ssl_records(c.body, chains, rows, &error,
+                                     header_lines);
+      }
+      ASSERT_EQ(raw_ok, ok);
+      if (!ok) {
+        EXPECT_EQ(raw_error.line, error.line);
+        EXPECT_EQ(raw_error.message, error.message);
+        continue;
+      }
+      EXPECT_EQ(raw_stats.rows_ok, stats.rows_ok);
+      EXPECT_EQ(raw_stats.rows_bad, stats.rows_bad);
+      EXPECT_EQ(raw_stats.lines, stats.lines);
+      ASSERT_EQ(raw_issues.size(), issues.size());
+      for (std::size_t i = 0; i < issues.size(); ++i) {
+        EXPECT_EQ(raw_issues[i].line, issues[i].line) << "issue " << i;
+        EXPECT_EQ(raw_issues[i].byte_offset, issues[i].byte_offset);
+        EXPECT_EQ(raw_issues[i].raw_length, issues[i].raw_length);
+        EXPECT_EQ(raw_issues[i].reason, issues[i].reason);
+        EXPECT_EQ(raw_issues[i].digest, issues[i].digest);
+      }
+      ASSERT_EQ(routes.raw_rows.size(), rows.size());
+      std::vector<std::string_view> parts;
+      std::string storage;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(routes.raw_rows[i].established, rows[i].established) << i;
+        zeek::split_set_field(routes.raw_rows[i].cert_chain_fuids, parts,
+                              storage);
+        EXPECT_EQ(std::vector<colfmt::Str>(parts.begin(), parts.end()),
+                  rows[i].cert_chain_fuids)
+            << i;
+        zeek::split_set_field(routes.raw_rows[i].client_cert_chain_fuids,
+                              parts, storage);
+        EXPECT_EQ(std::vector<colfmt::Str>(parts.begin(), parts.end()),
+                  rows[i].client_cert_chain_fuids)
+            << i;
+      }
+      core::ChainResolver resolver(registry, routes.records);
+      for (const auto& row : rows) resolver.add(row);
+      EXPECT_EQ(routes.raw, routes.records);
+      resolved_total += routes.raw.size();
+
+      if (std::string_view(c.name) == "unregistered chain members" && skip) {
+        // Not vacuous: the record route interns what the scan did not.
+        EXPECT_GT(colfmt::StringArena::global().stats().strings,
+                  interned_before);
+        const auto at = [&registry](const char* fuid) {
+          return &registry.find(std::string_view(fuid))->second;
+        };
+        EXPECT_EQ(routes.raw,
+                  (core::ResolvedChains{at("F1"), at("F2"), nullptr,
+                                        at("F,one"), at("F\\two"),
+                                        nullptr}));
+        EXPECT_EQ(raw_stats.rows_bad, 1u);
+      }
+    }
+  }
+  EXPECT_GT(resolved_total, 20u);
 }
 
 // --- plan compiler ---------------------------------------------------------
