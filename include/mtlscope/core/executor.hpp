@@ -45,6 +45,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -99,8 +100,10 @@ class PipelineExecutor {
   /// Runs the five phases over an in-memory dataset and returns the merged,
   /// finalized pipeline.
   Pipeline run(const zeek::Dataset& dataset);
+  /// Same over rows the caller owns: `x509` points at rows that outlive
+  /// the call, in phase-A stream order (first fuid wins).
   Pipeline run(const std::vector<zeek::SslRecord>& ssl,
-               const zeek::Dataset::X509Map& x509);
+               std::vector<const zeek::X509Record*> x509);
 
   /// In-memory log-text entry: wraps both strings in MemorySources and
   /// runs the TSV engine over them (zero extra copies of the text).
@@ -148,8 +151,11 @@ class PipelineExecutor {
 
   /// Cache effectiveness and scan choice of the most recent completed
   /// run — the JSON perf envelope's `enrich` block. `facts_*` count the
-  /// Enricher's DER-keyed certificate memo; `enrich_*` sum the per-shard
-  /// host/address memos (EnrichCache) after the shard merge.
+  /// Enricher's DER-keyed certificate memo over the executor's lifetime
+  /// (the Enricher is built on the first run and kept; a batch run makes
+  /// one pass per executor, so there they describe that pass);
+  /// `enrich_*` sum the per-shard host/address memos (EnrichCache) of the
+  /// most recent run after the shard merge.
   struct RunStats {
     const char* scan = "rows";  ///< "columnar" for container inputs
     std::uint64_t facts_hits = 0;
@@ -169,7 +175,7 @@ class PipelineExecutor {
   /// (their state would be silently dropped).
   ShardState fold(const zeek::Dataset& dataset);
   ShardState fold(const std::vector<zeek::SslRecord>& ssl,
-                  const zeek::Dataset::X509Map& x509);
+                  std::vector<const zeek::X509Record*> x509);
   std::optional<ShardState> fold_log_files(
       const std::string& ssl_path, const std::string& x509_path,
       ingest::IngestError* error = nullptr,
@@ -196,6 +202,10 @@ class PipelineExecutor {
   std::size_t threads_;
   std::vector<ObserverFactory> factories_;
   RunStats stats_;
+  /// Built by the first run, then shared by every later one: each
+  /// distinct certificate is parsed and classified once per executor.
+  /// Registry, upgrades, shards and analyzers stay per run.
+  std::shared_ptr<const Enricher> enricher_;
 };
 
 }  // namespace mtlscope::core

@@ -1,7 +1,8 @@
 // Versioned shard-state files (DESIGN §12): the complete partial state of
 // one map task — the merged Pipeline (certificate registry, totals,
 // interception state), all eight standard connection analyzers, and the
-// ErrorLedger — in a self-describing binary container:
+// ErrorLedger — in a self-describing binary container, framed by the
+// sealed-file codec (core/state_io.hpp) the watch checkpoint shares:
 //
 //   magic "MTLSSTAT" | u32 format version | u32 endian sentinel |
 //   u32 section count | sections { u32 id, u64 length, payload } |

@@ -1,18 +1,25 @@
 // StateWriter / StateReader: the primitive encoding layer under the
-// versioned shard-state files (DESIGN §12). Fixed-width little-endian
-// integers, IEEE-754 doubles via bit_cast, and length-prefixed strings —
-// no varints, no padding, no host-endian leakage — so the same analyzer
-// state serializes to the same bytes on every machine and a re-serialized
-// deserialization is byte-identical to its source.
+// versioned shard-state files (DESIGN §12) and watch checkpoints
+// (DESIGN §13). Fixed-width little-endian integers, IEEE-754 doubles via
+// bit_cast, and length-prefixed strings — no varints, no padding, no
+// host-endian leakage — so the same analyzer state serializes to the same
+// bytes on every machine and a re-serialized deserialization is
+// byte-identical to its source.
 //
 // StateReader is bounds-checked everywhere: any read past the end of the
 // buffer throws StateError. Section payloads are only handed to
 // deserialize() after the file-level SHA-256 trailer verified, so a
 // throwing reader indicates a framing bug, never silent corruption.
+//
+// write_sealed / read_sealed are the one sealed-file codec both formats
+// frame their sections with.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -84,5 +91,47 @@ class StateReader {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
+
+/// One sealed file format:
+///
+///   8-byte magic | u32 version | u32 endian sentinel |
+///   u32 section count | sections { u32 id, u64 length, payload } |
+///   32-byte SHA-256 over everything before the trailer
+///
+/// The section table is closed per version: ids run 1..N in file order,
+/// and a reader rejects an unknown, duplicate or missing id. The nouns
+/// name the format in its error messages: `noun` the file ("truncated
+/// <noun>: …", "bad endianness sentinel in <noun>"), `kind` its digest
+/// and sections ("<kind> digest mismatch", "unknown <kind> section id"),
+/// `title` its magic ("not a mtlscope <title>"), `versioned` its version
+/// ("unsupported <versioned> version …") and `container` the section
+/// table's trailing-bytes check.
+struct SealedFormat {
+  std::string_view magic;
+  std::uint32_t version;
+  /// Name of section id i + 1.
+  std::span<const char* const> sections;
+  const char* noun;
+  const char* kind;
+  const char* title;
+  const char* versioned;
+  const char* container;
+};
+
+using SectionWriter = std::function<void(StateWriter&)>;
+using SectionReader = std::function<void(StateReader&)>;
+
+/// Frames and seals one file: `writers[i]` fills section i + 1's payload.
+std::string write_sealed(const SealedFormat& format,
+                         std::initializer_list<SectionWriter> writers);
+
+/// Verifies and walks one sealed file: `readers[i]` decodes section
+/// i + 1, which must then be fully consumed. Returns false with `error`
+/// (when non-null) set to a deterministic message; never throws for
+/// malformed input. `digest_hex` (when non-null) receives the verified
+/// trailer as hex.
+bool read_sealed(const SealedFormat& format, std::string_view data,
+                 std::initializer_list<SectionReader> readers,
+                 std::string* error, std::string* digest_hex = nullptr);
 
 }  // namespace mtlscope::core

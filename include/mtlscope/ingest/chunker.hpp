@@ -19,8 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <istream>
-#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,21 +103,5 @@ std::vector<std::pair<std::size_t, std::size_t>> shard_record_ranges(
 /// past the next '\n'. Returns `end` when no newline remains.
 std::size_t align_to_record(const Source& source, std::size_t from,
                             std::size_t end);
-
-/// An istream presenting header + body without concatenating them — the
-/// zero-copy bridge from a Chunk to the zeek::parse_*_log() API.
-class ChunkStream : private std::streambuf, public std::istream {
- public:
-  // Both bases export these typedefs; we mean the streambuf's.
-  using int_type = std::streambuf::int_type;
-  using traits_type = std::streambuf::traits_type;
-
-  ChunkStream(std::string_view header, std::string_view body);
-
- private:
-  int_type underflow() override;
-  std::string_view segments_[2];
-  std::size_t current_ = 0;
-};
 
 }  // namespace mtlscope::ingest

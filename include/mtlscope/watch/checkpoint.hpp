@@ -5,8 +5,9 @@
 // first-seen x509 registry feed, the watch ErrorLedger, and the
 // cumulative analyzer state as an embedded PR 6 shard-state blob.
 //
-// The container mirrors the shard-state framing (its own magic and
-// version — the embedded blob keeps kStateFormatVersion untouched):
+// The container is framed by the sealed-file codec shared with the
+// shard state (core::write_sealed; its own magic and version — the
+// embedded blob keeps kStateFormatVersion untouched):
 //
 //   magic "MTLSWTCH" | u32 watch version | u32 endian sentinel |
 //   u32 section count | sections { u32 id, u64 length, payload } |

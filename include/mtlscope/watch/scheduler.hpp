@@ -10,9 +10,12 @@
 //
 // Identity with the batch pipeline rests on the PR 6 merge algebra
 // (pinned by the mapreduce_byte_identity CTest): each closed window is
-// folded through PipelineExecutor::fold() exactly like an `mtlscope
-// map` slice — paired with the x509 rows its chains reference, which is
-// all phases A/B/D can touch for those records — and cumulative state
+// folded exactly like an `mtlscope map` slice — paired with the x509
+// rows its chains reference, which is all phases A/B/D can touch for
+// those records — through the scheduler's one PipelineExecutor. Its
+// Enricher (the DER-keyed CertFacts memo) lives as long as the
+// scheduler; registry, chain upgrades, shards and analyzers are built
+// per fold, so a window's state never sees another's. Cumulative state
 // is the merge of those finalized window states, re-finalized at
 // emission. A final *completion fold* at drain adds the never-referenced
 // certificates, matching the batch registry built from the full x509
@@ -38,6 +41,7 @@
 #include <vector>
 
 #include "mtlscope/core/error_ledger.hpp"
+#include "mtlscope/core/executor.hpp"
 #include "mtlscope/core/shard_state.hpp"
 #include "mtlscope/experiments/options.hpp"
 #include "mtlscope/watch/checkpoint.hpp"
@@ -132,8 +136,9 @@ class WindowScheduler {
   void close_rollup();
   /// Folds rows paired with the x509 rows their chains reference.
   core::ShardState fold_rows(const std::vector<zeek::SslRecord>& rows);
-  core::ShardState fold_map(const std::vector<zeek::SslRecord>& rows,
-                            zeek::Dataset::X509Map x509);
+  /// Folds rows with `x509` (pointers into x509_seen_, repeats allowed).
+  core::ShardState fold(const std::vector<zeek::SslRecord>& rows,
+                        std::vector<const zeek::X509Record*> x509);
   void fill_meta(core::ShardState& state) const;
   void emit_state(Emission::Kind kind, std::int64_t start_ts,
                   core::ShardState state);
@@ -141,6 +146,7 @@ class WindowScheduler {
 
   WatchConfig config_;
   EmitFn emit_;
+  core::PipelineExecutor executor_;
 
   // x509 arrival state: first-seen rows in order plus a fuid index.
   std::vector<zeek::X509Record> x509_seen_;

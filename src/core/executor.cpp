@@ -249,8 +249,8 @@ class X509RowParts : public PartSource {
 class MemoryParts final : public X509RowParts {
  public:
   MemoryParts(const std::vector<zeek::SslRecord>& ssl,
-              const zeek::Dataset::X509Map& x509, std::size_t k)
-      : X509RowParts(row_pointers(x509), k),
+              std::vector<const zeek::X509Record*> x509, std::size_t k)
+      : X509RowParts(std::move(x509), k),
         ssl_(ssl),
         parts_(row_parts(ssl.size(), k)) {}
 
@@ -559,7 +559,10 @@ const PipelineConfig& PipelineExecutor::config() const { return config_; }
 
 std::optional<Pipeline> PipelineExecutor::run_parts(
     PartSource& parts, ingest::IngestError* error) {
-  const auto enricher = std::make_shared<const Enricher>(config_);
+  // Not in the constructor: executors that never run (reduce harnesses)
+  // must not pay for the trust store and categorizer.
+  if (!enricher_) enricher_ = std::make_shared<const Enricher>(config_);
+  const std::shared_ptr<const Enricher>& enricher = enricher_;
   const std::size_t k = threads_;
 
   // --- Phase A: certificate registry. Facts build per part in parallel
@@ -675,12 +678,12 @@ std::vector<Pipeline> PipelineExecutor::make_shards(
 }
 
 Pipeline PipelineExecutor::run(const zeek::Dataset& dataset) {
-  return run(dataset.ssl(), dataset.x509());
+  return run(dataset.ssl(), row_pointers(dataset.x509()));
 }
 
 Pipeline PipelineExecutor::run(const std::vector<zeek::SslRecord>& ssl,
-                               const zeek::Dataset::X509Map& x509) {
-  MemoryParts parts(ssl, x509, threads_);
+                               std::vector<const zeek::X509Record*> x509) {
+  MemoryParts parts(ssl, std::move(x509), threads_);
   ingest::IngestError error;
   auto result = run_parts(parts, &error);
   if (!result) throw std::runtime_error(error.to_string());

@@ -1,7 +1,8 @@
 // Shard-state serialization (DESIGN §12). Every serialize/deserialize
 // member declared across analyzers.hpp / pipeline.hpp / error_ledger.hpp
-// is defined here, next to the container framing, so the full on-disk
-// layout is reviewable in one translation unit.
+// is defined here, next to the section table (the framing is the shared
+// sealed-file codec in state_io.cpp), so the full on-disk layout is
+// reviewable in one translation unit.
 #include "mtlscope/core/shard_state.hpp"
 
 #include <algorithm>
@@ -24,26 +25,24 @@ namespace mtlscope::core {
 
 namespace {
 
-// Section ids, in file order. The section table is part of the format:
-// renumbering or reordering requires a kStateFormatVersion bump.
-enum SectionId : std::uint32_t {
-  kSecMeta = 1,
-  kSecPipeline = 2,
-  kSecPrevalence = 3,
-  kSecServicePorts = 4,
-  kSecInboundAssoc = 5,
-  kSecOutboundFlows = 6,
-  kSecDummyIssuer = 7,
-  kSecSerialCollision = 8,
-  kSecSharedCert = 9,
-  kSecIncorrectDate = 10,
-  kSecLedger = 11,
+// Section names by id (1-based), in file order. The section table is
+// part of the format: renumbering or reordering requires a
+// kStateFormatVersion bump.
+constexpr const char* kSections[] = {
+    "meta",         "pipeline",       "prevalence",       "service_ports",
+    "inbound_assoc", "outbound_flows", "dummy_issuer",     "serial_collision",
+    "shared_cert",  "incorrect_date", "ledger",
 };
-constexpr std::uint32_t kSectionCount = 11;
-
-constexpr char kMagic[8] = {'M', 'T', 'L', 'S', 'S', 'T', 'A', 'T'};
-/// Stored little-endian; a big-endian writer would emit 0x04030201.
-constexpr std::uint32_t kEndianSentinel = 0x01020304;
+constexpr SealedFormat kFormat{
+    .magic = "MTLSSTAT",
+    .version = kStateFormatVersion,
+    .sections = kSections,
+    .noun = "state file",
+    .kind = "state",
+    .title = "state file",
+    .versioned = "state format",
+    .container = "container",
+};
 
 // Smallest encoding of one entry of each count-prefixed run, which
 // bounds what a claimed count may reserve (bounded_reserve).
@@ -735,198 +734,61 @@ void deserialize_meta(StateReader& r, ShardStateMeta& meta) {
   meta.parse_bytes = r.u64();
 }
 
-const char* section_name(std::uint32_t id) {
-  switch (id) {
-    case kSecMeta: return "meta";
-    case kSecPipeline: return "pipeline";
-    case kSecPrevalence: return "prevalence";
-    case kSecServicePorts: return "service_ports";
-    case kSecInboundAssoc: return "inbound_assoc";
-    case kSecOutboundFlows: return "outbound_flows";
-    case kSecDummyIssuer: return "dummy_issuer";
-    case kSecSerialCollision: return "serial_collision";
-    case kSecSharedCert: return "shared_cert";
-    case kSecIncorrectDate: return "incorrect_date";
-    case kSecLedger: return "ledger";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 std::string serialize_shard_state(const ShardState& state) {
   if (!state.pipeline) {
     throw StateError("shard state has no pipeline to serialize");
   }
-  StateWriter w;
-  w.raw(kMagic, sizeof(kMagic));
-  w.u32(kStateFormatVersion);
-  w.u32(kEndianSentinel);
-  w.u32(kSectionCount);
-
-  const auto section = [&w](std::uint32_t id, const auto& serializer) {
-    StateWriter payload;
-    serializer(payload);
-    w.u32(id);
-    w.u64(payload.buffer().size());
-    w.raw(payload.buffer().data(), payload.buffer().size());
-  };
-  section(kSecMeta,
-          [&](StateWriter& p) { serialize_meta(p, state.meta); });
-  section(kSecPipeline,
-          [&](StateWriter& p) { state.pipeline->serialize(p); });
-  section(kSecPrevalence,
-          [&](StateWriter& p) { state.analyzers.prevalence.serialize(p); });
-  section(kSecServicePorts,
-          [&](StateWriter& p) { state.analyzers.service_ports.serialize(p); });
-  section(kSecInboundAssoc,
-          [&](StateWriter& p) { state.analyzers.inbound_assoc.serialize(p); });
-  section(kSecOutboundFlows, [&](StateWriter& p) {
-    state.analyzers.outbound_flows.serialize(p);
-  });
-  section(kSecDummyIssuer,
-          [&](StateWriter& p) { state.analyzers.dummy_issuers.serialize(p); });
-  section(kSecSerialCollision, [&](StateWriter& p) {
-    state.analyzers.serial_collisions.serialize(p);
-  });
-  section(kSecSharedCert,
-          [&](StateWriter& p) { state.analyzers.shared_certs.serialize(p); });
-  section(kSecIncorrectDate, [&](StateWriter& p) {
-    state.analyzers.incorrect_dates.serialize(p);
-  });
-  section(kSecLedger,
-          [&](StateWriter& p) { state.ledger.serialize(p); });
-
-  std::string out = std::move(w).take();
-  const auto digest = crypto::Sha256::hash(out);
-  out.append(reinterpret_cast<const char*>(digest.data()), digest.size());
-  return out;
+  const AnalyzerSet& a = state.analyzers;
+  return write_sealed(
+      kFormat,
+      {
+          [&](StateWriter& p) { serialize_meta(p, state.meta); },
+          [&](StateWriter& p) { state.pipeline->serialize(p); },
+          [&](StateWriter& p) { a.prevalence.serialize(p); },
+          [&](StateWriter& p) { a.service_ports.serialize(p); },
+          [&](StateWriter& p) { a.inbound_assoc.serialize(p); },
+          [&](StateWriter& p) { a.outbound_flows.serialize(p); },
+          [&](StateWriter& p) { a.dummy_issuers.serialize(p); },
+          [&](StateWriter& p) { a.serial_collisions.serialize(p); },
+          [&](StateWriter& p) { a.shared_certs.serialize(p); },
+          [&](StateWriter& p) { a.incorrect_dates.serialize(p); },
+          [&](StateWriter& p) { state.ledger.serialize(p); },
+      });
 }
 
 std::optional<ShardState> parse_shard_state(std::string_view data,
                                             StateFileInfo* info,
                                             std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) *error = std::move(msg);
-  };
-  constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4;  // magic + version
-  if (data.size() < kHeaderBytes) {
-    fail("truncated state file: " + std::to_string(data.size()) + " bytes");
+  ShardState state;
+  state.pipeline.emplace();
+  AnalyzerSet& a = state.analyzers;
+  std::string digest_hex;
+  if (!read_sealed(
+          kFormat, data,
+          {
+              [&](StateReader& r) { deserialize_meta(r, state.meta); },
+              [&](StateReader& r) { state.pipeline->deserialize(r); },
+              [&](StateReader& r) { a.prevalence.deserialize(r); },
+              [&](StateReader& r) { a.service_ports.deserialize(r); },
+              [&](StateReader& r) { a.inbound_assoc.deserialize(r); },
+              [&](StateReader& r) { a.outbound_flows.deserialize(r); },
+              [&](StateReader& r) { a.dummy_issuers.deserialize(r); },
+              [&](StateReader& r) { a.serial_collisions.deserialize(r); },
+              [&](StateReader& r) { a.shared_certs.deserialize(r); },
+              [&](StateReader& r) { a.incorrect_dates.deserialize(r); },
+              [&](StateReader& r) { state.ledger.deserialize(r); },
+          },
+          error, info != nullptr ? &digest_hex : nullptr)) {
     return std::nullopt;
   }
-  if (std::string_view(data.data(), sizeof(kMagic)) !=
-      std::string_view(kMagic, sizeof(kMagic))) {
-    fail("bad magic: not a mtlscope state file");
-    return std::nullopt;
+  if (info != nullptr) {
+    info->format_version = kStateFormatVersion;
+    info->digest_hex = std::move(digest_hex);
+    info->bytes = data.size();
   }
-  // Version gates everything else: a future-format file reports its
-  // version even when the rest of its layout is unreadable to us.
-  std::uint32_t version = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    version |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(data[sizeof(kMagic) + i]))
-               << (8 * i);
-  }
-  if (version != kStateFormatVersion) {
-    fail("unsupported state format version " + std::to_string(version) +
-         " (expected " + std::to_string(kStateFormatVersion) + ")");
-    return std::nullopt;
-  }
-  if (data.size() < kHeaderBytes + crypto::Sha256::kDigestSize) {
-    fail("truncated state file: no room for the digest trailer");
-    return std::nullopt;
-  }
-  const std::size_t payload_size = data.size() - crypto::Sha256::kDigestSize;
-  const auto digest =
-      crypto::Sha256::hash(std::string_view(data.data(), payload_size));
-  if (std::string_view(reinterpret_cast<const char*>(digest.data()),
-                       digest.size()) !=
-      std::string_view(data.data() + payload_size,
-                       crypto::Sha256::kDigestSize)) {
-    fail("state digest mismatch: file corrupted or truncated");
-    return std::nullopt;
-  }
-
-  try {
-    StateReader r(std::string_view(data.data(), payload_size));
-    r.bytes(sizeof(kMagic));  // magic, verified above
-    r.u32();                  // version, verified above
-    if (r.u32() != kEndianSentinel) {
-      fail("bad endianness sentinel in state file");
-      return std::nullopt;
-    }
-    const std::uint32_t sections = r.u32();
-    ShardState state;
-    state.pipeline.emplace();
-    bool seen[kSectionCount + 1] = {};
-    for (std::uint32_t i = 0; i < sections; ++i) {
-      const std::uint32_t id = r.u32();
-      const std::uint64_t len = r.u64();
-      StateReader section(r.bytes(static_cast<std::size_t>(len)));
-      if (id == 0 || id > kSectionCount) {
-        fail("unknown state section id " + std::to_string(id));
-        return std::nullopt;
-      }
-      if (seen[id]) {
-        fail(std::string("duplicate state section '") + section_name(id) +
-             "'");
-        return std::nullopt;
-      }
-      seen[id] = true;
-      switch (id) {
-        case kSecMeta:
-          deserialize_meta(section, state.meta);
-          break;
-        case kSecPipeline:
-          state.pipeline->deserialize(section);
-          break;
-        case kSecPrevalence:
-          state.analyzers.prevalence.deserialize(section);
-          break;
-        case kSecServicePorts:
-          state.analyzers.service_ports.deserialize(section);
-          break;
-        case kSecInboundAssoc:
-          state.analyzers.inbound_assoc.deserialize(section);
-          break;
-        case kSecOutboundFlows:
-          state.analyzers.outbound_flows.deserialize(section);
-          break;
-        case kSecDummyIssuer:
-          state.analyzers.dummy_issuers.deserialize(section);
-          break;
-        case kSecSerialCollision:
-          state.analyzers.serial_collisions.deserialize(section);
-          break;
-        case kSecSharedCert:
-          state.analyzers.shared_certs.deserialize(section);
-          break;
-        case kSecIncorrectDate:
-          state.analyzers.incorrect_dates.deserialize(section);
-          break;
-        case kSecLedger:
-          state.ledger.deserialize(section);
-          break;
-      }
-      section.expect_done(section_name(id));
-    }
-    for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-      if (!seen[id]) {
-        fail(std::string("missing state section '") + section_name(id) + "'");
-        return std::nullopt;
-      }
-    }
-    r.expect_done("container");
-    if (info != nullptr) {
-      info->format_version = version;
-      info->digest_hex = crypto::to_hex(digest);
-      info->bytes = data.size();
-    }
-    return state;
-  } catch (const StateError& e) {
-    fail(e.what());
-    return std::nullopt;
-  }
+  return state;
 }
 
 bool save_shard_state(const std::string& path, const ShardState& state,
@@ -1037,13 +899,15 @@ std::optional<ShardState> PipelineExecutor::fold_entry(
 }
 
 ShardState PipelineExecutor::fold(const zeek::Dataset& dataset) {
-  return fold(dataset.ssl(), dataset.x509());
+  return *fold_entry(
+      [&](ErrorLedger*) { return std::optional<Pipeline>(run(dataset)); });
 }
 
 ShardState PipelineExecutor::fold(const std::vector<zeek::SslRecord>& ssl,
-                                  const zeek::Dataset::X509Map& x509) {
-  return *fold_entry(
-      [&](ErrorLedger*) { return std::optional<Pipeline>(run(ssl, x509)); });
+                                  std::vector<const zeek::X509Record*> x509) {
+  return *fold_entry([&](ErrorLedger*) {
+    return std::optional<Pipeline>(run(ssl, std::move(x509)));
+  });
 }
 
 std::optional<ShardState> PipelineExecutor::fold_log_files(

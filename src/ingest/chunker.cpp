@@ -123,35 +123,4 @@ std::vector<std::pair<std::size_t, std::size_t>> shard_record_ranges(
   return ranges;
 }
 
-ChunkStream::ChunkStream(std::string_view header, std::string_view body)
-    : std::istream(this) {
-  segments_[0] = header;
-  segments_[1] = body;
-  // Start with an empty get area; underflow() installs the first segment.
-}
-
-ChunkStream::int_type ChunkStream::underflow() {
-  while (current_ < 2) {
-    const std::string_view seg = segments_[current_];
-    if (gptr() == nullptr || gptr() >= egptr()) {
-      if (!seg.empty() && gptr() == nullptr) {
-        // Install this segment (streambuf wants mutable pointers; the
-        // buffer is never written — this stream is input-only).
-        char* base = const_cast<char*>(seg.data());
-        setg(base, base, base + seg.size());
-        return traits_type::to_int_type(*gptr());
-      }
-      ++current_;
-      if (current_ < 2 && !segments_[current_].empty()) {
-        char* base = const_cast<char*>(segments_[current_].data());
-        setg(base, base, base + segments_[current_].size());
-        return traits_type::to_int_type(*gptr());
-      }
-    } else {
-      return traits_type::to_int_type(*gptr());
-    }
-  }
-  return traits_type::eof();
-}
-
 }  // namespace mtlscope::ingest

@@ -8,45 +8,28 @@
 #include <fstream>
 #include <sstream>
 
-#include "mtlscope/crypto/sha256.hpp"
-
 namespace mtlscope::watch {
 namespace {
 
 using core::StateReader;
 using core::StateWriter;
 
-// Section ids, in file order. Mirrors the shard-state container's table
-// discipline (DESIGN §12): the set is closed per version, unknown /
-// duplicate / missing ids are hard errors.
-constexpr std::uint32_t kSecConfig = 1;
-constexpr std::uint32_t kSecSslTail = 2;
-constexpr std::uint32_t kSecX509Tail = 3;
-constexpr std::uint32_t kSecScheduler = 4;
-constexpr std::uint32_t kSecCumulative = 5;
-constexpr std::uint32_t kSecRollup = 6;
-constexpr std::uint32_t kSecLedger = 7;
-constexpr std::uint32_t kSecX509Seen = 8;
-constexpr std::uint32_t kSecSslBuffers = 9;
-constexpr std::uint32_t kSectionCount = 9;
-
-constexpr char kMagic[8] = {'M', 'T', 'L', 'S', 'W', 'T', 'C', 'H'};
-constexpr std::uint32_t kEndianSentinel = 0x01020304;
-
-const char* section_name(std::uint32_t id) {
-  switch (id) {
-    case kSecConfig: return "config";
-    case kSecSslTail: return "ssl_tail";
-    case kSecX509Tail: return "x509_tail";
-    case kSecScheduler: return "scheduler";
-    case kSecCumulative: return "cumulative";
-    case kSecRollup: return "rollup";
-    case kSecLedger: return "ledger";
-    case kSecX509Seen: return "x509_seen";
-    case kSecSslBuffers: return "ssl_buffers";
-  }
-  return "unknown";
-}
+// Section names by id (1-based), in file order. The set is closed per
+// version, like the shard-state table (DESIGN §12).
+constexpr const char* kSections[] = {
+    "config",     "ssl_tail", "x509_tail", "scheduler",   "cumulative",
+    "rollup",     "ledger",   "x509_seen", "ssl_buffers",
+};
+constexpr core::SealedFormat kFormat{
+    .magic = "MTLSWTCH",
+    .version = kWatchFormatVersion,
+    .sections = kSections,
+    .noun = "checkpoint",
+    .kind = "checkpoint",
+    .title = "watch checkpoint",
+    .versioned = "watch checkpoint",
+    .container = "checkpoint container",
+};
 
 // Smallest encoding of one entry of each count-prefixed run, which
 // bounds what a claimed count may reserve (core::bounded_reserve).
@@ -194,185 +177,87 @@ zeek::X509Record parse_x509_record(StateReader& r) {
 }
 
 std::string serialize_watch_checkpoint(const WatchCheckpoint& ckpt) {
-  StateWriter w;
-  w.raw(kMagic, sizeof(kMagic));
-  w.u32(kWatchFormatVersion);
-  w.u32(kEndianSentinel);
-  w.u32(kSectionCount);
-
-  const auto section = [&w](std::uint32_t id, const auto& serializer) {
-    StateWriter payload;
-    serializer(payload);
-    w.u32(id);
-    w.u64(payload.buffer().size());
-    w.raw(payload.buffer().data(), payload.buffer().size());
-  };
-  section(kSecConfig, [&](StateWriter& p) {
-    p.i64(ckpt.window_seconds);
-    p.u32(ckpt.rollup_windows);
-    serialize_strings(p, ckpt.experiments);
-    p.u64(ckpt.seed);
-  });
-  section(kSecSslTail,
-          [&](StateWriter& p) { serialize_position(p, ckpt.ssl_tail); });
-  section(kSecX509Tail,
-          [&](StateWriter& p) { serialize_position(p, ckpt.x509_tail); });
-  section(kSecScheduler, [&](StateWriter& p) {
-    p.u8(ckpt.have_watermark ? 1 : 0);
-    p.i64(ckpt.watermark_bucket);
-    p.i64(ckpt.watermark_ts);
-    p.i64(ckpt.rollup_bucket);
-    p.u64(ckpt.ssl_records_seen);
-    p.u64(ckpt.windows_emitted);
-    p.u64(ckpt.rollups_emitted);
-  });
-  section(kSecCumulative,
-          [&](StateWriter& p) { p.str(ckpt.cumulative_blob); });
-  section(kSecRollup, [&](StateWriter& p) { p.str(ckpt.rollup_blob); });
-  section(kSecLedger, [&](StateWriter& p) { ckpt.ledger.serialize(p); });
-  section(kSecX509Seen, [&](StateWriter& p) {
-    p.u64(ckpt.x509_seen.size());
-    for (const auto& row : ckpt.x509_seen) serialize_x509_record(p, row);
-  });
-  section(kSecSslBuffers, [&](StateWriter& p) {
-    serialize_ssl_rows(p, ckpt.current_rows);
-    serialize_ssl_rows(p, ckpt.pending_rows);
-    serialize_ssl_rows(p, ckpt.late_rows);
-  });
-
-  std::string out = std::move(w).take();
-  const auto digest = crypto::Sha256::hash(out);
-  out.append(reinterpret_cast<const char*>(digest.data()), digest.size());
-  return out;
+  return core::write_sealed(
+      kFormat,
+      {
+          [&](StateWriter& p) {
+            p.i64(ckpt.window_seconds);
+            p.u32(ckpt.rollup_windows);
+            serialize_strings(p, ckpt.experiments);
+            p.u64(ckpt.seed);
+          },
+          [&](StateWriter& p) { serialize_position(p, ckpt.ssl_tail); },
+          [&](StateWriter& p) { serialize_position(p, ckpt.x509_tail); },
+          [&](StateWriter& p) {
+            p.u8(ckpt.have_watermark ? 1 : 0);
+            p.i64(ckpt.watermark_bucket);
+            p.i64(ckpt.watermark_ts);
+            p.i64(ckpt.rollup_bucket);
+            p.u64(ckpt.ssl_records_seen);
+            p.u64(ckpt.windows_emitted);
+            p.u64(ckpt.rollups_emitted);
+          },
+          [&](StateWriter& p) { p.str(ckpt.cumulative_blob); },
+          [&](StateWriter& p) { p.str(ckpt.rollup_blob); },
+          [&](StateWriter& p) { ckpt.ledger.serialize(p); },
+          [&](StateWriter& p) {
+            p.u64(ckpt.x509_seen.size());
+            for (const auto& row : ckpt.x509_seen) {
+              serialize_x509_record(p, row);
+            }
+          },
+          [&](StateWriter& p) {
+            serialize_ssl_rows(p, ckpt.current_rows);
+            serialize_ssl_rows(p, ckpt.pending_rows);
+            serialize_ssl_rows(p, ckpt.late_rows);
+          },
+      });
 }
 
 std::optional<WatchCheckpoint> parse_watch_checkpoint(std::string_view data,
                                                       std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) *error = std::move(msg);
-  };
-  constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4;
-  if (data.size() < kHeaderBytes) {
-    fail("truncated checkpoint: " + std::to_string(data.size()) + " bytes");
+  WatchCheckpoint ckpt;
+  if (!core::read_sealed(
+          kFormat, data,
+          {
+              [&](StateReader& r) {
+                ckpt.window_seconds = r.i64();
+                ckpt.rollup_windows = r.u32();
+                ckpt.experiments = parse_strings(r);
+                ckpt.seed = r.u64();
+              },
+              [&](StateReader& r) { ckpt.ssl_tail = parse_position(r); },
+              [&](StateReader& r) { ckpt.x509_tail = parse_position(r); },
+              [&](StateReader& r) {
+                ckpt.have_watermark = r.u8() != 0;
+                ckpt.watermark_bucket = r.i64();
+                ckpt.watermark_ts = r.i64();
+                ckpt.rollup_bucket = r.i64();
+                ckpt.ssl_records_seen = r.u64();
+                ckpt.windows_emitted = r.u64();
+                ckpt.rollups_emitted = r.u64();
+              },
+              [&](StateReader& r) { ckpt.cumulative_blob = r.str(); },
+              [&](StateReader& r) { ckpt.rollup_blob = r.str(); },
+              [&](StateReader& r) { ckpt.ledger.deserialize(r); },
+              [&](StateReader& r) {
+                const std::uint64_t n = r.u64();
+                ckpt.x509_seen.reserve(core::bounded_reserve(
+                    n, r.remaining(), kMinX509RecordBytes));
+                for (std::uint64_t j = 0; j < n; ++j) {
+                  ckpt.x509_seen.push_back(parse_x509_record(r));
+                }
+              },
+              [&](StateReader& r) {
+                ckpt.current_rows = parse_ssl_rows(r);
+                ckpt.pending_rows = parse_ssl_rows(r);
+                ckpt.late_rows = parse_ssl_rows(r);
+              },
+          },
+          error)) {
     return std::nullopt;
   }
-  if (std::string_view(data.data(), sizeof(kMagic)) !=
-      std::string_view(kMagic, sizeof(kMagic))) {
-    fail("bad magic: not a mtlscope watch checkpoint");
-    return std::nullopt;
-  }
-  std::uint32_t version = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    version |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(data[sizeof(kMagic) + i]))
-               << (8 * i);
-  }
-  if (version != kWatchFormatVersion) {
-    fail("unsupported watch checkpoint version " + std::to_string(version) +
-         " (expected " + std::to_string(kWatchFormatVersion) + ")");
-    return std::nullopt;
-  }
-  if (data.size() < kHeaderBytes + crypto::Sha256::kDigestSize) {
-    fail("truncated checkpoint: no room for the digest trailer");
-    return std::nullopt;
-  }
-  const std::size_t payload_size = data.size() - crypto::Sha256::kDigestSize;
-  const auto digest =
-      crypto::Sha256::hash(std::string_view(data.data(), payload_size));
-  if (std::string_view(reinterpret_cast<const char*>(digest.data()),
-                       digest.size()) !=
-      std::string_view(data.data() + payload_size,
-                       crypto::Sha256::kDigestSize)) {
-    fail("checkpoint digest mismatch: file corrupted or truncated");
-    return std::nullopt;
-  }
-
-  try {
-    StateReader r(std::string_view(data.data(), payload_size));
-    r.bytes(sizeof(kMagic));
-    r.u32();  // version, verified above
-    if (r.u32() != kEndianSentinel) {
-      fail("bad endianness sentinel in checkpoint");
-      return std::nullopt;
-    }
-    const std::uint32_t sections = r.u32();
-    WatchCheckpoint ckpt;
-    bool seen[kSectionCount + 1] = {};
-    for (std::uint32_t i = 0; i < sections; ++i) {
-      const std::uint32_t id = r.u32();
-      const std::uint64_t len = r.u64();
-      StateReader section(r.bytes(static_cast<std::size_t>(len)));
-      if (id == 0 || id > kSectionCount) {
-        fail("unknown checkpoint section id " + std::to_string(id));
-        return std::nullopt;
-      }
-      if (seen[id]) {
-        fail(std::string("duplicate checkpoint section '") +
-             section_name(id) + "'");
-        return std::nullopt;
-      }
-      seen[id] = true;
-      switch (id) {
-        case kSecConfig:
-          ckpt.window_seconds = section.i64();
-          ckpt.rollup_windows = section.u32();
-          ckpt.experiments = parse_strings(section);
-          ckpt.seed = section.u64();
-          break;
-        case kSecSslTail:
-          ckpt.ssl_tail = parse_position(section);
-          break;
-        case kSecX509Tail:
-          ckpt.x509_tail = parse_position(section);
-          break;
-        case kSecScheduler:
-          ckpt.have_watermark = section.u8() != 0;
-          ckpt.watermark_bucket = section.i64();
-          ckpt.watermark_ts = section.i64();
-          ckpt.rollup_bucket = section.i64();
-          ckpt.ssl_records_seen = section.u64();
-          ckpt.windows_emitted = section.u64();
-          ckpt.rollups_emitted = section.u64();
-          break;
-        case kSecCumulative:
-          ckpt.cumulative_blob = section.str();
-          break;
-        case kSecRollup:
-          ckpt.rollup_blob = section.str();
-          break;
-        case kSecLedger:
-          ckpt.ledger.deserialize(section);
-          break;
-        case kSecX509Seen: {
-          const std::uint64_t n = section.u64();
-          ckpt.x509_seen.reserve(core::bounded_reserve(
-              n, section.remaining(), kMinX509RecordBytes));
-          for (std::uint64_t j = 0; j < n; ++j) {
-            ckpt.x509_seen.push_back(parse_x509_record(section));
-          }
-          break;
-        }
-        case kSecSslBuffers:
-          ckpt.current_rows = parse_ssl_rows(section);
-          ckpt.pending_rows = parse_ssl_rows(section);
-          ckpt.late_rows = parse_ssl_rows(section);
-          break;
-      }
-      section.expect_done(section_name(id));
-    }
-    for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-      if (!seen[id]) {
-        fail(std::string("missing checkpoint section '") + section_name(id) +
-             "'");
-        return std::nullopt;
-      }
-    }
-    r.expect_done("checkpoint container");
-    return ckpt;
-  } catch (const core::StateError& e) {
-    fail(e.what());
-    return std::nullopt;
-  }
+  return ckpt;
 }
 
 ingest::WriteResult save_watch_checkpoint(const std::string& path,

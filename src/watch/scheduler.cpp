@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "mtlscope/core/executor.hpp"
 #include "mtlscope/core/result_doc.hpp"
 #include "mtlscope/experiments/registry.hpp"
 
@@ -34,8 +33,13 @@ std::int64_t parse_window_spec(const std::string& spec) {
   }
 }
 
+// The executor mirrors `mtlscope map` in file mode: campus defaults, no
+// CT database, so window states merge without cross-slice confirmation
+// effects.
 WindowScheduler::WindowScheduler(WatchConfig config, EmitFn emit)
-    : config_(std::move(config)), emit_(std::move(emit)) {}
+    : config_(std::move(config)),
+      emit_(std::move(emit)),
+      executor_(core::PipelineConfig::campus_defaults(), config_.run.threads) {}
 
 void WindowScheduler::add_x509(std::vector<zeek::X509Record> rows) {
   for (auto& row : rows) {
@@ -131,30 +135,26 @@ core::ShardState WindowScheduler::fold_rows(
   // Pair the batch with exactly the x509 rows its chains reference —
   // the only rows phases A/B/D can touch for these records, so the fold
   // equals an `mtlscope map` slice paired with the full log.
-  zeek::Dataset::X509Map x509;
+  std::vector<const zeek::X509Record*> x509;
   for (const auto& row : rows) {
-    const auto take = [&](const colfmt::StrVec& fuids) {
-      for (const auto& fuid : fuids) {
+    for (const auto* fuids :
+         {&row.cert_chain_fuids, &row.client_cert_chain_fuids}) {
+      for (const auto& fuid : *fuids) {
         const auto it = x509_index_.find(fuid);
-        if (it != x509_index_.end()) {
-          x509.emplace(fuid, x509_seen_[it->second]);
-        }
+        if (it != x509_index_.end()) x509.push_back(&x509_seen_[it->second]);
       }
-    };
-    take(row.cert_chain_fuids);
-    take(row.client_cert_chain_fuids);
+    }
   }
-  return fold_map(rows, std::move(x509));
+  return fold(rows, std::move(x509));
 }
 
-core::ShardState WindowScheduler::fold_map(
-    const std::vector<zeek::SslRecord>& rows, zeek::Dataset::X509Map x509) {
-  // Mirrors `mtlscope map` in file mode: campus defaults, no CT
-  // database, so window states merge without cross-slice confirmation
-  // effects.
-  const auto config = core::PipelineConfig::campus_defaults();
-  core::PipelineExecutor executor(config, config_.run.threads);
-  core::ShardState state = executor.fold(rows, x509);
+core::ShardState WindowScheduler::fold(
+    const std::vector<zeek::SslRecord>& rows,
+    std::vector<const zeek::X509Record*> x509) {
+  // Phase A reads each row once, in arrival order, as it reads a log.
+  std::sort(x509.begin(), x509.end());
+  x509.erase(std::unique(x509.begin(), x509.end()), x509.end());
+  core::ShardState state = executor_.fold(rows, std::move(x509));
   fill_meta(state);
   return state;
 }
@@ -206,8 +206,7 @@ void WindowScheduler::emit_cumulative() {
   // An empty stream still reports: fold nothing so the document shape
   // (zero records, data-quality if rows were quarantined) matches a
   // batch run over the same degenerate input.
-  core::ShardState state =
-      cumulative_ ? *cumulative_ : fold_map({}, {});
+  core::ShardState state = cumulative_ ? *cumulative_ : fold({}, {});
   state.ledger.merge(core::ErrorLedger(ledger_));
   emit_state(Emission::Kind::kCumulative, 0, std::move(state));
 }
@@ -252,15 +251,15 @@ void WindowScheduler::drain() {
   // Completion fold: certificates the x509 log carried but no chain
   // ever referenced. The batch registry holds them (phase A reads the
   // whole log), so cumulative state must too.
-  zeek::Dataset::X509Map missing;
+  std::vector<const zeek::X509Record*> missing;
   for (const auto& row : x509_seen_) {
     if (!cumulative_ || !cumulative_->pipeline->certificates().contains(
                             row.fuid)) {
-      missing.emplace(row.fuid, row);
+      missing.push_back(&row);
     }
   }
   if (!missing.empty()) {
-    core::ShardState state = fold_map({}, std::move(missing));
+    core::ShardState state = fold({}, std::move(missing));
     if (!cumulative_) {
       cumulative_ = std::move(state);
     } else {

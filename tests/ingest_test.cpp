@@ -180,24 +180,6 @@ TEST_F(IngestTest, ShardRangesAreContiguousAndRecordAligned) {
   }
 }
 
-TEST_F(IngestTest, ChunkStreamPresentsHeaderThenBody) {
-  const std::string header = "#fields\ta\tb\n";
-  const std::string body = "1\t2\n3\t4\n";
-  ingest::ChunkStream in(header, body);
-  std::string all((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_EQ(all, header + body);
-
-  ingest::ChunkStream lines(header, body);
-  std::string line;
-  std::vector<std::string> got;
-  while (std::getline(lines, line)) got.push_back(line);
-  EXPECT_EQ(got, (std::vector<std::string>{"#fields\ta\tb", "1\t2", "3\t4"}));
-
-  ingest::ChunkStream empty({}, {});
-  EXPECT_EQ(empty.get(), std::istream::traits_type::eof());
-}
-
 // ---------------------------------------------------------------------------
 // Robustness: CRLF, missing trailing newline, footers, degenerate logs
 
@@ -273,7 +255,7 @@ TEST_F(IngestTest, HeaderOnlyAndEmptyLogsRoundTrip) {
   EXPECT_TRUE(chunk.data.empty());
   EXPECT_FALSE(chunker.next(chunk));
 
-  ingest::ChunkStream in(layout.header, {});
+  std::istringstream in(layout.header);
   const auto parsed = zeek::parse_ssl_log(in);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->empty());

@@ -2,13 +2,19 @@
 // and canonical (state → bytes → state → bytes is byte-identical), and
 // every malformed input — flipped bytes, truncation at any prefix, bad
 // magic, unknown versions or section ids — must fail with a structured
-// error, never UB.
+// error, never UB. The sealed-file framing is checked once for both of
+// its formats, shard state and watch checkpoints, against one table of
+// malformed inputs and against files the formats' first writer left.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mtlscope/core/executor.hpp"
 #include "mtlscope/core/shard_state.hpp"
@@ -16,6 +22,7 @@
 #include "mtlscope/crypto/sha256.hpp"
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/util/u32_set.hpp"
+#include "mtlscope/watch/checkpoint.hpp"
 
 namespace mtlscope {
 namespace {
@@ -294,16 +301,6 @@ TEST(ShardState, LedgerReasonsRoundTrip) {
   EXPECT_EQ(core::serialize_shard_state(*parsed), bytes);
 }
 
-TEST(ShardState, FlippedByteFailsDigestCheck) {
-  const std::string bytes = core::serialize_shard_state(empty_state());
-  // Flip one payload byte past the fixed header.
-  std::string corrupt = bytes;
-  corrupt[24] = static_cast<char>(corrupt[24] ^ 0x40);
-  std::string error;
-  EXPECT_FALSE(core::parse_shard_state(corrupt, nullptr, &error).has_value());
-  EXPECT_NE(error.find("digest mismatch"), std::string::npos) << error;
-}
-
 TEST(ShardState, EveryTruncationPrefixFailsCleanly) {
   const std::string bytes = core::serialize_shard_state(empty_state());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
@@ -315,45 +312,199 @@ TEST(ShardState, EveryTruncationPrefixFailsCleanly) {
   }
 }
 
-TEST(ShardState, BadMagicIsReported) {
-  std::string bytes = core::serialize_shard_state(empty_state());
-  bytes[0] = 'X';
-  std::string error;
-  EXPECT_FALSE(core::parse_shard_state(bytes, nullptr, &error).has_value());
-  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+// ---------------------------------------------------------------------------
+// The sealed-file framing, for both formats
+
+/// A sealed file cut into its 16-byte head (magic, version, endian
+/// sentinel), its sections and any bytes between the last section and
+/// the trailer, so a test can re-frame it and re-seal it.
+struct Framed {
+  std::string head;
+  std::vector<std::pair<std::uint32_t, std::string>> sections;
+  std::string tail;
+
+  static Framed split(const std::string& bytes) {
+    core::StateReader r(std::string_view(bytes).substr(
+        0, bytes.size() - crypto::Sha256::kDigestSize));
+    Framed out;
+    out.head = std::string(r.bytes(16));
+    const std::uint32_t count = r.u32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t id = r.u32();
+      out.sections.emplace_back(id, std::string(r.bytes(r.u64())));
+    }
+    out.tail = std::string(r.bytes(r.remaining()));
+    return out;
+  }
+
+  std::string seal() const {
+    core::StateWriter w;
+    w.raw(head.data(), head.size());
+    w.u32(static_cast<std::uint32_t>(sections.size()));
+    for (const auto& [id, payload] : sections) {
+      w.u32(id);
+      w.u64(payload.size());
+      w.raw(payload.data(), payload.size());
+    }
+    w.raw(tail.data(), tail.size());
+    std::string out = std::move(w).take();
+    const auto digest = crypto::Sha256::hash(out);
+    out.append(reinterpret_cast<const char*>(digest.data()), digest.size());
+    return out;
+  }
+};
+
+struct SealedCase {
+  const char* name;
+  std::function<std::string(const std::string&)> mutate;
+  const char* state_error;
+  const char* checkpoint_error;
+};
+
+std::string reframe(const std::string& bytes,
+                    const std::function<void(Framed&)>& edit) {
+  Framed framed = Framed::split(bytes);
+  edit(framed);
+  return framed.seal();
 }
 
-TEST(ShardState, UnknownVersionIsReportedEvenWithValidDigest) {
-  std::string bytes = core::serialize_shard_state(empty_state());
-  bytes[8] = 2;  // little-endian u32 version right after the magic
-  // With the digest refreshed the version check must still win...
+std::string state_error(const std::string& bytes) {
   std::string error;
-  EXPECT_FALSE(
-      core::parse_shard_state(refresh_digest(bytes), nullptr, &error)
-          .has_value());
-  EXPECT_NE(error.find("unsupported state format version 2"),
-            std::string::npos)
-      << error;
-  // ...and with a stale digest the version is still what gets reported,
-  // so a v2 producer's files always name the real problem.
-  error.clear();
   EXPECT_FALSE(core::parse_shard_state(bytes, nullptr, &error).has_value());
-  EXPECT_NE(error.find("unsupported state format version 2"),
-            std::string::npos)
-      << error;
+  return error;
 }
 
-TEST(ShardState, UnknownSectionIdIsReported) {
-  std::string bytes = core::serialize_shard_state(empty_state());
-  // Section table starts after magic(8) + version(4) + endian(4) +
-  // count(4); the first section id is a little-endian u32 at offset 20.
-  bytes[20] = 99;
+std::string checkpoint_error(const std::string& bytes) {
   std::string error;
-  EXPECT_FALSE(
-      core::parse_shard_state(refresh_digest(bytes), nullptr, &error)
-          .has_value());
-  EXPECT_NE(error.find("unknown state section id"), std::string::npos)
-      << error;
+  EXPECT_FALSE(watch::parse_watch_checkpoint(bytes, &error).has_value());
+  return error;
+}
+
+TEST(SealedFormats, MalformedInputTable) {
+  const std::string state = core::serialize_shard_state(empty_state());
+  const std::string checkpoint =
+      watch::serialize_watch_checkpoint(watch::WatchCheckpoint{});
+  for (const std::string* bytes : {&state, &checkpoint}) {
+    ASSERT_EQ(Framed::split(*bytes).seal(), *bytes);  // the helper is exact
+  }
+  const auto set_byte = [](std::size_t at, char value, bool reseal) {
+    return [=](const std::string& bytes) {
+      std::string out = bytes;
+      out[at] = value;
+      return reseal ? reframe(out, [](Framed&) {}) : out;
+    };
+  };
+  const std::vector<SealedCase> cases = {
+      {"bad magic", set_byte(0, 'X', false),
+       "bad magic: not a mtlscope state file",
+       "bad magic: not a mtlscope watch checkpoint"},
+      // The version sits right after the magic; it is reported whether
+      // or not the digest still matches.
+      {"version skew, digest refreshed", set_byte(8, 9, true),
+       "unsupported state format version 9 (expected 1)",
+       "unsupported watch checkpoint version 9 (expected 2)"},
+      {"version skew, stale digest", set_byte(8, 9, false),
+       "unsupported state format version 9 (expected 1)",
+       "unsupported watch checkpoint version 9 (expected 2)"},
+      {"truncated inside the header",
+       [](const std::string& bytes) { return bytes.substr(0, 10); },
+       "truncated state file: 10 bytes", "truncated checkpoint: 10 bytes"},
+      {"truncated before the trailer ends",
+       [](const std::string& bytes) { return bytes.substr(0, 40); },
+       "truncated state file: no room for the digest trailer",
+       "truncated checkpoint: no room for the digest trailer"},
+      {"truncated by one byte",
+       [](const std::string& bytes) {
+         return bytes.substr(0, bytes.size() - 1);
+       },
+       "state digest mismatch: file corrupted or truncated",
+       "checkpoint digest mismatch: file corrupted or truncated"},
+      {"flipped byte",
+       [](const std::string& bytes) {
+         std::string out = bytes;
+         out[24] = static_cast<char>(out[24] ^ 0x40);
+         return out;
+       },
+       "state digest mismatch: file corrupted or truncated",
+       "checkpoint digest mismatch: file corrupted or truncated"},
+      {"big-endian sentinel",
+       [](const std::string& bytes) {
+         return reframe(bytes, [](Framed& f) {
+           f.head.replace(12, 4, "\x01\x02\x03\x04");
+         });
+       },
+       "bad endianness sentinel in state file",
+       "bad endianness sentinel in checkpoint"},
+      {"unknown section id",
+       [](const std::string& bytes) {
+         return reframe(bytes, [](Framed& f) { f.sections[0].first = 99; });
+       },
+       "unknown state section id 99", "unknown checkpoint section id 99"},
+      {"duplicate section id",
+       [](const std::string& bytes) {
+         return reframe(bytes, [](Framed& f) {
+           f.sections.insert(f.sections.begin() + 1, f.sections[0]);
+         });
+       },
+       "duplicate state section 'meta'",
+       "duplicate checkpoint section 'config'"},
+      {"missing section id",
+       [](const std::string& bytes) {
+         return reframe(bytes, [](Framed& f) { f.sections.pop_back(); });
+       },
+       "missing state section 'ledger'",
+       "missing checkpoint section 'ssl_buffers'"},
+      {"section with trailing bytes",
+       [](const std::string& bytes) {
+         return reframe(bytes,
+                        [](Framed& f) { f.sections[0].second += '\0'; });
+       },
+       "trailing bytes in state section 'meta': 1 unread",
+       "trailing bytes in state section 'config': 1 unread"},
+      {"bytes after the last section",
+       [](const std::string& bytes) {
+         return reframe(bytes, [](Framed& f) { f.tail = "!"; });
+       },
+       "trailing bytes in state section 'container': 1 unread",
+       "trailing bytes in state section 'checkpoint container': 1 unread"},
+  };
+  for (const SealedCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(state_error(c.mutate(state)), c.state_error);
+    EXPECT_EQ(checkpoint_error(c.mutate(checkpoint)), c.checkpoint_error);
+  }
+}
+
+std::string read_data_file(const char* name) {
+  std::ifstream in(std::string(MTLSCOPE_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// Files written before the two formats shared one codec: each parses and
+// re-serializes to the same bytes, so neither on-disk format can drift.
+TEST(SealedFormats, CommittedFilesRoundTripByteForByte) {
+  const std::string state = read_data_file("shard_state_v1.state");
+  std::string error;
+  const auto parsed_state = core::parse_shard_state(state, nullptr, &error);
+  ASSERT_TRUE(parsed_state.has_value()) << error;
+  EXPECT_EQ(parsed_state->pipeline->totals().connections, 14u);
+  EXPECT_EQ(core::serialize_shard_state(*parsed_state), state);
+
+  const std::string checkpoint = read_data_file("watch_checkpoint_v2.ckpt");
+  const auto parsed = watch::parse_watch_checkpoint(checkpoint, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->x509_seen.size(), 13u);
+  EXPECT_EQ(parsed->current_rows.size(), 1u);
+  ASSERT_FALSE(parsed->cumulative_blob.empty());
+  EXPECT_EQ(watch::serialize_watch_checkpoint(*parsed), checkpoint);
+  const auto cumulative =
+      core::parse_shard_state(parsed->cumulative_blob, nullptr, &error);
+  ASSERT_TRUE(cumulative.has_value()) << error;
+  EXPECT_EQ(core::serialize_shard_state(*cumulative), parsed->cumulative_blob);
 }
 
 // A re-sealed state file can claim any entry count: 2^60 quarantined

@@ -26,22 +26,28 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "mtlscope/core/result_doc.hpp"
 #include "mtlscope/crypto/sha256.hpp"
+#include "mtlscope/crypto/tsig.hpp"
 #include "mtlscope/experiments/registry.hpp"
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/ingest/durable_io.hpp"
+#include "mtlscope/trust/authority.hpp"
+#include "mtlscope/trust/public_cas.hpp"
 #include "mtlscope/watch/checkpoint.hpp"
 #include "mtlscope/watch/daemon.hpp"
 #include "mtlscope/watch/record_tail.hpp"
 #include "mtlscope/watch/scheduler.hpp"
 #include "mtlscope/watch/tail.hpp"
+#include "mtlscope/x509/builder.hpp"
 #include "mtlscope/zeek/log_io.hpp"
 
 namespace mtlscope {
@@ -640,6 +646,151 @@ TEST_F(WatchSchedulerTest, RestoredSchedulerFinishesIdentically) {
     EXPECT_EQ(reference.emissions[i].envelope, resumed.emissions[i].envelope)
         << "emission " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Window isolation. One executor serves every fold of a scheduler, so
+// what it keeps between folds (the Enricher's certificate memo) must never
+// reach a document: a window's document equals the one a fresh scheduler
+// emits when fed every x509 row and only that window's ssl rows.
+
+/// The first window document of a fresh scheduler fed `x509` then `ssl`.
+std::string window_alone(const watch::WatchConfig& config,
+                         const std::vector<zeek::X509Record>& x509,
+                         const std::vector<zeek::SslRecord>& ssl) {
+  Captured captured;
+  watch::WindowScheduler scheduler(config, captured.fn());
+  scheduler.add_x509(x509);
+  scheduler.add_ssl(ssl);
+  scheduler.drain();
+  if (captured.emissions.empty() ||
+      captured.emissions.front().kind != watch::Emission::Kind::kWindow) {
+    ADD_FAILURE() << "no window document";
+    return "";
+  }
+  return captured.emissions.front().envelope;
+}
+
+std::vector<watch::Emission> windows_of(const Captured& captured) {
+  std::vector<watch::Emission> out;
+  for (const auto& emission : captured.emissions) {
+    if (emission.kind == watch::Emission::Kind::kWindow) {
+      out.push_back(emission);
+    }
+  }
+  return out;
+}
+
+TEST_F(WatchSchedulerTest, WindowDocumentsDependOnlyOnTheirOwnRows) {
+  LogPair logs = generated_logs(8'000, 800'000);
+  // Time-sorted, so every row lands in a published window (none late).
+  std::stable_sort(
+      logs.ssl.begin(), logs.ssl.end(),
+      [](const zeek::SslRecord& a, const zeek::SslRecord& b) {
+        return a.ts < b.ts;
+      });
+  const std::int64_t width = 7 * 24 * 3600;
+  auto config = scheduler_config(logs.ssl_path, logs.x509_path, width);
+  // `interception` reports the registry's size, so a certificate left
+  // over from an earlier window shows in the document.
+  config.experiments.push_back("interception");
+  std::map<std::int64_t, std::vector<zeek::SslRecord>> rows_of;
+  for (const auto& row : logs.ssl) {
+    ASSERT_GE(row.ts, 0);
+    rows_of[row.ts / width * width].push_back(row);
+  }
+
+  Captured full;
+  watch::WindowScheduler scheduler(config, full.fn());
+  feed_no_drain(scheduler, logs, 64, logs.x509.size());
+  ASSERT_EQ(scheduler.status().late, 0u);
+  scheduler.drain();
+
+  const auto windows = windows_of(full);
+  ASSERT_EQ(windows.size(), rows_of.size());
+  ASSERT_GT(windows.size(), 50u);
+  for (const auto& window : windows) {
+    ASSERT_TRUE(rows_of.count(window.start_ts)) << window.start_ts;
+    EXPECT_EQ(window_alone(config, logs.x509, rows_of.at(window.start_ts)),
+              window.envelope)
+        << "window " << window.start_ts;
+  }
+}
+
+// The generated logs have no leaf that is upgraded in one window and seen
+// without its intermediate in a later one, and no certificate logged
+// under two fuids, so this pair of windows is built by hand. FL's issuer
+// is private and FP carries a public intermediate's DN: window A's
+// established [FL, FP] makes FL public (§3.2.1), and window B, which
+// shows FL alone, must not inherit that. FD1 and FD2 are one
+// certificate's bytes under a fuid per window, as Zeek logs a
+// certificate once per connection: the executor's DER-keyed memo hits
+// in window B, and only what the bytes determine may carry over.
+TEST_F(WatchSchedulerTest, ChainUpgradeStaysInsideItsWindow) {
+  const auto config = scheduler_config(ssl_path(std::string(kSslHeader)),
+                                       x509_path(""), 3600);
+  const std::string public_dn = trust::public_pki()
+                                    .find("lets-encrypt")
+                                    ->intermediate.dn()
+                                    .to_string();
+  const auto cert = [](const char* fuid, const std::string& issuer) {
+    zeek::X509Record record;
+    record.fuid = fuid;
+    record.subject = std::string("CN=") + fuid;
+    record.issuer = issuer;
+    return record;
+  };
+  const auto row = [](std::int64_t ts, std::vector<std::string> chain) {
+    zeek::SslRecord record;
+    record.ts = ts;
+    record.uid = "C" + std::to_string(ts);
+    record.orig_h = "10.1.2.3";
+    record.orig_p = 50000;
+    record.resp_h = "93.184.216.34";
+    record.resp_p = 443;
+    record.established = true;
+    for (const auto& fuid : chain) record.cert_chain_fuids.emplace_back(fuid);
+    return record;
+  };
+  x509::DistinguishedName ca_dn;
+  ca_dn.add_org("Watch Test Org").add_cn("Watch Test CA");
+  const auto ca =
+      trust::CertificateAuthority::make_root(ca_dn, 0, 2'000'000'000);
+  x509::DistinguishedName device_dn;
+  device_dn.add_cn("device");
+  x509::CertificateBuilder builder;
+  builder.serial_from_label("watch:device")
+      .subject(device_dn)
+      .validity(0, 2'000'000'000)
+      .public_key(crypto::TsigKey::derive("device").key);
+  const x509::Certificate device = ca.issue(builder);
+
+  const std::vector<zeek::X509Record> certs = {
+      cert("FL", "CN=Lab CA,O=Example Lab,C=US"), cert("FP", public_dn),
+      zeek::to_x509_record(device, colfmt::Str("FD1")),
+      zeek::to_x509_record(device, colfmt::Str("FD2"))};
+  const std::vector<zeek::SslRecord> window_a = {row(100, {"FL", "FP"}),
+                                                 row(101, {"FD1"})};
+  const std::vector<zeek::SslRecord> window_b = {row(3700, {"FL"}),
+                                                 row(3701, {"FD2"})};
+
+  Captured full;
+  {
+    watch::WindowScheduler scheduler(config, full.fn());
+    scheduler.add_x509(certs);
+    scheduler.add_ssl(window_a);
+    scheduler.add_ssl(window_b);
+    scheduler.drain();
+  }
+  const auto windows = windows_of(full);
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[0].envelope, window_alone(config, certs, window_a));
+  EXPECT_EQ(windows[1].envelope, window_alone(config, certs, window_b));
+  // The document tells the classes apart, so a leaked upgrade would show:
+  // with FL issued publicly, window B reads differently.
+  std::vector<zeek::X509Record> fl_public = certs;
+  fl_public[0] = cert("FL", public_dn);
+  EXPECT_NE(windows[1].envelope, window_alone(config, fl_public, window_b));
 }
 
 // ---------------------------------------------------------------------------
