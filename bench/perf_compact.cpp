@@ -7,19 +7,25 @@
 // dictionary, so K workers decode K blocks independently), the TSV →
 // container conversion rate, and the end-to-end pipeline run from each
 // format. Default scale yields a ~100 MB ssl.log; override with
-// MTLSCOPE_COMPACT_BENCH_CONN=<conn_scale> for quick local runs.
+// MTLSCOPE_COMPACT_BENCH_CONN=<conn_scale> for quick local runs. The
+// string arena every parse and decode interns into is measured on its
+// own (BM_ArenaIntern).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "mtlscope/colfmt/arena.hpp"
 #include "mtlscope/colfmt/container.hpp"
 #include "mtlscope/colfmt/convert.hpp"
 #include "mtlscope/core/executor.hpp"
@@ -306,6 +312,64 @@ void BM_CompactFullRun(benchmark::State& state) {
 BENCHMARK(BM_CompactFullRun)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// About 1 M distinct dotted quads (a bijective scramble of the index),
+/// the shape of the high-cardinality address fields.
+const std::vector<std::string>& arena_values() {
+  static const std::vector<std::string> values = [] {
+    std::vector<std::string> out;
+    out.reserve(std::size_t{1} << 20);
+    for (std::uint32_t i = 0; i < (1u << 20); ++i) {
+      const std::uint32_t v = i * 2654435761u;
+      out.push_back(std::to_string(v >> 24) + "." +
+                    std::to_string((v >> 16) & 0xff) + "." +
+                    std::to_string((v >> 8) & 0xff) + "." +
+                    std::to_string(v & 0xff));
+    }
+    return out;
+  }();
+  return values;
+}
+
+/// Interning throughput: each iteration interns every value once, split
+/// into contiguous slices over `threads` threads. fresh:0 is warm hits
+/// (an arena that already holds every value, so each call is a lookup
+/// that misses the front cache), fresh:1 inserts into an empty arena.
+void BM_ArenaIntern(benchmark::State& state) {
+  const bool fresh = state.range(0) != 0;
+  const auto threads = static_cast<std::size_t>(state.range(1));
+  const auto& values = arena_values();
+  const std::size_t per_thread = (values.size() + threads - 1) / threads;
+  const auto intern_slice = [&](colfmt::StringArena& arena, std::size_t t) {
+    const std::size_t end = std::min(values.size(), (t + 1) * per_thread);
+    for (std::size_t i = t * per_thread; i < end; ++i) {
+      benchmark::DoNotOptimize(arena.intern(values[i]).data());
+    }
+  };
+  std::unique_ptr<colfmt::StringArena> arena;
+  for (auto _ : state) {
+    if (fresh || arena == nullptr) {
+      state.PauseTiming();
+      arena = std::make_unique<colfmt::StringArena>();
+      if (!fresh) {
+        for (const auto& v : values) arena->intern(v);
+      }
+      state.ResumeTiming();
+    }
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < threads; ++t) {
+      workers.emplace_back(intern_slice, std::ref(*arena), t);
+    }
+    for (auto& w : workers) w.join();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(values.size() * state.iterations()));
+}
+BENCHMARK(BM_ArenaIntern)
+    ->ArgNames({"fresh", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -7,10 +7,10 @@
 # ingest bench to BENCH_compact.json, the enrichment-memoization and
 # columnar full-run bench to BENCH_enrich.json, the durable write-path
 # bench to BENCH_chaos.json, and the SHA-256 / HMAC / tsig bench to
-# BENCH_crypto.json. The parse, state, watch, enrich and crypto benches
-# run five repetitions, interleaved at random across their families so
-# host drift spreads over every family instead of landing between two,
-# and keep the aggregates only. Every file's context is
+# BENCH_crypto.json. The parse, state, watch, compact, enrich and crypto
+# benches run five repetitions, interleaved at random across their
+# families so host drift spreads over every family instead of landing
+# between two, and keep the aggregates only. Every file's context is
 # stamped with the git SHA, the build type and `nproc`. Afterwards it
 # runs the extended multi-seed chaos sweep (`ctest -C chaos -L chaos`),
 # which the default ctest run skips.
@@ -73,7 +73,7 @@ run_repeated() {
 run_repeated perf_zeek_parse "$parse_out"
 run_repeated perf_state "$state_out"
 run_repeated perf_watch "$watch_out"
-run_bench perf_compact "$compact_out"
+run_repeated perf_compact "$compact_out"
 run_repeated perf_enrich "$enrich_out"
 run_bench perf_chaos "$chaos_out"
 run_repeated perf_crypto "$crypto_out"

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -28,7 +29,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 namespace mtlscope::colfmt {
@@ -221,17 +221,30 @@ struct StrEq {
   }
 };
 
-/// Sharded interning arena: N independently locked shards, each a
-/// hash set over views into bump-allocated chunks. Storage is stable
-/// for the arena's lifetime (strings larger than a chunk get a
-/// dedicated allocation, so embedded NULs and multi-megabyte DNs are
-/// fine); nothing is ever freed.
+/// Sharded interning arena. Each of 16 shards owns bump-allocated
+/// chunks and a flat open-addressing index over them. An entry is a
+/// (hash, length) header followed by the bytes and a NUL, so a `Str`
+/// points just past the header; storage is stable for the arena's
+/// lifetime (strings larger than a chunk get a dedicated allocation, so
+/// embedded NULs and multi-megabyte DNs are fine) and nothing is freed.
 ///
-/// intern() first probes a thread-local, direct-mapped front cache
-/// shared by all arenas; only a miss takes the shard lock. Slots are
-/// keyed by a process-unique arena id (never the address, which a new
-/// arena may reuse) and hold a pointer the shard already returned, so a
-/// hit yields the same pointer the locked path would.
+/// Lookups never lock. intern() first probes a thread-local,
+/// direct-mapped front cache shared by all arenas, then the shard's
+/// index: slots are atomic entry pointers, linear-probed, and a hit is
+/// a chain of acquire loads. Only a miss takes the shard lock, probes
+/// again, appends the entry and release-publishes its slot. Growth
+/// (the index stays at most half full) rehashes into a new table under
+/// the lock and publishes it; retired tables are kept until the arena
+/// dies, because a reader may still be probing one. A reader that
+/// misses in a retired table falls through to the lock and finds the
+/// entry in the current one.
+///
+/// The index hash is keyed once per process (util::keyed_hash): the
+/// bytes come from logs, and an unkeyed hash would let a crafted log
+/// pile its values into one probe run. Front-cache slots are keyed by a
+/// process-unique arena id (never the address, which a new arena may
+/// reuse) and hold a pointer the shard already returned, so a hit
+/// yields the same pointer the index would.
 class StringArena {
  public:
   struct Stats {
@@ -251,25 +264,43 @@ class StringArena {
   Stats stats() const;
 
  private:
-  struct ViewHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
+  /// The header stored just before an entry's bytes.
+  struct Entry {
+    std::uint32_t hash;  // low 32 bits of the index hash
+    std::uint32_t size;
+    const char* bytes() const {
+      return reinterpret_cast<const char*>(this + 1);
     }
   };
 
+  /// One index generation: a power-of-two array of entry pointers,
+  /// null where empty. Immutable once retired.
+  struct Table {
+    explicit Table(std::size_t capacity);
+    const Entry* find(std::string_view s, std::uint32_t hash) const;
+    /// Stores `e` in the first empty slot of its probe run.
+    void place(const Entry* e);
+
+    std::size_t mask;
+    std::unique_ptr<std::atomic<const Entry*>[]> slots;
+  };
+
   struct Shard {
-    mutable std::mutex mu;
-    std::unordered_set<std::string_view, ViewHash, std::equal_to<>> set;
+    // Readers touch only this line; the writer state lives on the next.
+    alignas(64) std::atomic<const Table*> table{nullptr};
+    alignas(64) mutable std::mutex mu;
+    std::vector<std::unique_ptr<Table>> tables;  // current one last
     std::vector<std::unique_ptr<char[]>> chunks;
-    char* cursor = nullptr;  // bump pointer into chunks.back()
+    char* cursor = nullptr;  // bump pointer into the current chunk
     std::size_t remaining = 0;
     Stats stats;
   };
 
   static constexpr std::size_t kShardCount = 16;
 
-  Str intern_locked(std::string_view s, std::size_t hash);
+  Str intern_slow(Shard& shard, std::string_view s, std::uint32_t hash);
+  /// Copies `s` behind a header into the shard's chunks.
+  const Entry* append(Shard& shard, std::string_view s, std::uint32_t hash);
 
   const std::size_t chunk_bytes_;
   const std::uint64_t id_;  // front-cache key, unique for the process

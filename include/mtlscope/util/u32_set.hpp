@@ -18,6 +18,8 @@
 #include <initializer_list>
 #include <vector>
 
+#include "mtlscope/util/keyed_hash.hpp"
+
 namespace mtlscope::util {
 
 class U32Set {
@@ -74,11 +76,9 @@ class U32Set {
 };
 
 namespace detail {
-/// A fresh random hash key.
-std::uint32_t draw_u32_set_key();
 /// The per-process hash key (see the file comment), drawn on first use.
 inline std::uint32_t u32_set_key() {
-  static const std::uint32_t key = draw_u32_set_key();
+  static const auto key = static_cast<std::uint32_t>(draw_hash_key());
   return key;
 }
 }  // namespace detail

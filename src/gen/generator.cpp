@@ -103,6 +103,31 @@ bool is_public_ca(const trust::CertificateAuthority* ca) {
 
 }  // namespace
 
+std::uint64_t label_hash(std::string_view label) {
+  constexpr std::uint64_t kMul = 0xc6a4a7935bd1e995ULL;
+  const auto shift_mix = [](std::uint64_t v) { return v ^ (v >> 47); };
+  const auto* p = reinterpret_cast<const unsigned char*>(label.data());
+  const std::size_t len = label.size();
+  // Little-endian loads, as libstdc++ reads words on x86-64.
+  const auto load = [p](std::size_t at, std::size_t n) {
+    std::uint64_t v = 0;
+    for (std::size_t i = n; i-- > 0;) v = (v << 8) | p[at + i];
+    return v;
+  };
+  std::uint64_t hash = 0xc70f6907ULL ^ (len * kMul);
+  const std::size_t aligned = len & ~std::size_t{7};
+  for (std::size_t at = 0; at < aligned; at += 8) {
+    hash ^= shift_mix(load(at, 8) * kMul) * kMul;
+    hash *= kMul;
+  }
+  if ((len & 7) != 0) {
+    hash ^= load(aligned, len & 7);
+    hash *= kMul;
+  }
+  hash = shift_mix(hash) * kMul;
+  return shift_mix(hash);
+}
+
 const char* direction_name(Direction d) {
   return d == Direction::kInbound ? "inbound" : "outbound";
 }
@@ -144,6 +169,10 @@ class TraceGenerator::Impl {
     dataset_ = dataset;
     truth_ = truth;
     threads_ = std::max<std::size_t>(1, threads);
+    // One exact reservation, so the rows never move while they grow.
+    const std::size_t planned = planned_connections();
+    if (dataset_ != nullptr) dataset_->ssl().reserve(planned);
+    if (truth_ != nullptr) truth_->reserve(truth_->size() + planned);
     for (auto& cluster : model_.clusters) {
       plan_cluster(cluster);
       end_unit();
@@ -154,6 +183,28 @@ class TraceGenerator::Impl {
     unit_ = ConnTruth::Unit::kBackground;
     plan_background();
     end_unit();
+  }
+
+  /// The connections generate() plans, from the same sizing functions
+  /// the planner's loops call.
+  std::size_t planned_connections() const {
+    std::size_t total = 0;
+    for (const auto& cluster : model_.clusters) {
+      const std::size_t servers =
+          population_shape(cluster, cluster.server_certs,
+                           server_cert_count(cluster))
+              .count;
+      const std::size_t client_request = client_cert_count(cluster);
+      const std::size_t clients =
+          client_request == 0
+              ? 0
+              : population_shape(cluster, cluster.client_certs,
+                                 client_request)
+                    .count;
+      total += cluster_connections(cluster, servers, clients);
+    }
+    return total + interception_connections() +
+           model_.background_connections;
   }
 
  private:
@@ -202,7 +253,7 @@ class TraceGenerator::Impl {
       // Issuer DN with no organization — the paper's
       // "Private - MissingIssuer" category.
       x509::DistinguishedName dn;
-      Rng local(rng_.fork(std::hash<std::string>{}(key)));
+      Rng local(rng_.fork(label_hash(key)));
       dn.add_cn("ca-" + local.hex(6));
       it = private_cas_
                .emplace(key, trust::CertificateAuthority::make_root(
@@ -769,10 +820,54 @@ class TraceGenerator::Impl {
                      kDaySeconds;
   }
 
-  Population mint_population(const TrafficCluster& cluster,
-                             const CertSpec& spec, std::size_t count,
-                             bool server_role, Rng& rng) {
+  // --- Sizing ---------------------------------------------------------------
+  //
+  // The planner's loops and planned_connections() both size units here,
+  // so the up-front row reservation cannot drift from the plan.
+
+  /// Server certificates a cluster asks for, before rotation slots.
+  static std::size_t server_cert_count(const TrafficCluster& cluster) {
+    if (cluster.tunnel_client_only) return 0;
+    return std::max<std::size_t>(
+        cluster.mutual || cluster.server_certs.count > 0 ? 1 : 0,
+        cluster.server_certs.count);
+  }
+
+  /// Client certificates a cluster asks for; 0: it mints none.
+  static std::size_t client_cert_count(const TrafficCluster& cluster) {
+    if (!cluster.mutual || cluster.sharing == SharingMode::kSameCertBothEnds) {
+      return 0;
+    }
+    return std::max<std::size_t>(1, cluster.client_certs.count);
+  }
+
+  /// Connection volume: at least one connection per certificate so the
+  /// population is fully observable in the logs.
+  static std::size_t cluster_connections(const TrafficCluster& cluster,
+                                         std::size_t servers,
+                                         std::size_t clients) {
+    return std::max({cluster.connections, servers, clients});
+  }
+
+  /// Unique interception certificates: proxy × domain × client batch.
+  std::size_t interception_certificates() const {
+    const auto& spec = model_.interception;
+    return std::max(spec.certificates, spec.proxy_issuers * spec.domains);
+  }
+
+  /// Interception connections; 0: the unit is skipped.
+  std::size_t interception_connections() const {
+    const auto& spec = model_.interception;
+    if (spec.connections == 0 && spec.certificates == 0) return 0;
+    return std::max(spec.connections, interception_certificates());
+  }
+
+  /// The slot layout and final size (`first` unset) of a population
+  /// asked to hold `count` certificates.
+  Population population_shape(const TrafficCluster& cluster,
+                              const CertSpec& spec, std::size_t count) const {
     Population population;
+    population.count = count;
     const double window_days = cluster_window_days(cluster);
     double slot_days = cluster.reissue_days;
     if (slot_days == 0 && !spec.validity.fixed_dates &&
@@ -788,15 +883,24 @@ class TraceGenerator::Impl {
           1, static_cast<std::size_t>(std::ceil(window_days / slot_days)));
       // Every slot needs at least one certificate, or late connections
       // would present a leaf that expired in an earlier slot.
-      count = std::max(count, population.slots);
+      population.count = std::max(count, population.slots);
     }
+    return population;
+  }
+
+  Population mint_population(const TrafficCluster& cluster,
+                             const CertSpec& spec, std::size_t count,
+                             bool server_role, Rng& rng) {
+    Population population = population_shape(cluster, spec, count);
+    const double slot_days = population.slot_days;
     // Rotating populations model re-issuance: the *identity* (subject CN)
     // persists across slots, as a real device keeps its name through
     // certificate renewals. Identity k owns certificates i with
     // i / slots == k (slot-major layout).
     std::vector<std::string> identities;
     if (population.slots > 1) {
-      const std::size_t n = (count + population.slots - 1) / population.slots;
+      const std::size_t n =
+          (population.count + population.slots - 1) / population.slots;
       identities.reserve(n);
       for (std::size_t k = 0; k < n; ++k) {
         identities.push_back(
@@ -804,9 +908,8 @@ class TraceGenerator::Impl {
       }
     }
     population.first = static_cast<CertId>(certs_.size());
-    population.count = count;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (population.slot_days > 0) {
+    for (std::size_t i = 0; i < population.count; ++i) {
+      if (slot_days > 0) {
         const std::size_t slot = i % population.slots;
         const UnixSeconds ws =
             model_.study_start +
@@ -868,7 +971,7 @@ class TraceGenerator::Impl {
   }
 
   void plan_cluster(const TrafficCluster& cluster) {
-    Rng rng = rng_.fork(std::hash<std::string>{}(cluster.name));
+    Rng rng = rng_.fork(label_hash(cluster.name));
 
     const int first_month = util::month_index(model_.study_start);
     const int month_count =
@@ -877,30 +980,20 @@ class TraceGenerator::Impl {
                                        month_count);
 
     // Mint certificate populations.
-    std::size_t server_count =
-        std::max<std::size_t>(cluster.mutual || cluster.server_certs.count > 0
-                                  ? 1
-                                  : 0,
-                              cluster.server_certs.count);
-    if (cluster.tunnel_client_only) server_count = 0;
     const Population servers =
-        mint_population(cluster, cluster.server_certs, server_count,
-                        /*server_role=*/true, rng);
-
+        mint_population(cluster, cluster.server_certs,
+                        server_cert_count(cluster), /*server_role=*/true, rng);
     Population clients;
-    if (cluster.mutual && cluster.sharing != SharingMode::kSameCertBothEnds) {
-      const std::size_t client_count =
-          std::max<std::size_t>(1, cluster.client_certs.count);
-      clients = mint_population(cluster, cluster.client_certs, client_count,
+    if (const std::size_t n = client_cert_count(cluster); n > 0) {
+      clients = mint_population(cluster, cluster.client_certs, n,
                                 /*server_role=*/false, rng);
     }
     const auto client_pool = make_client_pool(cluster, rng);
     const auto server_pool = make_server_pool(cluster, rng);
 
-    // Connection volume: at least one connection per certificate so the
-    // population is fully observable in the logs.
     const std::size_t min_conns = std::max(servers.count, clients.count);
-    const std::size_t total_conns = std::max(cluster.connections, min_conns);
+    const std::size_t total_conns =
+        cluster_connections(cluster, servers.count, clients.count);
 
     for (std::size_t c = 0; c < total_conns; ++c) {
       UnixSeconds ts;
@@ -987,7 +1080,8 @@ class TraceGenerator::Impl {
 
   void plan_interception() {
     const auto& spec = model_.interception;
-    if (spec.connections == 0 && spec.certificates == 0) return;
+    const std::size_t conns = interception_connections();
+    if (conns == 0) return;
     Rng rng = rng_.fork(0x1ce);
 
     // Popular public domains with legitimate CT records.
@@ -1015,9 +1109,7 @@ class TraceGenerator::Impl {
                            : "")));
     }
 
-    // Unique interception certificates: proxy × domain × client batch.
-    const std::size_t cert_count = std::max<std::size_t>(
-        spec.certificates, proxies.size() * domains.size());
+    const std::size_t cert_count = interception_certificates();
     const CertId first_cert = static_cast<CertId>(certs_.size());
     std::vector<std::size_t> cert_domain;
     for (std::size_t i = 0; i < cert_count; ++i) {
@@ -1036,7 +1128,6 @@ class TraceGenerator::Impl {
       ++stats_.certificates_minted;
     }
 
-    const std::size_t conns = std::max(spec.connections, cert_count);
     const int first_month = util::month_index(model_.study_start);
     const int month_count =
         util::month_index(model_.study_end - 1) - first_month + 1;

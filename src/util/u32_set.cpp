@@ -1,23 +1,8 @@
 #include "mtlscope/util/u32_set.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <random>
 
 namespace mtlscope::util {
-
-namespace detail {
-
-std::uint32_t draw_u32_set_key() {
-  try {
-    return std::random_device{}();
-  } catch (...) {  // no entropy source: the clock still varies per run
-    return static_cast<std::uint32_t>(
-        std::chrono::steady_clock::now().time_since_epoch().count());
-  }
-}
-
-}  // namespace detail
 
 void U32Set::merge(const U32Set& other) {
   if (other.has_zero_) insert(0);

@@ -151,45 +151,6 @@ void expect_x509_equal(const zeek::X509Record& a, const zeek::X509Record& b,
 // ---------------------------------------------------------------------------
 // Interning arena
 
-TEST_F(ColfmtTest, ArenaInternsOnePointerPerValueAcrossThreads) {
-  // Worker threads interning the same values — the shard-merge shape:
-  // analyzer shards built on different threads hold Strs for the same
-  // issuers, and the merged result must see one storage per value. Each
-  // thread interns every value twice and keeps the second handle, so
-  // the thread-local front cache is the path that must return the
-  // shard's pointer.
-  colfmt::StringArena arena(4096);
-  constexpr int kThreads = 8;
-  constexpr int kValues = 200;
-  std::vector<std::vector<colfmt::Str>> per_thread(kThreads);
-  {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        auto& mine = per_thread[t];
-        mine.reserve(kValues);
-        for (int v = 0; v < kValues; ++v) {
-          const std::string value = "issuer-" + std::to_string(v);
-          const colfmt::Str first = arena.intern(value);
-          const colfmt::Str again = arena.intern(value);
-          EXPECT_EQ(first.data(), again.data()) << "value " << v;
-          mine.push_back(again);
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  for (int v = 0; v < kValues; ++v) {
-    for (int t = 1; t < kThreads; ++t) {
-      EXPECT_EQ(per_thread[0][v], per_thread[t][v]);
-      // Same storage, not just equal bytes: interning deduplicated.
-      EXPECT_EQ(per_thread[0][v].data(), per_thread[t][v].data())
-          << "value " << v << " thread " << t;
-    }
-  }
-  EXPECT_EQ(arena.stats().strings, static_cast<std::uint64_t>(kValues));
-}
-
 TEST_F(ColfmtTest, ArenaFrontCacheIsPerInstance) {
   // A new arena built in the storage of a destroyed one must not be
   // served the old arena's cached pointers: every value is interned
@@ -216,19 +177,92 @@ TEST_F(ColfmtTest, ArenaFrontCacheIsPerInstance) {
   EXPECT_EQ(arena->stats().strings, static_cast<std::uint64_t>(kValues));
 }
 
+// Values with embedded NULs and values past the 64 KiB mark keep their
+// bytes and dedupe, also once the index has grown many times: with a
+// small chunk (the huge value gets a dedicated allocation) and with
+// CertArena's 1 MiB chunk (it sits in the bump chunk).
 TEST_F(ColfmtTest, ArenaKeepsEmbeddedNulsAndHugeValues) {
-  colfmt::StringArena arena(1024);
-  const std::string nul_dn("CN=a\0b,O=c\0", 11);
-  // Past the 64 KiB mark and past the chunk size: dedicated allocation.
-  const std::string huge_dn = "CN=" + std::string(70 * 1024, 'x');
-  const colfmt::Str a = arena.intern(nul_dn);
-  const colfmt::Str b = arena.intern(huge_dn);
-  EXPECT_EQ(a.view(), std::string_view(nul_dn));
-  EXPECT_EQ(a.size(), 11u);
-  EXPECT_EQ(b.view(), std::string_view(huge_dn));
-  // Re-interning returns the same storage.
-  EXPECT_EQ(arena.intern(nul_dn).data(), a.data());
-  EXPECT_EQ(arena.intern(huge_dn).data(), b.data());
+  for (const std::size_t chunk_bytes : {std::size_t{1024},
+                                        std::size_t{1024 * 1024}}) {
+    SCOPED_TRACE(chunk_bytes);
+    colfmt::StringArena arena(chunk_bytes);
+    constexpr std::size_t kFresh = 50'000;
+    for (std::size_t i = 0; i < kFresh; ++i) {
+      arena.intern("\x30\x82growth-" + std::to_string(i));
+    }
+    ASSERT_EQ(arena.stats().strings, kFresh);
+
+    const std::string nul_dn("CN=a\0b,O=c\0", 11);
+    const std::string huge_dn = "CN=" + std::string(70 * 1024, 'x');
+    const colfmt::Str a = arena.intern(nul_dn);
+    const colfmt::Str b = arena.intern(huge_dn);
+    EXPECT_EQ(a.view(), std::string_view(nul_dn));
+    EXPECT_EQ(a.size(), 11u);
+    EXPECT_EQ(b.view(), std::string_view(huge_dn));
+    // Re-interning returns the same storage.
+    EXPECT_EQ(arena.intern(nul_dn).data(), a.data());
+    EXPECT_EQ(arena.intern(huge_dn).data(), b.data());
+    EXPECT_EQ(arena.intern("\x30\x82growth-7").view(), "\x30\x82growth-7");
+    EXPECT_EQ(arena.stats().strings, kFresh + 2);
+  }
+}
+
+// Worker threads interning the same values — the shard-merge shape:
+// analyzer shards built on different threads hold Strs for the same
+// issuers, and the merged result must see one storage per value. Lookups
+// probe each shard's index without a lock while another thread may be
+// growing it, so growth is raced too: eight threads intern overlapping
+// ranges of fresh address-like values, every range shared by four
+// threads, so each shard's table doubles many times while the others
+// probe it (and read retired tables). Each value is interned twice, so
+// the thread-local front cache must return the shard's pointer.
+TEST_F(ColfmtTest, ArenaInternsOnePointerPerValueAcrossThreads) {
+  colfmt::StringArena arena(4096);
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kDistinct = 200'000;
+  constexpr std::size_t kPerThread = kDistinct / 2;
+  const auto value = [](std::size_t v) {
+    return "10." + std::to_string(v >> 16) + "." +
+           std::to_string((v >> 8) & 0xff) + "." + std::to_string(v & 0xff);
+  };
+  std::vector<std::vector<colfmt::Str>> handles(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        auto& mine = handles[t];
+        mine.reserve(kPerThread);
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          const std::string s = value((t * kDistinct / kThreads + i) %
+                                      kDistinct);
+          const colfmt::Str first = arena.intern(s);
+          const colfmt::Str again = arena.intern(s);
+          if (first.data() != again.data()) {
+            ADD_FAILURE() << "re-intern moved " << s;
+            return;
+          }
+          mine.push_back(first);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  // Every handle, most taken before their shard's last growth, still
+  // reads back its bytes, and one value has one storage.
+  std::vector<const char*> storage(kDistinct, nullptr);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(handles[t].size(), kPerThread);
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      const std::size_t v = (t * kDistinct / kThreads + i) % kDistinct;
+      const colfmt::Str h = handles[t][i];
+      ASSERT_EQ(h.view(), value(v));
+      ASSERT_EQ(h.c_str()[h.size()], '\0');
+      if (storage[v] == nullptr) storage[v] = h.data();
+      ASSERT_EQ(h.data(), storage[v]) << "value " << value(v);
+    }
+  }
+  EXPECT_EQ(arena.stats().strings, kDistinct);
+  EXPECT_EQ(arena.intern(value(12345)).data(), storage[12345]);
 }
 
 // ---------------------------------------------------------------------------

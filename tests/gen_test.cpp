@@ -9,6 +9,7 @@
 #include "mtlscope/textclass/domain.hpp"
 #include "mtlscope/trust/store.hpp"
 #include "mtlscope/zeek/log_io.hpp"
+#include "truth_models.hpp"
 
 namespace mtlscope::gen {
 namespace {
@@ -150,6 +151,38 @@ TEST(Generator, TruthSidecarChangesNoByteAndFollowsRows) {
         ASSERT_EQ(truth[i].uid, dataset.ssl()[i].uid) << "row " << i;
       }
     }
+  }
+}
+
+// The fork salts of named streams: libstdc++'s std::hash<std::string>
+// values for these labels, pinned so the generator's bytes cannot move
+// with the standard library.
+TEST(Generator, LabelHashIsPinned) {
+  EXPECT_EQ(label_hash("in-health"), 0x40f58b5163719256ULL);
+  EXPECT_EQ(label_hash("out-azure-runbook"), 0xb9c865c3c89c0507ULL);
+  EXPECT_EQ(label_hash("out-widgits-servers"), 0xf22b66f2af9a1f7eULL);
+  EXPECT_EQ(label_hash("nm-fnmt"), 0xa2d1b4a0ad6f80bbULL);
+  EXPECT_EQ(label_hash("missing:in-health"), 0xc4168c3c8170614fULL);
+}
+
+// generate_dataset() reserves the planned row count up front: the count
+// must be the plan's, or the rows would grow (and move) again, leaving
+// spare capacity; an over-count leaves spare capacity too.
+// The models: tiny, the paper job's two calibrated passes (the pristine
+// model of table1/7/8/9/13/14 and interception's), and the oracle's.
+TEST(Generator, PlannedConnectionsMatchThePlan) {
+  const std::pair<const char*, CampusModel> models[] = {
+      {"tiny", tiny_model()},
+      {"pristine", paper_model(100, 400'000)},
+      {"interception", paper_model(500, 50'000)},
+      {"truth", truth_models::hand_built_model()},
+  };
+  for (const auto& [name, model] : models) {
+    SCOPED_TRACE(name);
+    TraceGenerator g(model);
+    const auto dataset = g.generate_dataset(4);
+    EXPECT_EQ(dataset.ssl().size(), g.stats().connections);
+    EXPECT_EQ(dataset.ssl().capacity(), dataset.ssl().size());
   }
 }
 

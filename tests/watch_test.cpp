@@ -31,7 +31,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mtlscope/core/result_doc.hpp"
@@ -322,10 +324,13 @@ struct Captured {
   }
 };
 
-/// Synthetic logs rendered to files: the generator's ssl stream is
-/// time-ordered, so windows close progressively. The records are read
-/// back through the typed tails, so the scheduler sees exactly what a
-/// watch over these files would see.
+/// Synthetic logs rendered to files. The generator writes ssl rows unit
+/// by unit, each unit spanning the whole study, so by default the rows
+/// are sorted by time (stably) before rendering: windows then close as
+/// the rows arrive, as on a live monitor. In the generator's own order
+/// almost every row lands behind the watermark and is folded late. The
+/// records are read back through the typed tails, so the scheduler sees
+/// exactly what a watch over these files would see.
 struct LogPair {
   std::string ssl_path, x509_path;
   std::vector<zeek::SslRecord> ssl;
@@ -355,9 +360,17 @@ class WatchSchedulerTest : public WatchTest {
     return config;
   }
 
-  LogPair generated_logs(double cert_scale, double conn_scale) {
+  LogPair generated_logs(double cert_scale, double conn_scale,
+                         bool time_sorted = true) {
     gen::TraceGenerator generator(gen::paper_model(cert_scale, conn_scale));
-    const auto dataset = generator.generate_dataset();
+    auto dataset = generator.generate_dataset();
+    if (time_sorted) {
+      std::stable_sort(
+          dataset.ssl().begin(), dataset.ssl().end(),
+          [](const zeek::SslRecord& a, const zeek::SslRecord& b) {
+            return a.ts < b.ts;
+          });
+    }
     LogPair out;
     out.ssl_path = ssl_path(zeek::ssl_log_to_string(dataset.ssl()));
     out.x509_path = x509_path(zeek::x509_log_to_string(dataset));
@@ -381,9 +394,7 @@ class WatchSchedulerTest : public WatchTest {
 /// Feeds the rows in `ssl_batch` / `x509_batch` sized slices, x509
 /// slightly ahead (the daemon polls x509 first). No drain.
 void feed_no_drain(watch::WindowScheduler& scheduler, const LogPair& logs,
-                   std::size_t ssl_batch, std::size_t x509_batch,
-                   std::size_t* fed_ssl = nullptr,
-                   std::size_t* fed_x509 = nullptr) {
+                   std::size_t ssl_batch, std::size_t x509_batch) {
   std::size_t si = 0, xi = 0;
   while (si < logs.ssl.size() || xi < logs.x509.size()) {
     if (xi < logs.x509.size()) {
@@ -397,13 +408,27 @@ void feed_no_drain(watch::WindowScheduler& scheduler, const LogPair& logs,
       si += n;
     }
   }
-  if (fed_ssl != nullptr) *fed_ssl = si;
-  if (fed_x509 != nullptr) *fed_x509 = xi;
 }
 
 void feed(watch::WindowScheduler& scheduler, const LogPair& logs,
           std::size_t ssl_batch, std::size_t x509_batch) {
   feed_no_drain(scheduler, logs, ssl_batch, x509_batch);
+  scheduler.drain();
+}
+
+/// Windows the generated logs close before a drain: the study spans about
+/// a hundred weeks, so with time-ordered rows most weekly windows close
+/// while the stream is fed, and what the tests compare is folded state,
+/// not one late fold at the drain.
+constexpr std::uint64_t kClosedBeforeDrain = 50;
+
+/// feed(), asserting that windows closed as the rows arrived.
+void feed_closing_windows(watch::WindowScheduler& scheduler,
+                          const LogPair& logs, std::size_t ssl_batch,
+                          std::size_t x509_batch) {
+  feed_no_drain(scheduler, logs, ssl_batch, x509_batch);
+  EXPECT_GT(scheduler.status().windows_emitted, kClosedBeforeDrain);
+  EXPECT_EQ(scheduler.status().late, 0u);
   scheduler.drain();
 }
 
@@ -416,15 +441,16 @@ TEST_F(WatchSchedulerTest, EmissionsIndependentOfBatchSplitting) {
   Captured a, b, c;
   {
     watch::WindowScheduler s(config, a.fn());
-    feed(s, logs, logs.ssl.size(), logs.x509.size());  // one big batch
+    // One big batch.
+    feed_closing_windows(s, logs, logs.ssl.size(), logs.x509.size());
   }
   {
     watch::WindowScheduler s(config, b.fn());
-    feed(s, logs, 7, 3);  // dribble
+    feed_closing_windows(s, logs, 7, 3);  // dribble
   }
   {
     watch::WindowScheduler s(config, c.fn());
-    feed(s, logs, 1, 1);  // record-at-a-time
+    feed_closing_windows(s, logs, 1, 1);  // record-at-a-time
   }
 
   ASSERT_EQ(a.emissions.size(), b.emissions.size());
@@ -509,6 +535,8 @@ TEST_F(WatchSchedulerTest, CheckpointRoundTripsExactly) {
     scheduler.add_ssl({half.ssl.begin() + si, half.ssl.begin() + si + n});
     si += n;
   }
+  // Half the study's weeks closed: the checkpoint carries folded state.
+  EXPECT_GT(scheduler.status().windows_emitted, kClosedBeforeDrain / 2);
 
   watch::WatchCheckpoint ckpt;
   scheduler.save(ckpt);
@@ -604,6 +632,61 @@ TEST_F(WatchSchedulerTest, RestoreRefusesConfigMismatch) {
   EXPECT_FALSE(wrong_seed.restore(ckpt, &error));
 }
 
+/// An interrupted run: feeds `before`, checkpoints, throws the scheduler
+/// away, restores into a fresh one and feeds `after`, capturing both
+/// schedulers' emissions in `out`. Returns the checkpoint.
+watch::WatchCheckpoint interrupted_feed(const watch::WatchConfig& config,
+                                        const LogPair& before,
+                                        const LogPair& after, Captured& out) {
+  watch::WatchCheckpoint ckpt;
+  {
+    watch::WindowScheduler s(config, out.fn());
+    feed_no_drain(s, before, 9, 4);
+    s.save(ckpt);
+  }
+  watch::WindowScheduler s(config, out.fn());
+  std::string error;
+  EXPECT_TRUE(s.restore(ckpt, &error)) << error;
+  EXPECT_EQ(s.held(), ckpt.pending_rows.size());
+  EXPECT_EQ(s.status().late, ckpt.late_rows.size());
+  feed(s, after, 9, 4);
+  return ckpt;
+}
+
+/// Splits `logs` for an interrupted run after 60% of the ssl rows. Before
+/// the checkpoint go the x509 rows of the certificates that prefix cites,
+/// except those first cited in its last twentieth: the rows from the
+/// first such citation on are held, so the checkpoint carries held rows.
+/// (A plain prefix of x509.log, which is in fuid order, misses
+/// certificates cited early, so every row is held and no window closes.)
+std::pair<LogPair, LogPair> split_for_restore(const LogPair& logs) {
+  const std::size_t cut = logs.ssl.size() * 6 / 10;
+  std::set<std::string_view> cited;
+  for (std::size_t i = 0; i < cut - cut / 20; ++i) {
+    for (const auto* chain : {&logs.ssl[i].cert_chain_fuids,
+                              &logs.ssl[i].client_cert_chain_fuids}) {
+      for (const colfmt::Str fuid : *chain) cited.insert(fuid.view());
+    }
+  }
+  LogPair before, after;
+  before.ssl.assign(logs.ssl.begin(), logs.ssl.begin() + cut);
+  after.ssl.assign(logs.ssl.begin() + cut, logs.ssl.end());
+  for (const auto& row : logs.x509) {
+    (cited.count(row.fuid.view()) != 0 ? before : after).x509.push_back(row);
+  }
+  return {std::move(before), std::move(after)};
+}
+
+/// The resumed run must re-emit nothing extra and end byte-identical.
+void expect_same_emissions(const Captured& reference,
+                           const Captured& resumed) {
+  ASSERT_EQ(reference.emissions.size(), resumed.emissions.size());
+  for (std::size_t i = 0; i < reference.emissions.size(); ++i) {
+    EXPECT_EQ(reference.emissions[i].envelope, resumed.emissions[i].envelope)
+        << "emission " << i;
+  }
+}
+
 TEST_F(WatchSchedulerTest, RestoredSchedulerFinishesIdentically) {
   const LogPair logs = generated_logs(8'000, 800'000);
   const auto config =
@@ -613,39 +696,38 @@ TEST_F(WatchSchedulerTest, RestoredSchedulerFinishesIdentically) {
   Captured reference;
   {
     watch::WindowScheduler s(config, reference.fn());
-    feed(s, logs, 9, 4);
+    feed_closing_windows(s, logs, 9, 4);
   }
 
-  // Interrupted run: feed 60%, checkpoint, throw the scheduler away,
-  // restore into a fresh one, feed the rest.
+  const auto [before, after] = split_for_restore(logs);
   Captured resumed;
-  watch::WatchCheckpoint ckpt;
-  std::size_t fed_ssl = 0, fed_x509 = 0;
+  const auto ckpt = interrupted_feed(config, before, after, resumed);
+  EXPECT_GT(ckpt.windows_emitted, kClosedBeforeDrain / 2);
+  EXPECT_FALSE(ckpt.pending_rows.empty());
+  expect_same_emissions(reference, resumed);
+}
+
+// The generator's own order: most rows arrive behind the watermark, are
+// buffered late and folded at the drain, so a checkpoint carries them.
+TEST_F(WatchSchedulerTest, RestoredSchedulerFoldsLateRowsIdentically) {
+  const LogPair logs =
+      generated_logs(8'000, 800'000, /*time_sorted=*/false);
+  const auto config =
+      scheduler_config(logs.ssl_path, logs.x509_path, 7 * 24 * 3600);
+
+  Captured reference;
   {
-    watch::WindowScheduler s(config, resumed.fn());
-    LogPair part = logs;
-    part.ssl.resize(logs.ssl.size() * 6 / 10);
-    part.x509.resize(logs.x509.size() * 6 / 10);
-    feed_no_drain(s, part, 9, 4, &fed_ssl, &fed_x509);
-    s.save(ckpt);
-  }
-  {
-    watch::WindowScheduler s(config, resumed.fn());
-    std::string error;
-    ASSERT_TRUE(s.restore(ckpt, &error)) << error;
-    LogPair rest;
-    rest.ssl.assign(logs.ssl.begin() + fed_ssl, logs.ssl.end());
-    rest.x509.assign(logs.x509.begin() + fed_x509, logs.x509.end());
-    feed(s, rest, 9, 4);
+    watch::WindowScheduler s(config, reference.fn());
+    feed_no_drain(s, logs, 9, 4);
+    EXPECT_GT(s.status().late, logs.ssl.size() / 2);
+    s.drain();
   }
 
-  // The resumed run must re-emit nothing extra and end byte-identical:
-  // compare the emission streams.
-  ASSERT_EQ(reference.emissions.size(), resumed.emissions.size());
-  for (std::size_t i = 0; i < reference.emissions.size(); ++i) {
-    EXPECT_EQ(reference.emissions[i].envelope, resumed.emissions[i].envelope)
-        << "emission " << i;
-  }
+  const auto [before, after] = split_for_restore(logs);
+  Captured resumed;
+  const auto ckpt = interrupted_feed(config, before, after, resumed);
+  EXPECT_FALSE(ckpt.late_rows.empty());
+  expect_same_emissions(reference, resumed);
 }
 
 // ---------------------------------------------------------------------------
@@ -682,13 +764,9 @@ std::vector<watch::Emission> windows_of(const Captured& captured) {
 }
 
 TEST_F(WatchSchedulerTest, WindowDocumentsDependOnlyOnTheirOwnRows) {
-  LogPair logs = generated_logs(8'000, 800'000);
-  // Time-sorted, so every row lands in a published window (none late).
-  std::stable_sort(
-      logs.ssl.begin(), logs.ssl.end(),
-      [](const zeek::SslRecord& a, const zeek::SslRecord& b) {
-        return a.ts < b.ts;
-      });
+  // Time-sorted (generated_logs), so every row lands in a published
+  // window (none late).
+  const LogPair logs = generated_logs(8'000, 800'000);
   const std::int64_t width = 7 * 24 * 3600;
   auto config = scheduler_config(logs.ssl_path, logs.x509_path, width);
   // `interception` reports the registry's size, so a certificate left
