@@ -7,12 +7,15 @@
 //      a late writer on the rotated-out segment, different thread count
 //      and poll cadence from run B;
 //   3. run B — fed incrementally with checkpointing, SIGKILLed mid-run,
-//      then resumed to completion.
+//      then resumed to completion;
+//   4. run C — `mtlscope compact` of the same sorted pair, appended in
+//      chunks that straddle frame boundaries while `watch
+//      --format=compact` follows the growing container.
 //
-// Asserts: A's and B's cumulative.json are byte-identical to the batch
-// reference, and every window-*.json / rollup-*.json file agrees
-// between A and B (poll cadence, thread count, rotation, and a crash
-// must all be invisible in the published bytes).
+// Asserts: A's, B's and C's cumulative.json are byte-identical to the
+// batch reference, and every window-*.json / rollup-*.json file of B
+// and C agrees with A's (poll cadence, thread count, rotation, a crash
+// and the input format must all be invisible in the published bytes).
 //
 // Usage: watch_resume_check --fixture-dir=DIR --mtlscope=PATH
 #include <fcntl.h>
@@ -114,14 +117,6 @@ int wait_child(pid_t pid) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-bool wait_for_file(const std::string& path, int timeout_ms) {
-  for (int waited = 0; waited < timeout_ms; waited += 50) {
-    if (fs::exists(path)) return true;
-    ::usleep(50 * 1000);
-  }
-  return fs::exists(path);
-}
-
 /// The daemon writes generation files (watch.ckpt.<gen>); any one of
 /// them (or a legacy un-suffixed watch.ckpt) counts as "checkpointed".
 bool has_checkpoint(const std::string& dir) {
@@ -140,6 +135,43 @@ bool wait_for_checkpoint(const std::string& dir, int timeout_ms) {
     ::usleep(50 * 1000);
   }
   return has_checkpoint(dir);
+}
+
+/// Every file run A published must exist with the same bytes in
+/// `other_dir`, and `other_dir` must hold no extra file.
+bool same_published_files(const std::string& out_a,
+                          const std::string& other_dir, const char* run) {
+  std::vector<std::string> names_a;
+  for (const auto& entry : fs::directory_iterator(out_a)) {
+    names_a.push_back(entry.path().filename().string());
+  }
+  std::sort(names_a.begin(), names_a.end());
+  for (const auto& name : names_a) {
+    const std::string other = other_dir + "/" + name;
+    if (!fs::exists(other)) {
+      std::fprintf(stderr, "FAIL: run %s never published %s\n", run,
+                   name.c_str());
+      return false;
+    }
+    if (slurp(out_a + "/" + name) != slurp(other)) {
+      std::fprintf(stderr, "FAIL: %s differs between run A and run %s\n",
+                   name.c_str(), run);
+      return false;
+    }
+  }
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator(other_dir)) {
+    (void)entry;
+    ++count;
+  }
+  if (count != names_a.size()) {
+    std::fprintf(stderr, "FAIL: run %s published %zu files, run A %zu\n",
+                 run, count, names_a.size());
+    return false;
+  }
+  std::printf("%zu published files byte-identical between A and %s\n",
+              names_a.size(), run);
+  return true;
 }
 
 struct Feeder {
@@ -385,41 +417,81 @@ int main(int argc, char** argv) {
               "byte-identical to batch\n");
 
   // --- A vs B: every published window/roll-up file must agree ---
-  std::vector<std::string> names_a;
-  for (const auto& entry : fs::directory_iterator(out_a)) {
-    names_a.push_back(entry.path().filename().string());
-  }
-  std::sort(names_a.begin(), names_a.end());
-  std::size_t compared = 0;
-  for (const auto& name : names_a) {
-    const std::string a = out_a + "/" + name;
-    const std::string b = out_b + "/" + name;
-    if (!fs::exists(b)) {
-      std::fprintf(stderr, "FAIL: run B never published %s\n", name.c_str());
+  if (!same_published_files(out_a, out_b, "B")) return 1;
+
+  // --- run C: the same stream as a growing compact container ---
+  const std::string container = (dir / "wr_sorted.mtlc").string();
+  const std::string out_c = (dir / "wr_out_c").string();
+  const std::string feed_c = (dir / "wr_feed_c.mtlc").string();
+  fs::remove_all(out_c);
+  {
+    ::unlink(container.c_str());
+    const pid_t pid = spawn_child(
+        mtlscope,
+        {"compact", "--ssl-log=" + sorted_ssl, "--x509-log=" + x509_log,
+         "--out=" + container},
+        (dir / "wr_compact.txt").string());
+    if (pid < 0 || wait_child(pid) != 0) {
+      std::fprintf(stderr, "FAIL: compact of the sorted logs failed\n%s\n",
+                   slurp((dir / "wr_compact.txt").string()).c_str());
       return 1;
     }
-    if (slurp(a) != slurp(b)) {
-      std::fprintf(stderr, "FAIL: %s differs between run A and run B\n",
-                   name.c_str());
+  }
+  const std::string bytes = slurp(container);
+  // An odd chunk size, so appends end mid-frame and the tail carries
+  // partial frames across polls. `compact` writes the x509 rows' last
+  // block at finish, after the full ssl blocks, so every ssl row waits
+  // for it; the daemon force-releases held rows after 50 polls without
+  // x509 progress. Eight chunks, each append waking the daemon through
+  // inotify, and a poll interval longer than the whole feed keep the
+  // polls before that block far below the grace.
+  const std::size_t frame_chunk = bytes.size() / 8 + 4093;
+  write_file(feed_c, bytes.substr(0, frame_chunk));
+  {
+    std::vector<std::string> args = {"watch",
+                                     "--format=compact",
+                                     "--ssl-log=" + feed_c,
+                                     "--out-dir=" + out_c,
+                                     "--run=" + std::string(kExperiments),
+                                     "--window=week",
+                                     "--rollup=4",
+                                     "--stable-output",
+                                     "--report-ssl-log=" + sorted_ssl,
+                                     "--report-x509-log=" + x509_log,
+                                     "--threads=2",
+                                     "--poll-ms=1000",
+                                     "--exit-idle-ms=5000"};
+    const pid_t pid = spawn_child(mtlscope, args,
+                                  (dir / "wr_watch_c.txt").string());
+    if (pid < 0) return 1;
+    for (std::size_t off = frame_chunk; off < bytes.size();
+         off += frame_chunk) {
+      ::usleep(50 * 1000);
+      append_file(feed_c, bytes.substr(off, frame_chunk));
+    }
+    const int code = wait_child(pid);
+    if (code != 0) {
+      std::fprintf(stderr, "FAIL: run C exited %d\n%s\n", code,
+                   slurp((dir / "wr_watch_c.txt").string()).c_str());
       return 1;
     }
-    ++compared;
   }
-  std::size_t count_b = 0;
-  for (const auto& entry : fs::directory_iterator(out_b)) {
-    (void)entry;
-    ++count_b;
-  }
-  if (count_b != names_a.size()) {
-    std::fprintf(stderr, "FAIL: run B published %zu files, run A %zu\n",
-                 count_b, names_a.size());
+  if (slurp(out_c + "/cumulative.json") != reference) {
+    std::fprintf(stderr,
+                 "FAIL: run C cumulative.json differs from batch run — "
+                 "see %s\n",
+                 (out_c + "/cumulative.json").c_str());
     return 1;
   }
-  std::printf("%zu published files byte-identical between A and B\n",
-              compared);
+  std::printf("run C (compact container in %zu-byte appends): cumulative "
+              "byte-identical to batch\n",
+              frame_chunk);
+  if (!same_published_files(out_a, out_c, "C")) return 1;
 
   // Tidy the large intermediates; keep the outputs for debugging.
   std::error_code ec;
+  ::unlink(container.c_str());
+  ::unlink(feed_c.c_str());
   ::unlink(feed_a.c_str());
   ::unlink((feed_a + ".1").c_str());
   ::unlink(feed_b.c_str());

@@ -218,7 +218,7 @@ class ContainerReader {
   std::optional<FrameRef> ledger_frame_;
 };
 
-/// Payload-level block decoders, shared by ContainerReader and the
+/// Payload-level frame decoders, shared by ContainerReader and the
 /// streaming ContainerTail (which consumes frames before any footer
 /// exists). `payload` is the frame body sans the 16-byte frame header.
 /// Throw core::StateError on malformed bytes.
@@ -226,6 +226,7 @@ std::vector<zeek::SslRecord> decode_ssl_block_payload(
     std::string_view payload, FrameKind kind = FrameKind::kSslBlock);
 std::vector<zeek::X509Record> decode_x509_block_payload(
     std::string_view payload);
+ContainerMeta decode_meta_payload(std::string_view payload);
 
 /// True when `path` exists and starts with the container magic — the
 /// `--format=auto` detection probe.
@@ -237,13 +238,34 @@ bool is_container_file(const std::string& path);
 /// a container or carries no meta frame.
 std::optional<ContainerMeta> read_container_meta(const std::string& path);
 
-/// Scans `data` (a full container or a growing prefix) for complete
-/// frames starting at `from` (0 = just past the file header; the header
-/// is validated only when from == 0). Returns the frames whose header
-/// AND payload fit entirely inside `data`, with `next` set to the first
-/// byte not consumed — the ContainerTail resume point. Returns nullopt
-/// with `error` filled on a malformed header or frame. No digest check:
-/// streaming prefixes have no footer yet.
+/// Validates the 24-byte container header at the start of `data`
+/// (magic, version, endian sentinel). Returns false with `error` filled
+/// (when non-null) on a mismatch or when `data` is shorter than a header.
+bool check_container_header(std::string_view data, std::string* error);
+
+/// The complete frames found by walk_frames.
+struct FrameWalk {
+  std::vector<FrameRef> frames;
+  /// First byte not walked: the next frame boundary, or the malformed
+  /// frame header that stopped the walk.
+  std::uint64_t next = 0;
+  /// Set when a malformed frame header stopped the walk.
+  std::string error;
+};
+
+/// Walks the frames of `data` from `from`, a frame boundary (a streaming
+/// reader resumes mid-file). Returns the frames whose header AND payload
+/// fit in `data`; stops at an incomplete trailing frame or a malformed
+/// frame header — an unknown kind, or a length above `max_payload`,
+/// checked before the payload arrives so a streaming reader never
+/// buffers toward a lying length. No digest check.
+FrameWalk walk_frames(std::string_view data, std::uint64_t from,
+                      std::uint64_t max_payload = UINT64_MAX);
+
+/// check_container_header (when from == 0) then walk_frames over `data`,
+/// a full container or a growing prefix, with `next` set to the first
+/// byte not consumed. Returns nullopt with `error` filled on a malformed
+/// header or frame.
 std::optional<std::vector<FrameRef>> scan_frames(std::string_view data,
                                                  std::uint64_t from,
                                                  std::uint64_t* next,

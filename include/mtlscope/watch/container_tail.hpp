@@ -8,12 +8,15 @@
 // version skew or torn writer, reported once) instead of quarantining
 // rows.
 //
-// Lifecycle mirrors TailSource: append consumes new frames; truncation
-// (same inode, smaller size) restarts at byte 0 expecting a fresh
-// container header; rename rotation switches to the new inode once the
-// old fd stops growing. The checkpointable position reuses TailPosition
-// — inode + consumed offset + partial-frame carry + header_done — so
-// the watch checkpoint format is unchanged.
+// Lifecycle shares TailSource's FileFollower (follower.hpp): append
+// consumes new frames; truncation (same inode, smaller size) restarts at
+// byte 0 expecting a fresh container header; rename rotation switches to
+// the new inode once the old fd stops growing, dropping a partial frame.
+// This file is the frame framing: the header check and the frame walk
+// are colfmt's own (check_container_header, walk_frames), so the tail
+// reads exactly the bytes ContainerReader accepts. The checkpointable
+// position reuses TailPosition — inode + consumed offset + partial-frame
+// carry + header_done — so the watch checkpoint format is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +30,7 @@
 
 namespace mtlscope::watch {
 
-class ContainerTail {
+class ContainerTail : private detail::Framing {
  public:
   /// Decoded rows of one poll, in frame order.
   struct PollRows {
@@ -37,13 +40,12 @@ class ContainerTail {
     /// container, no more frames follow in this incarnation.
     bool finished = false;
     /// Set once per bad incarnation: header/frame validation or block
-    /// decode failure. The tail stops consuming until the next
+    /// decode failure. The tail discards what it reads until the next
     /// truncation or rotation starts a fresh incarnation.
     std::string error;
   };
 
   explicit ContainerTail(std::string path);
-  ~ContainerTail();
 
   ContainerTail(const ContainerTail&) = delete;
   ContainerTail& operator=(const ContainerTail&) = delete;
@@ -55,16 +57,17 @@ class ContainerTail {
   /// True when the last poll consumed bytes (drives idle detection).
   bool made_progress() const { return progress_; }
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return follower_.path(); }
   /// The meta frame's provenance, once it has streamed in (the writer
   /// emits it at finish, so it precedes the footer).
   const std::optional<colfmt::ContainerMeta>& meta() const { return meta_; }
-  const TailEvents& events() const { return events_; }
+  const TailEvents& events() const { return follower_.events(); }
 
   /// Checkpointable position. Reuses TailPosition: `offset` counts
   /// consumed bytes (header + whole frames), `carry` holds a partial
   /// frame, `header_done` records that the container header validated.
-  /// header_text / line counts stay empty — frames have no lines.
+  /// header_text / line counts stay empty — frames have no lines. A bad
+  /// incarnation keeps no carry: its offset is simply the fetched end.
   TailPosition position() const { return pos_; }
 
   /// Restores a checkpointed position; same contract as
@@ -73,18 +76,24 @@ class ContainerTail {
   bool restore(const TailPosition& position);
 
  private:
-  bool open_file();
-  void reset_incarnation();
-  void consume(std::string_view bytes, PollRows& out);
+  std::uint64_t fetched_end() const override {
+    return pos_.offset + pos_.carry.size();
+  }
+  void restart(std::uint64_t inode) override;
+  void consume(std::string_view bytes) override;
+  /// A partial frame is a torn writer — frames are atomic units, so it
+  /// is dropped with the old incarnation, not salvaged like a line.
+  void end_incarnation() override {}
+  void decode_frame(colfmt::FrameKind kind, std::string_view payload);
+  void fail(std::string reason);
 
-  std::string path_;
-  int fd_ = -1;
+  detail::FileFollower follower_;
   TailPosition pos_;
   bool bad_ = false;       ///< incarnation failed validation
   bool reported_ = false;  ///< error already surfaced for this incarnation
   bool progress_ = false;
   std::optional<colfmt::ContainerMeta> meta_;
-  TailEvents events_;
+  PollRows rows_;  ///< the current poll's output
 };
 
 }  // namespace mtlscope::watch

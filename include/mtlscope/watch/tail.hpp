@@ -1,19 +1,17 @@
 // TailSource: follow one growing Zeek log file (DESIGN §13). The batch
 // ingest layer reads complete files; a border gateway writes them
-// continuously and logrotate moves them out from under the reader. The
-// tail survives all three lifecycle events without losing or double
-// reading a record:
+// continuously and logrotate moves them out from under the reader.
+// Lifecycle shares FileFollower (follower.hpp) with the container tail:
+// append, copytruncate and rename rotation are handled there, without
+// losing or double reading a record. This file is the line framing:
 //
-//   * append          — new bytes past the last-read offset are consumed
-//                       as complete lines; a partial trailing line is
-//                       carried until its newline arrives on a later poll;
-//   * copytruncate    — the file shrinks in place (same inode): the tail
-//                       restarts at offset 0 and re-reads the fresh header;
-//   * rename rotation — the path points at a new inode: the tail keeps
-//                       draining the *old* fd (a late writer may still be
-//                       flushing to it), and only switches to the new
-//                       inode once a poll sees no growth on the old one,
-//                       flushing a final unterminated line as a record.
+//   * append          — new bytes are consumed as complete lines; a
+//                       partial trailing line is carried until its
+//                       newline arrives on a later poll;
+//   * copytruncate    — the restart re-reads the fresh header;
+//   * rename rotation — the old incarnation's final unterminated line
+//                       is flushed as a record before the switch (its
+//                       writer has moved on).
 //
 // Every batch carries absolute provenance — the byte offset and the
 // physical body-line count of its first byte within the current file
@@ -32,15 +30,9 @@
 #include <string>
 #include <vector>
 
-namespace mtlscope::watch {
+#include "mtlscope/watch/follower.hpp"
 
-/// Lifecycle counters for the status line (not ledger events).
-struct TailEvents {
-  std::uint64_t polls = 0;
-  std::uint64_t truncations = 0;  ///< copytruncate restarts observed
-  std::uint64_t rotations = 0;    ///< rename rotations completed
-  std::uint64_t bytes_read = 0;
-};
+namespace mtlscope::watch {
 
 /// One run of complete lines from a poll, with absolute provenance
 /// within the current file incarnation. `body` ends at the last newline
@@ -71,10 +63,9 @@ struct TailPosition {
   std::string carry;  ///< unterminated trailing partial line
 };
 
-class TailSource {
+class TailSource : private detail::Framing {
  public:
   explicit TailSource(std::string path);
-  ~TailSource();
 
   TailSource(const TailSource&) = delete;
   TailSource& operator=(const TailSource&) = delete;
@@ -91,13 +82,13 @@ class TailSource {
   /// True when the last poll consumed bytes (drives idle detection).
   bool made_progress() const { return progress_; }
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return follower_.path(); }
   const std::string& header_text() const { return pos_.header_text; }
   bool header_done() const { return pos_.header_done; }
   /// Monotonic id of the current file incarnation; bumps on open,
   /// truncation, and rotation, telling consumers to recompile plans.
   std::uint64_t incarnation() const { return incarnation_; }
-  const TailEvents& events() const { return events_; }
+  const TailEvents& events() const { return follower_.events(); }
   TailPosition position() const { return pos_; }
 
   /// Restores a checkpointed position. If the path now holds a
@@ -109,18 +100,18 @@ class TailSource {
   bool restore(const TailPosition& position);
 
  private:
-  bool open_file();
-  void reset_incarnation();
-  void consume(std::string_view bytes, std::vector<TailBatch>& out);
+  std::uint64_t fetched_end() const override { return pos_.offset; }
+  void restart(std::uint64_t inode) override;
+  void consume(std::string_view bytes) override;
+  void end_incarnation() override;
   TailBatch make_batch();
 
-  std::string path_;
-  int fd_ = -1;
+  detail::FileFollower follower_;
   TailPosition pos_;
   std::uint64_t incarnation_ = 0;
   bool pending_incarnation_start_ = false;
   bool progress_ = false;
-  TailEvents events_;
+  std::vector<TailBatch> batches_;  ///< the current poll's output
 };
 
 }  // namespace mtlscope::watch

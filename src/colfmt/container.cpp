@@ -373,52 +373,91 @@ bool ContainerWriter::finish(std::string* error) {
 // ---------------------------------------------------------------------------
 // Frame scan
 
+bool check_container_header(std::string_view data, std::string* error) {
+  const auto fail = [&](const std::string& reason) {
+    if (error != nullptr) *error = reason;
+    return false;
+  };
+  if (data.size() < kContainerHeaderBytes) {
+    return fail("truncated container header");
+  }
+  if (std::memcmp(data.data(), kContainerMagic, sizeof(kContainerMagic)) !=
+      0) {
+    return fail("bad magic (not a compact container)");
+  }
+  const std::uint32_t version = get_u32(data.data() + 8);
+  if (version != kContainerVersion) {
+    return fail("unsupported container version " + std::to_string(version));
+  }
+  if (get_u32(data.data() + 12) != kContainerEndian) {
+    return fail("endian sentinel mismatch");
+  }
+  return true;
+}
+
+FrameWalk walk_frames(std::string_view data, std::uint64_t from,
+                      std::uint64_t max_payload) {
+  FrameWalk walk;
+  std::uint64_t pos = from;
+  while (pos + kFrameHeaderBytes <= data.size()) {
+    const char* p = data.data() + pos;
+    const std::uint32_t kind = get_u32(p);
+    if (!valid_kind(kind)) {
+      walk.error = "bad frame kind " + std::to_string(kind);
+      break;
+    }
+    const std::uint64_t len = get_u64(p + 8);
+    if (len > max_payload) {
+      walk.error = "frame payload of " + std::to_string(len) +
+                   " bytes exceeds the " + std::to_string(max_payload) +
+                   "-byte limit";
+      break;
+    }
+    if (len > data.size() || pos + kFrameHeaderBytes + len > data.size()) {
+      break;  // incomplete trailing frame (growing file)
+    }
+    walk.frames.push_back(
+        FrameRef{static_cast<FrameKind>(kind), pos, len, 0});
+    pos += kFrameHeaderBytes + len;
+  }
+  walk.next = pos;
+  return walk;
+}
+
 std::optional<std::vector<FrameRef>> scan_frames(std::string_view data,
                                                  std::uint64_t from,
                                                  std::uint64_t* next,
                                                  std::string* error) {
-  const auto fail = [&](const std::string& reason)
-      -> std::optional<std::vector<FrameRef>> {
-    if (error != nullptr) *error = reason;
-    return std::nullopt;
-  };
-  std::uint64_t pos = from;
   if (from == 0) {
     if (data.size() < kContainerHeaderBytes) {
       if (next != nullptr) *next = 0;
       return std::vector<FrameRef>{};  // growing file, header incomplete
     }
-    if (std::memcmp(data.data(), kContainerMagic,
-                    sizeof(kContainerMagic)) != 0) {
-      return fail("bad magic (not a compact container)");
-    }
-    const std::uint32_t version = get_u32(data.data() + 8);
-    if (version != kContainerVersion) {
-      return fail("unsupported container version " + std::to_string(version));
-    }
-    if (get_u32(data.data() + 12) != kContainerEndian) {
-      return fail("endian sentinel mismatch");
-    }
-    pos = kContainerHeaderBytes;
+    if (!check_container_header(data, error)) return std::nullopt;
+    from = kContainerHeaderBytes;
   }
-  std::vector<FrameRef> frames;
-  while (pos + kFrameHeaderBytes <= data.size()) {
-    const char* p = data.data() + pos;
-    const std::uint32_t kind = get_u32(p);
-    if (!valid_kind(kind)) {
-      return fail("bad frame kind " + std::to_string(kind) + " at offset " +
-                  std::to_string(pos));
+  FrameWalk walk = walk_frames(data, from);
+  if (!walk.error.empty()) {
+    if (error != nullptr) {
+      *error = walk.error + " at offset " + std::to_string(walk.next);
     }
-    const std::uint64_t len = get_u64(p + 8);
-    if (len > data.size() || pos + kFrameHeaderBytes + len > data.size()) {
-      break;  // incomplete trailing frame (growing file)
-    }
-    frames.push_back(
-        FrameRef{static_cast<FrameKind>(kind), pos, len, 0});
-    pos += kFrameHeaderBytes + len;
+    return std::nullopt;
   }
-  if (next != nullptr) *next = pos;
-  return frames;
+  if (next != nullptr) *next = walk.next;
+  return std::move(walk.frames);
+}
+
+ContainerMeta decode_meta_payload(std::string_view payload) {
+  StateReader r(payload);
+  ContainerMeta meta;
+  meta.ssl_path = r.str();
+  meta.x509_path = r.str();
+  meta.ssl_rows = r.u64();
+  meta.x509_rows = r.u64();
+  meta.ssl_bytes = r.u64();
+  meta.x509_bytes = r.u64();
+  r.expect_done("container meta");
+  return meta;
 }
 
 // ---------------------------------------------------------------------------
@@ -491,14 +530,7 @@ std::optional<ContainerReader> ContainerReader::open(const std::string& path,
         if (have_meta) return fail("duplicate meta frame");
         have_meta = true;
         try {
-          StateReader r(reader.payload(f));
-          reader.meta_.ssl_path = r.str();
-          reader.meta_.x509_path = r.str();
-          reader.meta_.ssl_rows = r.u64();
-          reader.meta_.x509_rows = r.u64();
-          reader.meta_.ssl_bytes = r.u64();
-          reader.meta_.x509_bytes = r.u64();
-          r.expect_done("container meta");
+          reader.meta_ = decode_meta_payload(reader.payload(f));
         } catch (const core::StateError& e) {
           return fail(std::string("malformed meta: ") + e.what());
         }
@@ -705,18 +737,9 @@ std::optional<ContainerMeta> read_container_meta(const std::string& path) {
   for (const FrameRef& frame : *frames) {
     if (frame.kind != FrameKind::kMeta) continue;
     try {
-      StateReader r(data.substr(
+      return decode_meta_payload(data.substr(
           static_cast<std::size_t>(frame.offset) + kFrameHeaderBytes,
           static_cast<std::size_t>(frame.payload_len)));
-      ContainerMeta meta;
-      meta.ssl_path = r.str();
-      meta.x509_path = r.str();
-      meta.ssl_rows = r.u64();
-      meta.x509_rows = r.u64();
-      meta.ssl_bytes = r.u64();
-      meta.x509_bytes = r.u64();
-      r.expect_done("container meta");
-      return meta;
     } catch (const core::StateError&) {
       return std::nullopt;
     }

@@ -1,276 +1,129 @@
 #include "mtlscope/watch/container_tail.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <bit>
-#include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "mtlscope/core/state_io.hpp"
-#include "mtlscope/ingest/retry.hpp"
 
 namespace mtlscope::watch {
 namespace {
-
-/// One poll reads at most this much (same cadence rationale as the line
-/// tail); a frame bigger than the cap completes across several polls.
-constexpr std::size_t kMaxReadPerPoll = std::size_t{8} << 20;
 
 /// Upper bound on a plausible frame payload. The writer flushes a block
 /// well below this; a larger length is a torn or foreign write and
 /// marks the incarnation bad instead of buffering without bound.
 constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 30;
 
-bool stat_fd(int fd, struct stat* st) { return ::fstat(fd, st) == 0; }
-
-bool stat_path(const std::string& path, struct stat* st) {
-  return ::stat(path.c_str(), st) == 0;
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::big) {
-    v = __builtin_bswap32(v);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::big) {
-    v = __builtin_bswap64(v);
-  }
-  return v;
-}
-
 }  // namespace
 
-ContainerTail::ContainerTail(std::string path) : path_(std::move(path)) {}
+ContainerTail::ContainerTail(std::string path) : follower_(std::move(path)) {}
 
-ContainerTail::~ContainerTail() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void ContainerTail::reset_incarnation() {
+void ContainerTail::restart(std::uint64_t inode) {
   pos_ = TailPosition{};
+  pos_.inode = inode;
   bad_ = false;
   reported_ = false;
   meta_.reset();
 }
 
-bool ContainerTail::open_file() {
-  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  struct stat st{};
-  if (!stat_fd(fd, &st)) {
-    ::close(fd);
-    return false;
+/// Marks the incarnation bad, reporting once. Whatever is carried is
+/// discarded: a bad incarnation only moves its fetch position forward
+/// (so truncation is still detected) until a restart.
+void ContainerTail::fail(std::string reason) {
+  bad_ = true;
+  if (!reported_) {
+    reported_ = true;
+    rows_.error = follower_.path() + ": " + std::move(reason);
   }
-  fd_ = fd;
-  reset_incarnation();
-  pos_.inode = static_cast<std::uint64_t>(st.st_ino);
-  return true;
+  pos_.offset += pos_.carry.size();
+  pos_.carry.clear();
 }
 
 /// Feeds newly fetched bytes through the header/frame state machine.
 /// pos_.offset is the absolute end of everything consumed (header +
 /// whole frames); pos_.carry holds fetched-but-unconsumed bytes.
-void ContainerTail::consume(std::string_view bytes, PollRows& out) {
+void ContainerTail::consume(std::string_view bytes) {
+  if (bad_) {
+    pos_.offset += bytes.size();
+    return;
+  }
   pos_.carry.append(bytes);
-  if (bad_) return;  // buffered only; a fresh incarnation resets
 
-  const auto fail = [&](std::string reason) {
-    bad_ = true;
-    if (!reported_) {
-      reported_ = true;
-      out.error = std::move(reason);
-    }
-  };
-
-  std::size_t i = 0;
+  std::uint64_t from = 0;
   if (!pos_.header_done) {
     if (pos_.carry.size() < colfmt::kContainerHeaderBytes) return;
-    const char* p = pos_.carry.data();
-    if (std::memcmp(p, colfmt::kContainerMagic,
-                    sizeof(colfmt::kContainerMagic)) != 0) {
-      return fail(path_ + ": not a compact container (bad magic)");
-    }
-    if (get_u32(p + 8) != colfmt::kContainerVersion) {
-      return fail(path_ + ": unsupported container version");
-    }
-    if (get_u32(p + 12) != colfmt::kContainerEndian) {
-      return fail(path_ + ": container endian sentinel mismatch");
+    std::string error;
+    if (!colfmt::check_container_header(pos_.carry, &error)) {
+      return fail(std::move(error));
     }
     pos_.header_done = true;
-    i = colfmt::kContainerHeaderBytes;
+    from = colfmt::kContainerHeaderBytes;
   }
 
-  while (pos_.carry.size() - i >= colfmt::kFrameHeaderBytes) {
-    const char* p = pos_.carry.data() + i;
-    const std::uint32_t kind = get_u32(p);
-    const std::uint64_t len = get_u64(p + 8);
-    if (kind < 1 ||
-        kind > static_cast<std::uint32_t>(colfmt::FrameKind::kSslBlockDelta) ||
-        len > kMaxFramePayload) {
-      fail(path_ + ": malformed frame at byte " +
-           std::to_string(pos_.offset + i));
-      break;
-    }
-    if (pos_.carry.size() - i - colfmt::kFrameHeaderBytes < len) break;
-    const std::string_view payload(p + colfmt::kFrameHeaderBytes,
-                                   static_cast<std::size_t>(len));
+  const colfmt::FrameWalk walk =
+      colfmt::walk_frames(pos_.carry, from, kMaxFramePayload);
+  for (const colfmt::FrameRef& frame : walk.frames) {
     try {
-      switch (static_cast<colfmt::FrameKind>(kind)) {
-        case colfmt::FrameKind::kSslBlock:
-        case colfmt::FrameKind::kSslBlockDelta: {
-          auto rows = colfmt::decode_ssl_block_payload(
-              payload, static_cast<colfmt::FrameKind>(kind));
-          out.ssl.insert(out.ssl.end(),
-                         std::make_move_iterator(rows.begin()),
-                         std::make_move_iterator(rows.end()));
-          break;
-        }
-        case colfmt::FrameKind::kX509Block: {
-          auto rows = colfmt::decode_x509_block_payload(payload);
-          out.x509.insert(out.x509.end(),
-                          std::make_move_iterator(rows.begin()),
-                          std::make_move_iterator(rows.end()));
-          break;
-        }
-        case colfmt::FrameKind::kMeta: {
-          core::StateReader r(payload);
-          colfmt::ContainerMeta meta;
-          meta.ssl_path = r.str();
-          meta.x509_path = r.str();
-          meta.ssl_rows = r.u64();
-          meta.x509_rows = r.u64();
-          meta.ssl_bytes = r.u64();
-          meta.x509_bytes = r.u64();
-          r.expect_done("container meta");
-          meta_ = std::move(meta);
-          break;
-        }
-        case colfmt::FrameKind::kLedger:
-          // Conversion-time quarantine: those rows never entered the
-          // container, so the live watch ledger has nothing to add.
-          break;
-        case colfmt::FrameKind::kFooter:
-          out.finished = true;
-          break;
-      }
+      decode_frame(frame.kind,
+                   std::string_view(pos_.carry)
+                       .substr(static_cast<std::size_t>(frame.offset) +
+                                   colfmt::kFrameHeaderBytes,
+                               static_cast<std::size_t>(frame.payload_len)));
     } catch (const core::StateError& e) {
-      fail(path_ + ": frame decode failed at byte " +
-           std::to_string(pos_.offset + i) + ": " + e.what());
+      return fail("frame decode failed at byte " +
+                  std::to_string(pos_.offset + frame.offset) + ": " +
+                  e.what());
+    }
+  }
+  if (!walk.error.empty()) {
+    return fail("malformed frame at byte " +
+                std::to_string(pos_.offset + walk.next) + ": " + walk.error);
+  }
+  pos_.carry.erase(0, static_cast<std::size_t>(walk.next));
+  pos_.offset += walk.next;
+}
+
+void ContainerTail::decode_frame(colfmt::FrameKind kind,
+                                 std::string_view payload) {
+  switch (kind) {
+    case colfmt::FrameKind::kSslBlock:
+    case colfmt::FrameKind::kSslBlockDelta: {
+      auto rows = colfmt::decode_ssl_block_payload(payload, kind);
+      rows_.ssl.insert(rows_.ssl.end(), std::make_move_iterator(rows.begin()),
+                       std::make_move_iterator(rows.end()));
       break;
     }
-    i += colfmt::kFrameHeaderBytes + static_cast<std::size_t>(len);
+    case colfmt::FrameKind::kX509Block: {
+      auto rows = colfmt::decode_x509_block_payload(payload);
+      rows_.x509.insert(rows_.x509.end(),
+                        std::make_move_iterator(rows.begin()),
+                        std::make_move_iterator(rows.end()));
+      break;
+    }
+    case colfmt::FrameKind::kMeta:
+      meta_ = colfmt::decode_meta_payload(payload);
+      break;
+    case colfmt::FrameKind::kLedger:
+      // Conversion-time quarantine: those rows never entered the
+      // container, so the live watch ledger has nothing to add.
+      break;
+    case colfmt::FrameKind::kFooter:
+      rows_.finished = true;
+      break;
   }
-
-  pos_.carry.erase(0, i);
-  pos_.offset += i;
 }
 
 ContainerTail::PollRows ContainerTail::poll() {
-  ++events_.polls;
-  progress_ = false;
-  PollRows out;
-  if (fd_ < 0 && !open_file()) return out;
-
-  struct stat st{};
-  if (!stat_fd(fd_, &st)) {
-    ::close(fd_);
-    fd_ = -1;
-    return out;
-  }
-
-  // Copytruncate: restart at 0 expecting a fresh container header.
-  const std::uint64_t fetched = pos_.offset + pos_.carry.size();
-  if (static_cast<std::uint64_t>(st.st_size) < fetched) {
-    ++events_.truncations;
-    const std::uint64_t inode = pos_.inode;
-    reset_incarnation();
-    pos_.inode = inode;
-  }
-
-  bool backlog = false;
-  const std::uint64_t have = pos_.offset + pos_.carry.size();
-  if (static_cast<std::uint64_t>(st.st_size) > have) {
-    const std::uint64_t avail =
-        static_cast<std::uint64_t>(st.st_size) - have;
-    const std::size_t want = static_cast<std::size_t>(
-        avail < kMaxReadPerPoll ? avail : kMaxReadPerPoll);
-    backlog = avail > want;
-    std::string buf(want, '\0');
-    const int fd = fd_;
-    const auto outcome = ingest::read_fully(
-        [fd](char* dst, std::size_t len, std::size_t offset) {
-          return ::pread(fd, dst, len, static_cast<off_t>(offset));
-        },
-        buf.data(), want, static_cast<std::size_t>(have));
-    if (outcome.bytes > 0) {
-      events_.bytes_read += outcome.bytes;
-      progress_ = true;
-      consume(std::string_view(buf.data(), outcome.bytes), out);
-    }
-  }
-
-  // Rename rotation: switch to the new inode once the old fd stopped
-  // growing. A partial frame left in carry is a torn writer — frames
-  // are atomic units, so it is dropped, not salvaged like a text line.
-  struct stat by_name{};
-  const bool name_exists = stat_path(path_, &by_name);
-  const bool rotated =
-      !name_exists ||
-      static_cast<std::uint64_t>(by_name.st_ino) != pos_.inode;
-  if (rotated && !progress_ && name_exists) {
-    ::close(fd_);
-    fd_ = -1;
-    ++events_.rotations;
-    if (open_file()) {
-      auto more = poll();
-      --events_.polls;  // the nested poll double-counted
-      out.ssl.insert(out.ssl.end(),
-                     std::make_move_iterator(more.ssl.begin()),
-                     std::make_move_iterator(more.ssl.end()));
-      out.x509.insert(out.x509.end(),
-                      std::make_move_iterator(more.x509.begin()),
-                      std::make_move_iterator(more.x509.end()));
-      out.finished = more.finished;
-      if (out.error.empty()) out.error = std::move(more.error);
-    }
-  }
-  if (!out.ssl.empty() || !out.x509.empty() || backlog) progress_ = true;
-  return out;
+  progress_ = follower_.poll(*this) || !rows_.ssl.empty() ||
+              !rows_.x509.empty();
+  return std::exchange(rows_, {});
 }
 
 bool ContainerTail::restore(const TailPosition& position) {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    reset_incarnation();
+  if (!follower_.restore(*this, position.inode,
+                         position.offset + position.carry.size())) {
     return false;
   }
-  struct stat st{};
-  if (!stat_fd(fd, &st) ||
-      static_cast<std::uint64_t>(st.st_ino) != position.inode ||
-      static_cast<std::uint64_t>(st.st_size) <
-          position.offset + position.carry.size()) {
-    // Rotated or truncated while we were down: restart on the current
-    // file; the checkpointed analyzer state is still valid.
-    ::close(fd);
-    if (!open_file()) reset_incarnation();
-    return false;
-  }
-  fd_ = fd;
   pos_ = position;
-  bad_ = false;
-  reported_ = false;
   return true;
 }
 

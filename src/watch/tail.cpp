@@ -1,53 +1,16 @@
 #include "mtlscope/watch/tail.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cstring>
-
-#include "mtlscope/ingest/retry.hpp"
+#include <utility>
 
 namespace mtlscope::watch {
-namespace {
 
-/// One poll reads at most this much; a huge backlog (first open of a
-/// months-old log, resume after downtime) drains over several polls so
-/// signal handling and checkpoints stay responsive.
-constexpr std::size_t kMaxReadPerPoll = std::size_t{8} << 20;
+TailSource::TailSource(std::string path) : follower_(std::move(path)) {}
 
-bool stat_fd(int fd, struct stat* st) { return ::fstat(fd, st) == 0; }
-
-bool stat_path(const std::string& path, struct stat* st) {
-  return ::stat(path.c_str(), st) == 0;
-}
-
-}  // namespace
-
-TailSource::TailSource(std::string path) : path_(std::move(path)) {}
-
-TailSource::~TailSource() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void TailSource::reset_incarnation() {
+void TailSource::restart(std::uint64_t inode) {
   pos_ = TailPosition{};
+  pos_.inode = inode;
   ++incarnation_;
   pending_incarnation_start_ = true;
-}
-
-bool TailSource::open_file() {
-  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  struct stat st{};
-  if (!stat_fd(fd, &st)) {
-    ::close(fd);
-    return false;
-  }
-  fd_ = fd;
-  reset_incarnation();
-  pos_.inode = static_cast<std::uint64_t>(st.st_ino);
-  return true;
 }
 
 TailBatch TailSource::make_batch() {
@@ -61,11 +24,10 @@ TailBatch TailSource::make_batch() {
 /// Feeds newly fetched bytes through the header/line state machine.
 ///
 /// Invariant: pos_.offset is the absolute end of everything fetched so
-/// far (poll() preads at pos_.offset), and pos_.carry holds the tail of
+/// far (the follower preads there), and pos_.carry holds the tail of
 /// the fetched region not yet consumed — so the pending region
 /// `carry + bytes` starts at absolute offset pos_.offset - carry.size().
-void TailSource::consume(std::string_view bytes,
-                         std::vector<TailBatch>& out) {
+void TailSource::consume(std::string_view bytes) {
   const std::size_t pending_start =
       static_cast<std::size_t>(pos_.offset) - pos_.carry.size();
   std::string pending = std::move(pos_.carry);
@@ -112,81 +74,17 @@ void TailSource::consume(std::string_view bytes,
   for (const char c : batch.body) lines += c == '\n';
   pos_.body_lines += lines;
   pos_.carry = pending.substr(last_nl + 1);
-  out.push_back(std::move(batch));
+  batches_.push_back(std::move(batch));
 }
 
 std::vector<TailBatch> TailSource::poll() {
-  ++events_.polls;
-  progress_ = false;
-  std::vector<TailBatch> out;
-  if (fd_ < 0 && !open_file()) return out;
+  progress_ = follower_.poll(*this) || !batches_.empty();
+  return std::exchange(batches_, {});
+}
 
-  struct stat st{};
-  if (!stat_fd(fd_, &st)) {
-    // The fd went bad (rare: forced unmount). Drop it and retry next
-    // poll; the incarnation's carry is lost with it.
-    ::close(fd_);
-    fd_ = -1;
-    return out;
-  }
-
-  // Copytruncate: the file shrank in place (same inode). Everything
-  // restarts at 0 — fresh header, fresh absolute offsets, fresh plan.
-  if (static_cast<std::uint64_t>(st.st_size) < pos_.offset) {
-    ++events_.truncations;
-    const std::uint64_t inode = pos_.inode;
-    reset_incarnation();
-    pos_.inode = inode;
-  }
-
-  // Append: read up to the per-poll cap.
-  bool backlog = false;
-  if (static_cast<std::uint64_t>(st.st_size) > pos_.offset) {
-    const std::uint64_t avail =
-        static_cast<std::uint64_t>(st.st_size) - pos_.offset;
-    const std::size_t want = static_cast<std::size_t>(
-        avail < kMaxReadPerPoll ? avail : kMaxReadPerPoll);
-    backlog = avail > want;
-    std::string buf(want, '\0');
-    const int fd = fd_;
-    const std::size_t base = static_cast<std::size_t>(pos_.offset);
-    const auto outcome = ingest::read_fully(
-        [fd](char* dst, std::size_t len, std::size_t offset) {
-          return ::pread(fd, dst, len, static_cast<off_t>(offset));
-        },
-        buf.data(), want, base);
-    if (outcome.bytes > 0) {
-      events_.bytes_read += outcome.bytes;
-      progress_ = true;
-      consume(std::string_view(buf.data(), outcome.bytes), out);
-    }
-  }
-
-  // Rename rotation: the path now names a different inode (or nothing).
-  // Keep draining the old fd while it still grows — a late writer may be
-  // flushing to the renamed file — and switch only once a poll saw no
-  // new bytes on it, flushing the final unterminated line as a record
-  // (the old file is complete; its writer has moved on).
-  struct stat by_name{};
-  const bool name_exists = stat_path(path_, &by_name);
-  const bool rotated =
-      !name_exists ||
-      static_cast<std::uint64_t>(by_name.st_ino) != pos_.inode;
-  if (rotated && !progress_ && name_exists) {
-    if (auto tail = flush_carry()) out.push_back(std::move(*tail));
-    ::close(fd_);
-    fd_ = -1;
-    ++events_.rotations;
-    if (open_file()) {
-      // Consume the new incarnation in the same poll so a rotation
-      // never costs an extra poll interval of latency.
-      auto more = poll();
-      --events_.polls;  // the nested poll double-counted
-      for (auto& batch : more) out.push_back(std::move(batch));
-    }
-  }
-  if (!out.empty() || backlog) progress_ = true;
-  return out;
+void TailSource::end_incarnation() {
+  // The renamed-away file is complete: its unterminated tail is a record.
+  if (auto tail = flush_carry()) batches_.push_back(std::move(*tail));
 }
 
 std::optional<TailBatch> TailSource::flush_carry() {
@@ -202,33 +100,12 @@ std::optional<TailBatch> TailSource::flush_carry() {
 }
 
 bool TailSource::restore(const TailPosition& position) {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    // Nothing at the path yet; poll() opens whatever appears later as a
-    // fresh incarnation.
-    reset_incarnation();
+  if (!follower_.restore(*this, position.inode, position.offset)) {
     return false;
   }
-  struct stat st{};
-  if (!stat_fd(fd, &st) ||
-      static_cast<std::uint64_t>(st.st_ino) != position.inode ||
-      static_cast<std::uint64_t>(st.st_size) < position.offset) {
-    // Rotated or truncated while we were down: restart on the current
-    // file. The checkpointed analyzer state is still valid — only the
-    // tail position is not.
-    ::close(fd);
-    if (!open_file()) reset_incarnation();
-    return false;
-  }
-  fd_ = fd;
+  // The follower's reopen restarted a fresh incarnation, so the first
+  // batch after the resume recompiles the plan from the restored header.
   pos_ = position;
-  ++incarnation_;
-  // The restored header re-compiles the plan; it is not a new file.
-  pending_incarnation_start_ = true;
   return true;
 }
 

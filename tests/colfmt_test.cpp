@@ -19,7 +19,9 @@
 //     counts, and fail on post-conversion divergence;
 //   * ContainerTail consumes frames as they stream in, carries partial
 //     frames across polls, and a checkpointed position restores into a
-//     fresh tail without replaying or dropping rows.
+//     fresh tail without replaying or dropping rows; a bad incarnation
+//     (bad magic, a frame claiming an absurd length) is reported once
+//     and buffers nothing, however much a writer keeps appending.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -666,6 +668,49 @@ TEST_F(ColfmtTest, ContainerTailReportsBadMagicOnce) {
   rows = tail.poll();
   EXPECT_TRUE(rows.error.empty());
   EXPECT_TRUE(rows.ssl.empty());
+
+  // A writer that keeps appending megabytes to the bad incarnation: the
+  // tail discards them instead of carrying (and checkpointing) them,
+  // moves its fetch position on, and reports nothing new.
+  const std::string chunk(std::size_t{4} << 20, 'Q');
+  for (int i = 0; i < 3; ++i) {
+    std::ofstream(grow, std::ios::binary | std::ios::app) << chunk;
+    rows = tail.poll();
+    EXPECT_TRUE(rows.error.empty()) << rows.error;
+    EXPECT_LE(tail.position().carry.size(), colfmt::kContainerHeaderBytes);
+  }
+  EXPECT_EQ(tail.position().offset, 128 + 3 * chunk.size());
+}
+
+TEST_F(ColfmtTest, ContainerTailRejectsOversizedFrameWithoutBuffering) {
+  // A valid header, then a frame header claiming a terabyte: the tail
+  // marks the incarnation bad on the header alone instead of buffering
+  // toward a payload that cannot be real.
+  const std::string empty = path("empty.mtlc");
+  colfmt::ContainerWriter writer(empty);
+  std::string error;
+  ASSERT_TRUE(writer.finish(&error)) << error;
+  std::string data = slurp(empty).substr(0, colfmt::kContainerHeaderBytes);
+  colfmt::wire::put_u32(data,
+                        static_cast<std::uint32_t>(colfmt::FrameKind::kSslBlock));
+  colfmt::wire::put_u32(data, 0);
+  colfmt::wire::put_u64(data, std::uint64_t{1} << 40);
+  data.append(100, 'P');
+
+  const std::string grow = write_file("huge.mtlc", data);
+  watch::ContainerTail tail(grow);
+  auto rows = tail.poll();
+  EXPECT_NE(rows.error.find("malformed frame"), std::string::npos)
+      << rows.error;
+  EXPECT_TRUE(rows.ssl.empty());
+  EXPECT_TRUE(tail.position().carry.empty());
+
+  std::ofstream(grow, std::ios::binary | std::ios::app)
+      << std::string(std::size_t{4} << 20, 'P');
+  rows = tail.poll();
+  EXPECT_TRUE(rows.error.empty()) << rows.error;
+  EXPECT_TRUE(tail.position().carry.empty());
+  EXPECT_EQ(tail.position().offset, data.size() + (std::size_t{4} << 20));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@
 //     and survives both rotation shapes — copytruncate (same inode,
 //     shrink-in-place) and rename rotation with a late writer still
 //     flushing the old fd — delivering every row exactly once;
+//   * the same lifecycle cases run over both framings the shared file
+//     follower feeds — Zeek lines and container frames — so truncation,
+//     rotation with a late writer, and restore behave alike, except
+//     that a partial frame is dropped where a partial line is flushed;
 //   * RowIssue coordinates from a tailed parse are absolute in the
 //     file, identical whether the file was read in one pass, tailed in
 //     pieces, or resumed mid-file from a checkpointed position (the
@@ -30,12 +34,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "mtlscope/colfmt/container.hpp"
 #include "mtlscope/core/result_doc.hpp"
 #include "mtlscope/crypto/sha256.hpp"
 #include "mtlscope/crypto/tsig.hpp"
@@ -45,6 +51,7 @@
 #include "mtlscope/trust/authority.hpp"
 #include "mtlscope/trust/public_cas.hpp"
 #include "mtlscope/watch/checkpoint.hpp"
+#include "mtlscope/watch/container_tail.hpp"
 #include "mtlscope/watch/daemon.hpp"
 #include "mtlscope/watch/record_tail.hpp"
 #include "mtlscope/watch/scheduler.hpp"
@@ -312,6 +319,193 @@ TEST_F(WatchTest, RestoreRefusesRotatedOrShrunkFile) {
   position.offset += 1 << 20;
   watch::TailSource shrunk(path);
   EXPECT_FALSE(shrunk.restore(position));
+}
+
+// ---------------------------------------------------------------------------
+// Lifecycle parity: both framings over the shared file follower
+
+/// Zeek line framing: a header block, then one TSV row per record.
+struct LineFraming {
+  using Tail = watch::SslTail;
+  static constexpr bool kFlushesPartialRecord = true;
+
+  static std::string header(const fs::path&) { return kSslHeader; }
+  static std::string record(const fs::path&, double ts,
+                            const std::string& uid) {
+    return ssl_row(ts, uid);
+  }
+  static std::vector<std::string> poll(Tail& tail) {
+    std::vector<std::string> uids;
+    for (const auto& rec : tail.poll().records) uids.push_back(rec.uid);
+    return uids;
+  }
+  static const watch::TailEvents& events(const Tail& tail) {
+    return tail.source().events();
+  }
+  static watch::TailPosition position(const Tail& tail) {
+    return tail.source().position();
+  }
+  static bool restore(Tail& tail, const watch::TailPosition& position) {
+    return tail.source().restore(position);
+  }
+};
+
+/// Container framing: a container header, then one ssl block frame per
+/// record (no meta or footer: a container still being written).
+struct ContainerFraming {
+  using Tail = watch::ContainerTail;
+  static constexpr bool kFlushesPartialRecord = false;
+
+  /// A one-row container, written by the real writer.
+  static std::string one_row_container(const fs::path& dir, double ts,
+                                       const std::string& uid) {
+    const std::string path = (dir / "frame.mtlc").string();
+    colfmt::WriterOptions options;
+    options.block_rows = 1;
+    colfmt::ContainerWriter writer(path, options);
+    zeek::SslRecord rec;
+    rec.ts = static_cast<util::UnixSeconds>(ts);
+    rec.uid = uid;
+    rec.orig_h = "10.0.0.1";
+    rec.resp_h = "10.0.0.2";
+    rec.resp_p = 443;
+    writer.add_ssl(rec);
+    EXPECT_TRUE(writer.finish());
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  static std::string header(const fs::path& dir) {
+    return one_row_container(dir, 0, "H")
+        .substr(0, colfmt::kContainerHeaderBytes);
+  }
+  static std::string record(const fs::path& dir, double ts,
+                            const std::string& uid) {
+    const std::string data = one_row_container(dir, ts, uid);
+    std::uint64_t next = 0;
+    std::string error;
+    const auto frames = colfmt::scan_frames(data, 0, &next, &error);
+    EXPECT_TRUE(frames && !frames->empty()) << error;
+    const colfmt::FrameRef& block = frames->front();
+    EXPECT_EQ(block.kind, colfmt::FrameKind::kSslBlockDelta);
+    return data.substr(static_cast<std::size_t>(block.offset),
+                       colfmt::kFrameHeaderBytes +
+                           static_cast<std::size_t>(block.payload_len));
+  }
+  static std::vector<std::string> poll(Tail& tail) {
+    auto rows = tail.poll();
+    EXPECT_TRUE(rows.error.empty()) << rows.error;
+    std::vector<std::string> uids;
+    for (const auto& rec : rows.ssl) uids.push_back(rec.uid);
+    return uids;
+  }
+  static const watch::TailEvents& events(const Tail& tail) {
+    return tail.events();
+  }
+  static watch::TailPosition position(const Tail& tail) {
+    return tail.position();
+  }
+  static bool restore(Tail& tail, const watch::TailPosition& position) {
+    return tail.restore(position);
+  }
+};
+
+template <typename Framing>
+class TailLifecycleTest : public WatchTest {
+ protected:
+  using Tail = typename Framing::Tail;
+  using Uids = std::vector<std::string>;
+
+  std::string header() { return Framing::header(dir_); }
+  std::string record(double ts, const std::string& uid) {
+    return Framing::record(dir_, ts, uid);
+  }
+};
+
+using TailFramings = ::testing::Types<LineFraming, ContainerFraming>;
+TYPED_TEST_SUITE(TailLifecycleTest, TailFramings);
+
+TYPED_TEST(TailLifecycleTest, CopytruncateRestartsAtZero) {
+  using Uids = typename TestFixture::Uids;
+  const std::string path = this->write_file(
+      "ssl.log", this->header() + this->record(100, "C1") +
+                     this->record(110, "C2") + this->record(120, "C3"));
+  typename TestFixture::Tail tail(path);
+  EXPECT_EQ(TypeParam::poll(tail), (Uids{"C1", "C2", "C3"}));
+
+  // Same inode, shorter than what was fetched, fresh header.
+  this->write_file("ssl.log", this->header() + this->record(200, "C4"));
+  EXPECT_EQ(TypeParam::poll(tail), (Uids{"C4"}));
+  EXPECT_EQ(TypeParam::events(tail).truncations, 1u);
+  EXPECT_EQ(TypeParam::events(tail).rotations, 0u);
+
+  this->append_file(path, this->record(210, "C5"));
+  EXPECT_EQ(TypeParam::poll(tail), (Uids{"C5"}));
+}
+
+TYPED_TEST(TailLifecycleTest, RenameRotationDrainsLateWriterFirst) {
+  using Uids = typename TestFixture::Uids;
+  const std::string path =
+      this->write_file("ssl.log", this->header() + this->record(100, "C1"));
+  typename TestFixture::Tail tail(path);
+  EXPECT_EQ(TypeParam::poll(tail), (Uids{"C1"}));
+
+  // A late writer appends a complete record and then a partial one to
+  // the renamed-away inode.
+  fs::rename(path, path + ".1");
+  this->append_file(path + ".1", this->record(150, "C2"));
+  const std::string partial = this->record(160, "C3");
+  this->append_file(path + ".1", partial.substr(0, partial.size() - 1));
+  this->write_file("ssl.log", this->header() + this->record(200, "C4"));
+
+  // Poll 1: the old fd still grew — its complete records come first.
+  EXPECT_EQ(TypeParam::poll(tail), (Uids{"C2"}));
+  EXPECT_EQ(TypeParam::events(tail).rotations, 0u);
+
+  // Poll 2: the old fd is quiet — switch and read the new inode. A
+  // partial line is flushed as a final record; a partial frame is a
+  // torn write and is dropped.
+  const Uids expected = TypeParam::kFlushesPartialRecord ? Uids{"C3", "C4"}
+                                                         : Uids{"C4"};
+  EXPECT_EQ(TypeParam::poll(tail), expected);
+  EXPECT_EQ(TypeParam::events(tail).rotations, 1u);
+
+  this->append_file(path, this->record(300, "C5"));
+  EXPECT_EQ(TypeParam::poll(tail), (Uids{"C5"}));
+}
+
+TYPED_TEST(TailLifecycleTest, RestoreRefusesRotatedOrShrunkFile) {
+  using Uids = typename TestFixture::Uids;
+  const std::string path =
+      this->write_file("ssl.log", this->header() + this->record(100, "C1"));
+  watch::TailPosition position;
+  {
+    typename TestFixture::Tail tail(path);
+    EXPECT_EQ(TypeParam::poll(tail), (Uids{"C1"}));
+    position = TypeParam::position(tail);
+  }
+
+  // Same inode, at least as long: the position applies and nothing is
+  // read twice.
+  this->append_file(path, this->record(110, "C2"));
+  {
+    typename TestFixture::Tail resumed(path);
+    EXPECT_TRUE(TypeParam::restore(resumed, position));
+    EXPECT_EQ(TypeParam::poll(resumed), (Uids{"C2"}));
+  }
+
+  // Different inode at the path: restart from 0, not the stored offset.
+  fs::rename(path, path + ".old");
+  this->write_file("ssl.log", this->header() + this->record(200, "C3"));
+  typename TestFixture::Tail rotated(path);
+  EXPECT_FALSE(TypeParam::restore(rotated, position));
+  EXPECT_EQ(TypeParam::poll(rotated), (Uids{"C3"}));
+
+  // Same inode but shorter than the stored position: also restart.
+  watch::TailPosition shrunk_position = TypeParam::position(rotated);
+  shrunk_position.offset += 1 << 20;
+  typename TestFixture::Tail shrunk(path);
+  EXPECT_FALSE(TypeParam::restore(shrunk, shrunk_position));
+  EXPECT_EQ(TypeParam::poll(shrunk), (Uids{"C3"}));
 }
 
 // ---------------------------------------------------------------------------
