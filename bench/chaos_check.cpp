@@ -29,9 +29,7 @@
 // clocks, no randomness — so a failure replays exactly.
 //
 // Usage: chaos_check --mtlscope=PATH --work-dir=DIR [--seeds=N1,N2,...]
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,15 +38,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "check_util.hpp"
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/ingest/durable_io.hpp"
 #include "mtlscope/zeek/log_io.hpp"
+
+using namespace check;
 
 namespace {
 
@@ -60,61 +59,17 @@ constexpr int kTornExit = mtlscope::ingest::kTornRenameExitCode;
 
 int g_schedules = 0;  // every injected schedule counts toward the floor
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return std::move(out).str();
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-}
-
-/// Child process with stdout+stderr captured and extra environment
-/// ("K=V" strings — the FaultVfs schedule). Returns the pid.
-pid_t spawn_child(const std::string& binary,
-                  const std::vector<std::string>& args,
-                  const std::string& capture_path,
-                  const std::vector<std::string>& env = {}) {
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(binary.c_str()));
-  for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-  argv.push_back(nullptr);
-
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    return -1;
-  }
-  if (pid == 0) {
-    const int fd =
-        open(capture_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0 || dup2(fd, STDOUT_FILENO) < 0 ||
-        dup2(fd, STDERR_FILENO) < 0) {
-      _exit(127);
-    }
-    close(fd);
-    for (const auto& kv : env) putenv(const_cast<char*>(kv.c_str()));
-    execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-  return pid;
-}
-
-/// Exit code, or -1 when the child died to a signal.
-int wait_child(pid_t pid) {
-  int status = 0;
-  if (waitpid(pid, &status, 0) < 0) return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
+/// Runs a child to exit with stdout+stderr captured fresh in
+/// `capture_path` and extra environment ("K=V" strings — the FaultVfs
+/// schedule). Exit code, or -1 when it died to a signal.
 int run_to_exit(const std::string& binary,
                 const std::vector<std::string>& args,
                 const std::string& capture_path,
                 const std::vector<std::string>& env = {}) {
-  const pid_t pid = spawn_child(binary, args, capture_path, env);
+  std::error_code ec;
+  fs::remove(capture_path, ec);
+  const pid_t pid =
+      spawn_child(binary, args, capture_path, capture_path, env);
   if (pid < 0) return -1;
   return wait_child(pid);
 }

@@ -13,81 +13,16 @@
 //      over dirty input with the data-quality block present.
 //
 // Usage: degraded_run_check --fixture-dir=DIR --mtlscope=PATH
-#include <sys/wait.h>
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "check_util.hpp"
 #include "mtlscope/ingest/fault.hpp"
 
-namespace {
-
-struct RunResult {
-  std::string output;
-  int exit_code = -1;
-};
-
-RunResult run_child(const std::string& binary,
-                    const std::vector<std::string>& args,
-                    const std::string& capture_path) {
-  RunResult result;
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(binary.c_str()));
-  for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-  argv.push_back(nullptr);
-
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    return result;
-  }
-  if (pid == 0) {
-    const int fd = open(capture_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                        0644);
-    if (fd < 0 || dup2(fd, STDOUT_FILENO) < 0) _exit(127);
-    close(fd);
-    execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-
-  int status = 0;
-  if (waitpid(pid, &status, 0) < 0) {
-    std::perror("waitpid");
-    return result;
-  }
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-
-  std::ifstream in(capture_path, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  result.output = std::move(text).str();
-  return result;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return std::move(out).str();
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text;
-}
-
-bool contains(const std::string& haystack, const char* needle) {
-  return haystack.find(needle) != std::string::npos;
-}
-
-}  // namespace
+using namespace check;
 
 int main(int argc, char** argv) {
   std::string fixture_dir, mtlscope;

@@ -1,7 +1,7 @@
 // ingest_rss_check: the teeth of the streaming-ingest CTest fixture.
 //
-// Runs repro_table1 over the log pair written by ingest_fixture — once
-// slurped (--in-memory) as the baseline, then streamed for every
+// Runs `mtlscope run table1` over the log pair written by ingest_fixture
+// — once slurped (--in-memory) as the baseline, then streamed for every
 // {threads} x {chunk size} combination in the acceptance matrix — each in
 // a child process whose peak RSS is read back via wait4(). The check
 // fails unless (a) every streamed run's stdout is byte-identical to the
@@ -9,88 +9,34 @@
 // budget. The in-memory run holds both logs plus every parsed record, so
 // its RSS scales with input size; the streamed runs must not.
 //
-// Usage: ingest_rss_check --fixture-dir=DIR --repro=PATH [--budget-mb=N]
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
+// Usage: ingest_rss_check --fixture-dir=DIR --mtlscope=PATH [--budget-mb=N]
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-namespace {
+#include "check_util.hpp"
 
-struct RunResult {
-  std::string output;
-  long max_rss_kb = 0;
-  int exit_code = -1;
-};
-
-/// Fork/exec `repro` with `args`, stdout redirected to `capture_path`;
-/// peak RSS comes from the child's rusage so the parent (and the
-/// generator) never contaminate the measurement.
-RunResult run_child(const std::string& repro,
-                    const std::vector<std::string>& args,
-                    const std::string& capture_path) {
-  RunResult result;
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(repro.c_str()));
-  for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-  argv.push_back(nullptr);
-
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    return result;
-  }
-  if (pid == 0) {
-    const int fd = open(capture_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                        0644);
-    if (fd < 0 || dup2(fd, STDOUT_FILENO) < 0) _exit(127);
-    close(fd);
-    execv(repro.c_str(), argv.data());
-    _exit(127);
-  }
-
-  int status = 0;
-  struct rusage usage {};
-  if (wait4(pid, &status, 0, &usage) < 0) {
-    std::perror("wait4");
-    return result;
-  }
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  result.max_rss_kb = usage.ru_maxrss;  // KiB on Linux
-
-  std::ifstream in(capture_path, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  result.output = std::move(text).str();
-  return result;
-}
-
-}  // namespace
+using namespace check;
 
 int main(int argc, char** argv) {
-  std::string fixture_dir, repro;
+  std::string fixture_dir, mtlscope;
   long budget_mb = 256;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--fixture-dir=", 14) == 0) {
       fixture_dir = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--repro=", 8) == 0) {
-      repro = argv[i] + 8;
+    } else if (std::strncmp(argv[i], "--mtlscope=", 11) == 0) {
+      mtlscope = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--budget-mb=", 12) == 0) {
       budget_mb = std::atol(argv[i] + 12);
     }
   }
-  if (fixture_dir.empty() || repro.empty()) {
+  if (fixture_dir.empty() || mtlscope.empty()) {
     std::fprintf(stderr,
-                 "usage: %s --fixture-dir=DIR --repro=PATH [--budget-mb=N]\n",
+                 "usage: %s --fixture-dir=DIR --mtlscope=PATH "
+                 "[--budget-mb=N]\n",
                  argv[0]);
     return 2;
   }
@@ -108,14 +54,15 @@ int main(int argc, char** argv) {
       static_cast<double>(std::filesystem::file_size(ssl_path)) / (1 << 20);
 
   const std::vector<std::string> common = {
-      "--ssl-log=" + ssl_path, "--x509-log=" + x509_path, "--stable-output"};
+      "run", "table1", "--ssl-log=" + ssl_path, "--x509-log=" + x509_path,
+      "--stable-output"};
 
   // Baseline: slurp both logs, run the in-memory path.
   auto baseline_args = common;
   baseline_args.push_back("--in-memory");
   baseline_args.push_back("--threads=1");
   const auto baseline =
-      run_child(repro, baseline_args, (dir / "out_baseline.txt").string());
+      run_child(mtlscope, baseline_args, (dir / "out_baseline.txt").string());
   if (baseline.exit_code != 0) {
     std::fprintf(stderr, "FAIL: in-memory baseline exited %d\n",
                  baseline.exit_code);
@@ -145,7 +92,7 @@ int main(int argc, char** argv) {
     args.push_back(std::string("--chunk-mb=") + config.chunk_mb);
     const auto capture =
         (dir / ("out_streamed_" + std::to_string(index++) + ".txt")).string();
-    const auto streamed = run_child(repro, args, capture);
+    const auto streamed = run_child(mtlscope, args, capture);
 
     char label[64];
     std::snprintf(label, sizeof label, "streamed threads=%d chunk=%s MiB",

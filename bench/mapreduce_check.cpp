@@ -13,19 +13,17 @@
 //      deterministic incompatibility message.
 //
 // Usage: mapreduce_check --fixture-dir=DIR --mtlscope=PATH
-#include <sys/wait.h>
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "check_util.hpp"
+
+using namespace check;
 
 namespace {
 
@@ -38,93 +36,6 @@ const char* kDistributable =
     "table1,table2,table3,table4,table5,table6,table7,table8,table9,"
     "table13,table14,fig1,fig2,fig3,fig4,fig5,serials,interception,"
     "tracking,renewal,ablation_classifier";
-
-struct RunResult {
-  std::string output;  // stdout + stderr, in that order
-  int exit_code = -1;
-};
-
-RunResult run_child(const std::string& binary,
-                    const std::vector<std::string>& args,
-                    const std::string& capture_path) {
-  RunResult result;
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(binary.c_str()));
-  for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-  argv.push_back(nullptr);
-
-  const std::string err_path = capture_path + ".stderr";
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    return result;
-  }
-  if (pid == 0) {
-    const int out_fd =
-        open(capture_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    const int err_fd =
-        open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (out_fd < 0 || err_fd < 0 || dup2(out_fd, STDOUT_FILENO) < 0 ||
-        dup2(err_fd, STDERR_FILENO) < 0) {
-      _exit(127);
-    }
-    close(out_fd);
-    close(err_fd);
-    execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-
-  int status = 0;
-  if (waitpid(pid, &status, 0) < 0) {
-    std::perror("waitpid");
-    return result;
-  }
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-
-  for (const auto& path : {capture_path, err_path}) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    result.output += std::move(text).str();
-  }
-  return result;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return std::move(out).str();
-}
-
-/// Splits a Zeek TSV log into its '#'-metadata header and data rows
-/// (newline included in every element).
-void split_log(const std::string& text, std::string* header,
-               std::vector<std::string>* rows) {
-  std::size_t pos = 0;
-  bool in_header = true;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size() - 1;
-    const std::string line = text.substr(pos, eol - pos + 1);
-    pos = eol + 1;
-    if (in_header && !line.empty() && line[0] == '#') {
-      *header += line;
-    } else {
-      in_header = false;
-      rows->push_back(line);
-    }
-  }
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text;
-}
-
-bool contains(const std::string& haystack, const char* needle) {
-  return haystack.find(needle) != std::string::npos;
-}
 
 }  // namespace
 
@@ -205,8 +116,9 @@ int main(int argc, char** argv) {
       args.emplace_back(comma ? std::string(name, comma) : std::string(name));
       name = comma ? comma + 1 : name + std::strlen(name);
     }
-    const auto run =
-        run_child(mtlscope, args, (dir / "mr_single_host.json").string());
+    const auto run = run_child(mtlscope, args,
+                               (dir / "mr_single_host.json").string(),
+                               /*capture_stderr=*/true);
     if (run.exit_code != 0) {
       std::fprintf(stderr, "FAIL: single-host run exited %d\n%s\n",
                    run.exit_code, run.output.c_str());
@@ -245,7 +157,7 @@ int main(int argc, char** argv) {
             mtlscope,
             {"map", "--state-out=" + state_path, "--ssl-log=" + slice_paths[s],
              "--x509-log=" + x509_log, threads},
-            (dir / "mr_map_out.txt").string());
+            (dir / "mr_map_out.txt").string(), /*capture_stderr=*/true);
         if (map.exit_code != 0) {
           std::fprintf(stderr, "FAIL: map %s slice %zu (%s) exited %d\n%s\n",
                        slicing.name, s, threads, map.exit_code,
@@ -264,7 +176,8 @@ int main(int argc, char** argv) {
           (dir / ("mr_reduce_" + std::string(slicing.name) + "_t" +
                   std::string(threads + 10) + ".json"))
               .string();
-      const auto reduce = run_child(mtlscope, args, out_path);
+      const auto reduce =
+          run_child(mtlscope, args, out_path, /*capture_stderr=*/true);
       if (reduce.exit_code != 0) {
         std::fprintf(stderr, "FAIL: reduce %s (%s) exited %d\n%s\n",
                      slicing.name, threads, reduce.exit_code,
@@ -307,7 +220,7 @@ int main(int argc, char** argv) {
         mtlscope,
         {"map", "--state-out=" + odd_state, "--ssl-log=" + slice0,
          "--x509-log=" + x509_log, "--seed=111", "--threads=4"},
-        (dir / "mr_map_out.txt").string());
+        (dir / "mr_map_out.txt").string(), /*capture_stderr=*/true);
     if (map.exit_code != 0) {
       std::fprintf(stderr, "FAIL: odd-seed map exited %d\n", map.exit_code);
       return 1;
@@ -315,8 +228,9 @@ int main(int argc, char** argv) {
     std::vector<std::string> args = {
         "reduce", (dir / "mr_per_month_t1_s1.state").string(), odd_state};
     args.insert(args.end(), common.begin(), common.end());
-    const auto reduce =
-        run_child(mtlscope, args, (dir / "mr_mismatch.json").string());
+    const auto reduce = run_child(mtlscope, args,
+                                  (dir / "mr_mismatch.json").string(),
+                                  /*capture_stderr=*/true);
     if (reduce.exit_code == 0) {
       std::fprintf(stderr, "FAIL: reduce accepted mismatched seeds\n");
       return 1;

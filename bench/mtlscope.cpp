@@ -192,6 +192,19 @@ int emit_docs(const std::vector<core::ResultDoc>& docs,
   return 0;
 }
 
+/// File mode needs the log pair, except that a compact container named
+/// by --ssl-log= alone carries both halves. Reports the gap on stderr.
+bool file_mode_complete(const experiments::RunOptions& options) {
+  if (options.ssl_log.empty() == options.x509_log.empty() ||
+      options.compact_input()) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "file mode needs both --ssl-log= and --x509-log= "
+               "(a compact container via --ssl-log= alone works)\n");
+  return false;
+}
+
 int run_run(int argc, char** argv) {
   experiments::RunOptions options;
   std::vector<std::string> names;
@@ -224,18 +237,7 @@ int run_run(int argc, char** argv) {
       names.emplace_back(arg);
     }
   }
-  if (options.ssl_log.empty() != options.x509_log.empty() &&
-      !options.compact_input()) {
-    std::fprintf(stderr,
-                 "file mode needs both --ssl-log= and --x509-log= "
-                 "(a compact container via --ssl-log= alone works)\n");
-    return 2;
-  }
-  if (format != "text" && format != "json" && format != "csv" &&
-      format != "tsv") {
-    std::fprintf(stderr, "unknown format: %s\n", format.c_str());
-    return 2;
-  }
+  if (!file_mode_complete(options)) return 2;
   if (all) {
     names = experiments::ExperimentRegistry::instance().names();
   }
@@ -282,13 +284,7 @@ int run_map(int argc, char** argv) {
     std::fprintf(stderr, "map needs --state-out=FILE\n");
     return 2;
   }
-  if (options.ssl_log.empty() != options.x509_log.empty() &&
-      !options.compact_input()) {
-    std::fprintf(stderr,
-                 "file mode needs both --ssl-log= and --x509-log= "
-                 "(a compact container via --ssl-log= alone works)\n");
-    return 2;
-  }
+  if (!file_mode_complete(options)) return 2;
 
   core::ShardState state;
   auto config = core::PipelineConfig::campus_defaults();

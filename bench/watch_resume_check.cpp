@@ -18,9 +18,7 @@
 // and the input format must all be invisible in the published bytes).
 //
 // Usage: watch_resume_check --fixture-dir=DIR --mtlscope=PATH
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -30,9 +28,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "check_util.hpp"
+
+using namespace check;
 
 namespace {
 
@@ -40,81 +41,9 @@ namespace fs = std::filesystem;
 
 constexpr const char* kExperiments = "table1,fig1,serials";
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return std::move(out).str();
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-}
-
 void append_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
   out << text;
-}
-
-void split_log(const std::string& text, std::string* header,
-               std::vector<std::string>* rows) {
-  std::size_t pos = 0;
-  bool in_header = true;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size() - 1;
-    const std::string line = text.substr(pos, eol - pos + 1);
-    pos = eol + 1;
-    if (in_header && !line.empty() && line[0] == '#') {
-      *header += line;
-    } else {
-      in_header = false;
-      rows->push_back(line);
-    }
-  }
-}
-
-/// Starts a child process with stdout captured; returns its pid. stderr
-/// joins the capture unless `stderr_path` names its own file — runs
-/// whose capture is byte-compared must keep the streams apart (stderr
-/// carries advisory notes, e.g. the --threads clamp on small machines).
-pid_t spawn_child(const std::string& binary,
-                  const std::vector<std::string>& args,
-                  const std::string& capture_path,
-                  const std::string& stderr_path = {}) {
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(binary.c_str()));
-  for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-  argv.push_back(nullptr);
-
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    return -1;
-  }
-  if (pid == 0) {
-    const int fd =
-        open(capture_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd < 0 || dup2(fd, STDOUT_FILENO) < 0) _exit(127);
-    int err_fd = fd;
-    if (!stderr_path.empty()) {
-      err_fd = open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-      if (err_fd < 0) _exit(127);
-    }
-    if (dup2(err_fd, STDERR_FILENO) < 0) _exit(127);
-    close(fd);
-    if (err_fd != fd) close(err_fd);
-    execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-  return pid;
-}
-
-int wait_child(pid_t pid) {
-  int status = 0;
-  if (waitpid(pid, &status, 0) < 0) return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 /// The daemon writes generation files (watch.ckpt.<gen>); any one of
@@ -224,6 +153,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Daemon and compact runs log stdout and stderr together, one file
+  // per run (run B's resume appends to its first launch's log).
+  const std::string log_a = (dir / "wr_watch_a.txt").string();
+  const std::string log_b = (dir / "wr_watch_b.txt").string();
+  const std::string log_compact = (dir / "wr_compact.txt").string();
+  const std::string log_c = (dir / "wr_watch_c.txt").string();
+
   // Time-sort the fixture's ssl rows so the record stream advances the
   // watermark monotonically and windows close throughout the feed (the
   // raw fixture is heavily ts-unordered, which would park most rows in
@@ -313,7 +249,7 @@ int main(int argc, char** argv) {
         spawn_child(mtlscope,
                     watch_args(feed_a, out_a, ckpt_a, "--threads=2",
                                "--poll-ms=25", /*idle_exit=*/true),
-                    (dir / "wr_watch_a.txt").string());
+                    log_a, log_a);
     if (pid < 0) return 1;
     // checkpoint-every=0 writes after the first progressing poll: its
     // appearance proves the daemon holds the original inode before we
@@ -340,7 +276,7 @@ int main(int argc, char** argv) {
     const int code = wait_child(pid);
     if (code != 0) {
       std::fprintf(stderr, "FAIL: run A exited %d\n%s\n", code,
-                   slurp((dir / "wr_watch_a.txt").string()).c_str());
+                   slurp(log_a).c_str());
       return 1;
     }
   }
@@ -368,7 +304,7 @@ int main(int argc, char** argv) {
         spawn_child(mtlscope,
                     watch_args(feed_b, out_b, ckpt_b, "--threads=1",
                                "--poll-ms=10", /*idle_exit=*/false),
-                    (dir / "wr_watch_b.txt").string());
+                    log_b, log_b);
     if (pid < 0) return 1;
     if (!wait_for_checkpoint(ckpt_b, 60'000)) {
       std::fprintf(stderr, "FAIL: run B never checkpointed\n");
@@ -397,12 +333,12 @@ int main(int argc, char** argv) {
         spawn_child(mtlscope,
                     watch_args(feed_b, out_b, ckpt_b, "--threads=1",
                                "--poll-ms=10", /*idle_exit=*/true),
-                    (dir / "wr_watch_b.txt").string());
+                    log_b, log_b);
     if (pid < 0) return 1;
     const int code = wait_child(pid);
     if (code != 0) {
       std::fprintf(stderr, "FAIL: run B resume exited %d\n%s\n", code,
-                   slurp((dir / "wr_watch_b.txt").string()).c_str());
+                   slurp(log_b).c_str());
       return 1;
     }
   }
@@ -430,10 +366,10 @@ int main(int argc, char** argv) {
         mtlscope,
         {"compact", "--ssl-log=" + sorted_ssl, "--x509-log=" + x509_log,
          "--out=" + container},
-        (dir / "wr_compact.txt").string());
+        log_compact, log_compact);
     if (pid < 0 || wait_child(pid) != 0) {
       std::fprintf(stderr, "FAIL: compact of the sorted logs failed\n%s\n",
-                   slurp((dir / "wr_compact.txt").string()).c_str());
+                   slurp(log_compact).c_str());
       return 1;
     }
   }
@@ -461,8 +397,7 @@ int main(int argc, char** argv) {
                                      "--threads=2",
                                      "--poll-ms=1000",
                                      "--exit-idle-ms=5000"};
-    const pid_t pid = spawn_child(mtlscope, args,
-                                  (dir / "wr_watch_c.txt").string());
+    const pid_t pid = spawn_child(mtlscope, args, log_c, log_c);
     if (pid < 0) return 1;
     for (std::size_t off = frame_chunk; off < bytes.size();
          off += frame_chunk) {
@@ -472,7 +407,7 @@ int main(int argc, char** argv) {
     const int code = wait_child(pid);
     if (code != 0) {
       std::fprintf(stderr, "FAIL: run C exited %d\n%s\n", code,
-                   slurp((dir / "wr_watch_c.txt").string()).c_str());
+                   slurp(log_c).c_str());
       return 1;
     }
   }

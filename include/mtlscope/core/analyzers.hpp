@@ -4,8 +4,8 @@
 // typed result — and are registered on the Pipeline (or attached per shard
 // through the PipelineExecutor); certificate-population analyzers read
 // Pipeline::certificates_sorted() after the stream ends. Each returns a
-// structured result; repro_* binaries render them next to the paper's
-// numbers.
+// structured result; the experiments (`mtlscope run`) render them next
+// to the paper's numbers.
 #pragma once
 
 #include <array>

@@ -1,4 +1,4 @@
-// Fixed-width text tables for the repro_* harness output.
+// Fixed-width text tables for the experiments' text output.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 // text lines, and pass/fail shape checks — plus scalar metadata (the
 // experiment id, its paper anchor, the model/input configuration, and
 // record counts from the run). Emitters render one doc to
-//   * text  — byte-identical to the historical repro_* stdout,
+//   * text  — the paper-vs-measured rendering pinned by tests/golden/,
 //   * JSON  — canonical (construction key order, fixed float formatting),
 //   * CSV/TSV — one file/stream per table.
 // Runners build docs; they never printf. See experiments/registry.hpp for
@@ -264,8 +264,8 @@ class ResultDoc {
   std::vector<ResultBlock> blocks_;
 };
 
-/// Full text rendering: banner, body blocks, footer. Byte-identical to
-/// the pre-IR repro_* binaries for the same configuration.
+/// Full text rendering: banner, body blocks, footer. The goldens in
+/// tests/golden/ pin it at default scales.
 std::string render_text(const ResultDoc& doc);
 /// Body blocks only (no banner/footer).
 std::string render_body_text(const ResultDoc& doc);

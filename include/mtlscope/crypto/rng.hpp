@@ -1,7 +1,7 @@
 // Deterministic PRNG for the synthetic trace generator.
 //
 // Determinism matters: every bench/test seeds the generator explicitly, so
-// repro_* output is reproducible run to run. We use SplitMix64 for seeding
+// `mtlscope run` output is reproducible run to run. We use SplitMix64 for seeding
 // and Xoshiro256** for the stream (Blackman & Vigna).
 #pragma once
 

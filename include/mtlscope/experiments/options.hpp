@@ -1,7 +1,7 @@
-// Shared run options for every experiment entry point: the mtlscope CLI,
-// the repro_* shims, and the golden-diff harness all parse the same flag
-// set. Scales are optional overrides — each experiment carries its own
-// calibrated defaults in the registry, and resolve() applies them.
+// Shared run options for every mtlscope CLI subcommand (run, map,
+// reduce, compact, watch): each parses the same flag set. Scales are
+// optional overrides — each experiment carries its own calibrated
+// defaults in the registry, and resolve() applies them.
 #pragma once
 
 #include <cstdint>
@@ -68,15 +68,13 @@ struct RunOptions {
   RunOptions resolved(double default_cert_scale,
                       double default_conn_scale) const;
 
-  /// Parses the shared flag set (--cert-scale= / --conn-scale= / --seed=
-  /// / --threads= / --ssl-log= / --x509-log= / --chunk-mb= /
-  /// --in-memory / --force-buffered / --stable-output / --on-error= /
-  /// --max-errors= / --max-error-rate=); unknown arguments are ignored
-  /// so callers can
-  /// layer their own flags. Exits(2) when only one of the file-mode
-  /// paths is given or --on-error= is neither abort nor skip.
-  static RunOptions parse(int argc, char** argv);
-  /// True when `arg` was consumed as one of the shared flags.
+  /// True when `arg` was consumed as one of the shared flags
+  /// (--cert-scale= / --conn-scale= / --seed= / --threads= / --ssl-log=
+  /// / --x509-log= / --format= / --chunk-mb= / --in-memory /
+  /// --force-buffered / --stable-output / --on-error= / --max-errors= /
+  /// --max-error-rate=); each CLI subcommand layers its own flags on top
+  /// and rejects the rest. Exits(2) when --on-error= is neither abort
+  /// nor skip.
   bool parse_flag(const char* arg);
 };
 

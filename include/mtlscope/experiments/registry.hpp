@@ -4,8 +4,8 @@
 // analyzers to a shared pipeline pass and reports a core::ResultDoc.
 // run_experiments() groups requested experiments by model key + resolved
 // configuration so one generated trace serves every compatible
-// experiment; the mtlscope CLI, the repro_* shims, and the golden-diff
-// harness are all thin clients of this layer.
+// experiment; the mtlscope CLI is the one entry point over this layer
+// (`mtlscope run <name>`), and the golden regression drives it.
 #pragma once
 
 #include <memory>
@@ -119,9 +119,5 @@ std::vector<core::ResultDoc> run_reduced(const std::vector<std::string>& names,
                                          core::ShardState state,
                                          const ReduceInfo& reduce_info,
                                          const RunOptions& base);
-
-/// main() body for the repro_* shims: parse the shared flags, run the
-/// named experiment at its default scales, print the text rendering.
-int repro_main(const std::string& name, int argc, char** argv);
 
 }  // namespace mtlscope::experiments

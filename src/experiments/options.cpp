@@ -110,20 +110,4 @@ bool RunOptions::parse_flag(const char* arg) {
   return true;
 }
 
-RunOptions RunOptions::parse(int argc, char** argv) {
-  RunOptions options;
-  for (int i = 1; i < argc; ++i) options.parse_flag(argv[i]);
-  if (options.ssl_log.empty() != options.x509_log.empty()) {
-    // A compact container carries both halves, so --ssl-log= alone is
-    // complete when it names (or is forced to be) a container.
-    if (options.ssl_log.empty() || !options.compact_input()) {
-      std::fprintf(stderr,
-                   "file mode needs both --ssl-log= and --x509-log= "
-                   "(a compact container via --ssl-log= alone works)\n");
-      std::exit(2);
-    }
-  }
-  return options;
-}
-
 }  // namespace mtlscope::experiments

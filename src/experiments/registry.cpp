@@ -1,7 +1,6 @@
 #include "mtlscope/experiments/registry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -324,14 +323,6 @@ std::vector<core::ResultDoc> run_reduced(const std::vector<std::string>& names,
   docs.reserve(items.size());
   for (auto& item : items) docs.push_back(std::move(item.doc));
   return docs;
-}
-
-int repro_main(const std::string& name, int argc, char** argv) {
-  const RunOptions options = RunOptions::parse(argc, argv);
-  auto docs = run_experiments({name}, options);
-  const std::string text = core::render_text(docs.front());
-  std::fwrite(text.data(), 1, text.size(), stdout);
-  return 0;
 }
 
 std::string paper_vs(double paper_pct, double measured_pct) {
