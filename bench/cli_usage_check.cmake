@@ -1,6 +1,7 @@
 # CLI usage errors (the cli_usage_errors CTest): a mistyped flag, an
-# unknown experiment name and half a file-mode log pair each exit 2 with
-# a message naming the problem, instead of running with defaults.
+# unknown experiment name, half a file-mode log pair and a malformed or
+# out-of-range numeric flag value each exit 2 with a message naming the
+# problem, instead of running with defaults.
 #
 #   cmake -DMTLSCOPE=PATH -P cli_usage_check.cmake
 cmake_minimum_required(VERSION 3.16)
@@ -32,3 +33,11 @@ expect_usage_error("unknown experiment: no_such_table" run no_such_table)
 expect_usage_error("file mode needs both" run table1 --x509-log=x509.log)
 expect_usage_error("file mode needs both"
                    map --state-out=state.bin --x509-log=x509.log)
+expect_usage_error("bad --seed=xyz" run table1 --seed=xyz)
+expect_usage_error("bad --threads=abc" run table1 --threads=abc)
+expect_usage_error("bad --cert-scale=0" run table1 --cert-scale=0)
+expect_usage_error("bad --max-error-rate=x" run table1 --max-error-rate=x)
+expect_usage_error("bad --block-rows=x"
+                   compact --block-rows=x --out=x.mtlc --ssl-log=s --x509-log=x)
+expect_usage_error("bad --checkpoint-every=x"
+                   watch --checkpoint-every=x --out-dir=out --all)

@@ -21,6 +21,8 @@
 // reports any distributable experiments from the merged state,
 // byte-identical to a single-host `run` over the concatenated inputs
 // (DESIGN §12).
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -513,17 +515,11 @@ int run_compact(int argc, char** argv) {
     } else if (std::strcmp(arg, "--verify") == 0) {
       verify = true;
     } else if (std::strncmp(arg, "--block-rows=", 13) == 0) {
-      writer.block_rows = static_cast<std::uint32_t>(std::atoll(arg + 13));
-      if (writer.block_rows == 0) {
-        std::fprintf(stderr, "bad --block-rows=: %s\n", arg + 13);
-        return 2;
-      }
+      writer.block_rows = experiments::flag_value<std::uint32_t>(
+          "--block-rows=", arg + 13, 1, UINT32_MAX);
     } else if (std::strncmp(arg, "--dict-mb=", 10) == 0) {
-      const double mb = std::atof(arg + 10);
-      if (mb <= 0) {
-        std::fprintf(stderr, "bad --dict-mb=: %s\n", arg + 10);
-        return 2;
-      }
+      const double mb = experiments::flag_value("--dict-mb=", arg + 10, 1e-6,
+                                                1e6);
       writer.dict_bytes = static_cast<std::size_t>(mb * 1024.0 * 1024.0);
     } else if (arg[0] == '-') {
       if (!options.parse_flag(arg)) {
@@ -625,31 +621,22 @@ int run_watch_cmd(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(arg, "--rollup=", 9) == 0) {
-      options.rollup_windows =
-          static_cast<std::uint32_t>(std::strtoul(arg + 9, nullptr, 10));
-      if (options.rollup_windows == 0) {
-        std::fprintf(stderr, "bad --rollup= (windows per roll-up): %s\n",
-                     arg + 9);
-        return 2;
-      }
+      // Windows per roll-up.
+      options.rollup_windows = experiments::flag_value<std::uint32_t>(
+          "--rollup=", arg + 9, 1, UINT32_MAX);
     } else if (std::strncmp(arg, "--poll-ms=", 10) == 0) {
-      options.poll_ms = std::atoi(arg + 10);
-      if (options.poll_ms <= 0) {
-        std::fprintf(stderr, "bad --poll-ms=: %s\n", arg + 10);
-        return 2;
-      }
+      options.poll_ms =
+          experiments::flag_value("--poll-ms=", arg + 10, 1, INT_MAX);
     } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      options.checkpoint_every_s = std::atof(arg + 19);
+      options.checkpoint_every_s =
+          experiments::flag_value("--checkpoint-every=", arg + 19, 0.0, 1e9);
     } else if (std::strncmp(arg, "--checkpoint-keep=", 18) == 0) {
-      options.checkpoint_keep =
-          static_cast<std::uint32_t>(std::strtoul(arg + 18, nullptr, 10));
-      if (options.checkpoint_keep == 0) {
-        std::fprintf(stderr, "bad --checkpoint-keep= (generations >= 1): %s\n",
-                     arg + 18);
-        return 2;
-      }
+      // Generations kept, at least one.
+      options.checkpoint_keep = experiments::flag_value<std::uint32_t>(
+          "--checkpoint-keep=", arg + 18, 1, UINT32_MAX);
     } else if (std::strncmp(arg, "--exit-idle-ms=", 15) == 0) {
-      options.exit_idle_ms = std::atoi(arg + 15);
+      options.exit_idle_ms =
+          experiments::flag_value("--exit-idle-ms=", arg + 15, 0, INT_MAX);
     } else if (std::strncmp(arg, "--report-ssl-log=", 17) == 0) {
       options.report_ssl_log = arg + 17;
     } else if (std::strncmp(arg, "--report-x509-log=", 18) == 0) {

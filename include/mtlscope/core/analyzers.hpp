@@ -1,8 +1,9 @@
 // One analyzer per paper table/figure. Connection-level analyzers expose
 // the uniform Analyzer interface — observe(const EnrichedConnection&) to
-// accumulate, merge(Analyzer&&) to fold a later shard's state in, and a
-// typed result — and are registered on the Pipeline (or attached per shard
-// through the PipelineExecutor); certificate-population analyzers read
+// accumulate, a field list that merge_fields() folds a later shard's
+// state in by, and a typed result — and are registered on the Pipeline
+// (or attached per shard through the PipelineExecutor);
+// certificate-population analyzers read
 // Pipeline::certificates_sorted() after the stream ends. Each returns a
 // structured result; the experiments (`mtlscope run`) render them next
 // to the paper's numbers.
@@ -22,18 +23,17 @@
 
 namespace mtlscope::core {
 
-class StateWriter;
-class StateReader;
-
 /// The uniform connection-analyzer shape: per-record accumulation plus
 /// shard-order merging. Every analyzer state below is built from counters,
-/// sets, and min/max watermarks, so merging shards in stream order
-/// reproduces the serial state exactly.
+/// sets, and min/max watermarks, and declares them once in a field list
+/// (core/field_list.hpp) that its shard-state encoding, its merge and the
+/// tests' equality derive from; merging shards in stream order reproduces
+/// the serial state exactly.
 template <typename A>
-concept ConnectionAnalyzer = requires(A a, A b, const EnrichedConnection& c) {
-  a.observe(c);
-  a.merge(std::move(b));
-};
+concept ConnectionAnalyzer =
+    FieldListed<A> && requires(A a, const EnrichedConnection& c) {
+      a.observe(c);
+    };
 
 /// K independent instances of one analyzer, one per shard, merged in shard
 /// order once the stream ends. Deliberately not thread-safe per instance:
@@ -49,7 +49,7 @@ class Sharded {
   /// Folds all shards into the first, in shard order, and returns it.
   A merged() && {
     for (std::size_t i = 1; i < shards_.size(); ++i) {
-      shards_[0].merge(std::move(shards_[i]));
+      merge_fields(shards_[0], std::move(shards_[i]));
     }
     shards_.resize(1);
     return std::move(shards_[0]);
@@ -83,7 +83,6 @@ CertInventoryResult analyze_cert_inventory(const Pipeline& pipeline);
 class PrevalenceAnalyzer {
  public:
   void observe(const EnrichedConnection& conn);
-  void merge(PrevalenceAnalyzer&& other);
 
   struct MonthPoint {
     int month_index = 0;
@@ -95,15 +94,25 @@ class PrevalenceAnalyzer {
       return total == 0 ? 0 : 100.0 * static_cast<double>(mutual) /
                                   static_cast<double>(total);
     }
+
+    template <class V>
+    static void fields(V& v) {
+      v("month_index", &MonthPoint::month_index, rule::keep);
+      v("total", &MonthPoint::total, rule::sum);
+      v("mutual", &MonthPoint::mutual, rule::sum);
+      v("mutual_inbound", &MonthPoint::mutual_inbound, rule::sum);
+      v("mutual_outbound", &MonthPoint::mutual_outbound, rule::sum);
+    }
   };
   /// Months in chronological order.
   std::vector<MonthPoint> series() const;
 
-  /// Canonical shard-state encoding (core/shard_state.hpp): every
-  /// analyzer serializes its complete private state, so deserialize ∘
-  /// serialize is the identity and re-serialization is byte-identical.
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  /// The complete private state, so a state file round-trips it
+  /// byte-identically.
+  template <class V>
+  static void fields(V& v) {
+    v("months", &PrevalenceAnalyzer::months_, rule::keyed(rule::fold));
+  }
 
  private:
   std::map<int, MonthPoint> months_;
@@ -115,7 +124,6 @@ class PrevalenceAnalyzer {
 class ServicePortAnalyzer {
  public:
   void observe(const EnrichedConnection& conn);
-  void merge(ServicePortAnalyzer&& other);
 
   struct PortShare {
     std::string port_label;  // "443" or "50000-51000"
@@ -127,8 +135,11 @@ class ServicePortAnalyzer {
   std::vector<PortShare> top(Direction direction, bool mutual,
                              std::size_t n = 5) const;
 
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  template <class V>
+  static void fields(V& v) {
+    v("counts", &ServicePortAnalyzer::counts_, rule::keyed(rule::sum));
+    v("totals", &ServicePortAnalyzer::totals_, rule::sum);
+  }
 
  private:
   // quadrant index: direction*2 + mutual
@@ -142,7 +153,6 @@ class ServicePortAnalyzer {
 class InboundAssociationAnalyzer {
  public:
   void observe(const EnrichedConnection& conn);
-  void merge(InboundAssociationAnalyzer&& other);
 
   struct Row {
     ServerAssociation assoc;
@@ -155,14 +165,25 @@ class InboundAssociationAnalyzer {
   std::uint64_t total_connections() const { return total_conns_; }
   std::uint64_t total_clients() const;
 
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  template <class V>
+  static void fields(V& v) {
+    v("acc", &InboundAssociationAnalyzer::acc_, rule::keyed(rule::fold));
+    v("total_conns", &InboundAssociationAnalyzer::total_conns_, rule::sum);
+  }
 
  private:
   struct Acc {
     std::uint64_t connections = 0;
     std::set<std::uint32_t> clients;
     std::map<IssuerCategory, std::set<std::uint32_t>> clients_by_category;
+
+    template <class V>
+    static void fields(V& v) {
+      v("connections", &Acc::connections, rule::sum);
+      v("clients", &Acc::clients, rule::unite);
+      v("clients_by_category", &Acc::clients_by_category,
+        rule::keyed(rule::unite));
+    }
   };
   std::map<ServerAssociation, Acc> acc_;
   std::uint64_t total_conns_ = 0;
@@ -175,7 +196,6 @@ class InboundAssociationAnalyzer {
 class OutboundFlowAnalyzer {
  public:
   void observe(const EnrichedConnection& conn);
-  void merge(OutboundFlowAnalyzer&& other);
 
   struct Flow {
     std::string tld;
@@ -197,12 +217,33 @@ class OutboundFlowAnalyzer {
   /// issuer (paper: 37.84%). Certificate-level.
   static double missing_issuer_client_cert_pct(const Pipeline& pipeline);
 
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  template <class V>
+  static void fields(V& v) {
+    v("sld_counts", &OutboundFlowAnalyzer::sld_counts_, rule::keyed(rule::sum));
+    v("flows", &OutboundFlowAnalyzer::flows_, rule::keyed(rule::sum));
+    v("with_sni", &OutboundFlowAnalyzer::with_sni_, rule::sum);
+    v("public_server_conns", &OutboundFlowAnalyzer::public_server_conns_,
+      rule::sum);
+    v("public_server_missing_client",
+      &OutboundFlowAnalyzer::public_server_missing_client_, rule::sum);
+  }
 
  private:
+  struct FlowKey {
+    std::string tld;
+    trust::IssuerClass server_class;
+    IssuerCategory client_category;
+    friend auto operator<=>(const FlowKey&, const FlowKey&) = default;
+
+    template <class V>
+    static void fields(V& v) {
+      v("tld", &FlowKey::tld, rule::keep);
+      v("server_class", as_i64(&FlowKey::server_class), rule::keep);
+      v("client_category", as_i64(&FlowKey::client_category), rule::keep);
+    }
+  };
   std::map<std::string, std::uint64_t> sld_counts_;
-  std::map<std::tuple<std::string, int, int>, std::uint64_t> flows_;
+  std::map<FlowKey, std::uint64_t> flows_;
   std::uint64_t with_sni_ = 0;
   std::uint64_t public_server_conns_ = 0;
   std::uint64_t public_server_missing_client_ = 0;
@@ -214,7 +255,6 @@ class OutboundFlowAnalyzer {
 class DummyIssuerAnalyzer {
  public:
   void observe(const EnrichedConnection& conn);
-  void merge(DummyIssuerAnalyzer&& other);
 
   struct Row {
     Direction direction;
@@ -223,6 +263,16 @@ class DummyIssuerAnalyzer {
     std::set<std::string> server_groups;  // SLDs (in.) or TLDs (out.)
     std::set<std::uint32_t> clients;
     std::uint64_t connections = 0;
+
+    template <class V>
+    static void fields(V& v) {
+      v("direction", &Row::direction, rule::keep);
+      v("client_side", &Row::client_side, rule::keep);
+      v("dummy_org", &Row::dummy_org, rule::keep);
+      v("server_groups", &Row::server_groups, rule::unite);
+      v("clients", &Row::clients, rule::unite);
+      v("connections", &Row::connections, rule::sum);
+    }
   };
   std::vector<Row> rows() const;
 
@@ -235,21 +285,50 @@ class DummyIssuerAnalyzer {
     double duration_days() const {
       return static_cast<double>(last - first) / 86'400.0;
     }
+
+    template <class V>
+    static void fields(V& v) {
+      v("sld", &BothEndsRow::sld, rule::keep);
+      v("client_org", &BothEndsRow::client_org, rule::keep);
+      v("server_org", &BothEndsRow::server_org, rule::keep);
+      v("clients", &BothEndsRow::clients, rule::unite);
+      v("first", &BothEndsRow::first, rule::min);
+      v("last", &BothEndsRow::last, rule::max);
+    }
   };
   std::vector<BothEndsRow> both_ends_rows() const;
 
   /// §5.1.1: dummy-issuer client certs with X.509 version 1 and with
-  /// 1024-bit keys, with their unique connection-tuple counts.
+  /// 1024-bit keys, with their unique connection-tuple counts. The
+  /// counts are the sizes of the (deduplicated) tuple sets.
   struct WeakParams {
     Pipeline::StrSet v1_certs;
     std::uint64_t v1_tuples = 0;
     Pipeline::StrSet weak_key_certs;
     std::uint64_t weak_key_tuples = 0;
+    std::set<std::string> v1_tuple_set;
+    std::set<std::string> weak_tuple_set;
+
+    template <class V>
+    static void fields(V& v) {
+      v("v1_certs", &WeakParams::v1_certs, rule::unite);
+      v("v1_tuples", &WeakParams::v1_tuples,
+        rule::size_of(&WeakParams::v1_tuple_set));
+      v("weak_key_certs", &WeakParams::weak_key_certs, rule::unite);
+      v("weak_key_tuples", &WeakParams::weak_key_tuples,
+        rule::size_of(&WeakParams::weak_tuple_set));
+      v("v1_tuple_set", &WeakParams::v1_tuple_set, rule::unite);
+      v("weak_tuple_set", &WeakParams::weak_tuple_set, rule::unite);
+    }
   };
   const WeakParams& weak_params() const { return weak_; }
 
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  template <class V>
+  static void fields(V& v) {
+    v("rows", &DummyIssuerAnalyzer::rows_, rule::keyed(rule::fold));
+    v("both", &DummyIssuerAnalyzer::both_, rule::keyed(rule::fold));
+    v("weak", &DummyIssuerAnalyzer::weak_, rule::fold);
+  }
 
  private:
   struct Key {
@@ -257,12 +336,17 @@ class DummyIssuerAnalyzer {
     bool client_side;
     std::string dummy_org;
     friend auto operator<=>(const Key&, const Key&) = default;
+
+    template <class V>
+    static void fields(V& v) {
+      v("direction", &Key::direction, rule::keep);
+      v("client_side", &Key::client_side, rule::keep);
+      v("dummy_org", &Key::dummy_org, rule::keep);
+    }
   };
   std::map<Key, Row> rows_;
   std::map<std::string, BothEndsRow> both_;
   WeakParams weak_;
-  std::set<std::string> v1_tuple_set_;
-  std::set<std::string> weak_tuple_set_;
 };
 
 // ---------------------------------------------------------------------------
@@ -271,7 +355,6 @@ class DummyIssuerAnalyzer {
 class SerialCollisionAnalyzer {
  public:
   void observe(const EnrichedConnection& conn);
-  void merge(SerialCollisionAnalyzer&& other);
 
   struct Group {
     std::string issuer_org;  // or issuer CN when org missing
@@ -282,6 +365,19 @@ class SerialCollisionAnalyzer {
     std::set<std::uint32_t> clients;
     std::uint64_t connections = 0;
     std::uint64_t both_endpoint_connections = 0;  // collisions on both sides
+
+    template <class V>
+    static void fields(V& v) {
+      v("issuer_org", &Group::issuer_org, rule::keep);
+      v("serial", &Group::serial, rule::keep);
+      v("direction", &Group::direction, rule::keep);
+      v("server_certs", &Group::server_certs, rule::unite);
+      v("client_certs", &Group::client_certs, rule::unite);
+      v("clients", &Group::clients, rule::unite);
+      v("connections", &Group::connections, rule::sum);
+      v("both_endpoint_connections", &Group::both_endpoint_connections,
+        rule::sum);
+    }
   };
   /// Groups with more than one distinct certificate for one serial.
   std::vector<Group> collision_groups() const;
@@ -289,12 +385,29 @@ class SerialCollisionAnalyzer {
   /// Clients involved in any collision, per direction.
   std::uint64_t involved_clients(Direction d) const;
 
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  template <class V>
+  static void fields(V& v) {
+    v("groups", &SerialCollisionAnalyzer::groups_, rule::keyed(rule::fold));
+    v("involved_clients", &SerialCollisionAnalyzer::involved_clients_,
+      rule::unite);
+  }
 
  private:
+  struct GroupKey {
+    std::string issuer;
+    std::string serial;
+    Direction direction;
+    friend auto operator<=>(const GroupKey&, const GroupKey&) = default;
+
+    template <class V>
+    static void fields(V& v) {
+      v("issuer", &GroupKey::issuer, rule::keep);
+      v("serial", &GroupKey::serial, rule::keep);
+      v("direction", as_i64(&GroupKey::direction), rule::keep);
+    }
+  };
   static bool candidate(const CertFacts& facts);
-  std::map<std::tuple<std::string, std::string, int>, Group> groups_;
+  std::map<GroupKey, Group> groups_;
   std::array<std::set<std::uint32_t>, 2> involved_clients_;
 };
 
@@ -304,7 +417,6 @@ class SerialCollisionAnalyzer {
 class SharedCertAnalyzer {
  public:
   void observe(const EnrichedConnection& conn);
-  void merge(SharedCertAnalyzer&& other);
 
   struct SameConnRow {
     std::string sld;  // empty → missing SNI
@@ -315,6 +427,17 @@ class SharedCertAnalyzer {
     std::uint64_t connections = 0;
     double duration_days() const {
       return static_cast<double>(last - first) / 86'400.0;
+    }
+
+    template <class V>
+    static void fields(V& v) {
+      v("sld", &SameConnRow::sld, rule::keep);
+      v("issuer", &SameConnRow::issuer, rule::keep);
+      v("public_issuer", &SameConnRow::public_issuer, rule::keep);
+      v("clients", &SameConnRow::clients, rule::unite);
+      v("first", &SameConnRow::first, rule::min);
+      v("last", &SameConnRow::last, rule::max);
+      v("connections", &SameConnRow::connections, rule::sum);
     }
   };
   std::vector<SameConnRow> same_connection_rows() const;
@@ -334,8 +457,12 @@ class SharedCertAnalyzer {
     return same_conn_fuids_;
   }
 
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  template <class V>
+  static void fields(V& v) {
+    v("same_conn", &SharedCertAnalyzer::same_conn_, rule::keyed(rule::fold));
+    v("same_conn_conns", &SharedCertAnalyzer::same_conn_conns_, rule::sum);
+    v("same_conn_fuids", &SharedCertAnalyzer::same_conn_fuids_, rule::unite);
+  }
 
  private:
   std::map<std::string, SameConnRow> same_conn_;  // key: sld|issuer
@@ -349,7 +476,6 @@ class SharedCertAnalyzer {
 class IncorrectDateAnalyzer {
  public:
   void observe(const EnrichedConnection& conn);
-  void merge(IncorrectDateAnalyzer&& other);
 
   struct Row {
     std::string sld;  // empty → missing SNI
@@ -362,6 +488,19 @@ class IncorrectDateAnalyzer {
     double duration_days() const {
       return static_cast<double>(last - first) / 86'400.0;
     }
+
+    template <class V>
+    static void fields(V& v) {
+      v("sld", &Row::sld, rule::keep);
+      v("client_side", &Row::client_side, rule::keep);
+      v("issuer", &Row::issuer, rule::keep);
+      v("not_before", &Row::not_before, rule::keep);
+      v("not_after", &Row::not_after, rule::keep);
+      v("clients", &Row::clients, rule::unite);
+      v("first", &Row::first, rule::min);
+      v("last", &Row::last, rule::max);
+      v("certs", &Row::certs, rule::unite);
+    }
   };
   std::vector<Row> rows() const;
 
@@ -369,8 +508,11 @@ class IncorrectDateAnalyzer {
   /// dates (Table 12: idrive.com, SDS).
   std::vector<Row> both_ends_rows() const;
 
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  template <class V>
+  static void fields(V& v) {
+    v("rows", &IncorrectDateAnalyzer::rows_, rule::keyed(rule::fold));
+    v("both", &IncorrectDateAnalyzer::both_, rule::keyed(rule::fold));
+  }
 
  private:
   std::map<std::string, Row> rows_;

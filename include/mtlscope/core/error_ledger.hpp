@@ -27,17 +27,17 @@
 #include <string>
 #include <vector>
 
+#include "mtlscope/core/field_list.hpp"
 #include "mtlscope/ingest/error.hpp"
 
 namespace mtlscope::core {
-
-class StateWriter;
-class StateReader;
 
 /// Which logical input a quarantined record came from. Reports use the
 /// role name, never the file path, so output stays host-independent.
 enum class InputRole : unsigned { kSsl = 0, kX509 = 1 };
 inline constexpr std::size_t kInputRoles = 2;
+template <>
+inline constexpr std::size_t kEnumCount<InputRole> = kInputRoles;
 const char* input_role_name(InputRole role);  // "ssl" / "x509"
 
 /// Where in the five-phase run a problem was accounted. Quarantine
@@ -62,6 +62,16 @@ struct QuarantinedRecord {
   std::size_t raw_length = 0;   // raw row bytes (sans CR/LF)
   std::string reason;           // structured parser vocabulary
   std::string digest;           // sha256 hex prefix of the raw row
+
+  template <class V>
+  static void fields(V& v) {
+    v("input", &QuarantinedRecord::input, rule::keep);
+    v("byte_offset", &QuarantinedRecord::byte_offset, rule::keep);
+    v("line", &QuarantinedRecord::line, rule::keep);
+    v("raw_length", &QuarantinedRecord::raw_length, rule::keep);
+    v("reason", &QuarantinedRecord::reason, rule::keep);
+    v("digest", &QuarantinedRecord::digest, rule::keep);
+  }
 };
 
 class ErrorLedger {
@@ -120,9 +130,20 @@ class ErrorLedger {
   std::optional<std::string> budget_violation(
       const ingest::ErrorPolicy& policy) const;
 
-  /// Canonical shard-state encoding (core/shard_state.hpp).
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  /// The field list (core/field_list.hpp): samples append (finalize()
+  /// re-sorts and re-caps them), I/O notes append up to their cap, and
+  /// every count adds.
+  template <class V>
+  static void fields(V& v) {
+    v("entries", &ErrorLedger::entries_, rule::append);
+    v("io_notes", &ErrorLedger::io_notes_, rule::capped_append(kMaxIoNotes));
+    v("quarantined", &ErrorLedger::quarantined_, rule::sum);
+    v("reason_counts", &ErrorLedger::reason_counts_, rule::keyed(rule::sum));
+    v("rows_ok", &ErrorLedger::rows_ok_, rule::sum);
+    v("phase_counts", &ErrorLedger::phase_counts_, rule::sum);
+    v("io_events", &ErrorLedger::io_events_, rule::sum);
+    v("samples_truncated", &ErrorLedger::samples_truncated_, rule::either);
+  }
 
  private:
   std::vector<QuarantinedRecord> entries_;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "mtlscope/ctlog/ct_database.hpp"
+#include "mtlscope/core/field_list.hpp"
 #include "mtlscope/core/issuer_category.hpp"
 #include "mtlscope/gen/model.hpp"
 #include "mtlscope/net/ip.hpp"
@@ -37,8 +38,6 @@ using gen::Direction;
 using gen::ServerAssociation;
 
 class Enricher;
-class StateWriter;
-class StateReader;
 
 /// Decoded, classified facts about one unique certificate, plus usage
 /// aggregates accumulated as connections stream through. String fields
@@ -100,17 +99,52 @@ struct CertFacts {
     return static_cast<double>(last_seen - first_seen) / 86'400.0;
   }
 
-  /// Folds another shard's usage aggregates for the same certificate into
-  /// this one. Merging shards in stream (shard) order reproduces the
-  /// serial aggregates exactly: counters add, booleans OR, first/last
-  /// take min/max, subnet sets union, and the representative context
-  /// fields keep the first non-empty value in merge order.
-  void merge(const CertFacts& other);
-
-  /// Canonical shard-state encoding of every field above
-  /// (core/shard_state.hpp).
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  /// The field list (core/field_list.hpp): shard-state encoding, merge
+  /// and test equality. Identical certificates share every parsed and
+  /// classification field, so only the usage aggregates fold, except for
+  /// the monotone chain upgrade: a shard that saw the certificate chain
+  /// to a public root makes it public, with that shard's category.
+  template <class V>
+  static void fields(V& v) {
+    v("fuid", &CertFacts::fuid, rule::keep);
+    v("version", &CertFacts::version, rule::keep);
+    v("key_bits", &CertFacts::key_bits, rule::keep);
+    v("serial_hex", &CertFacts::serial_hex, rule::keep);
+    v("subject_cn", &CertFacts::subject_cn, rule::keep);
+    v("issuer_org", &CertFacts::issuer_org, rule::keep);
+    v("issuer_cn", &CertFacts::issuer_cn, rule::keep);
+    v("issuer_dn", &CertFacts::issuer_dn, rule::keep);
+    v("validity", &CertFacts::validity, rule::keep);
+    v("san_dns", &CertFacts::san_dns, rule::keep);
+    v("san_email_count", &CertFacts::san_email_count, rule::keep);
+    v("san_uri_count", &CertFacts::san_uri_count, rule::keep);
+    v("san_ip_count", &CertFacts::san_ip_count, rule::keep);
+    v("issuer_class", &CertFacts::issuer_class,
+      rule::upgrade(trust::IssuerClass::kPublic, &CertFacts::issuer_category));
+    v("issuer_category", &CertFacts::issuer_category, rule::keep);
+    v("campus_issuer", &CertFacts::campus_issuer, rule::keep);
+    v("cn_type", &CertFacts::cn_type, rule::keep);
+    v("san_dns_types", &CertFacts::san_dns_types, rule::keep);
+    v("flagged_interception", &CertFacts::flagged_interception, rule::either);
+    v("used_as_server", &CertFacts::used_as_server, rule::either);
+    v("used_as_client", &CertFacts::used_as_client, rule::either);
+    v("used_in_mutual", &CertFacts::used_in_mutual, rule::either);
+    v("seen_inbound", &CertFacts::seen_inbound, rule::either);
+    v("seen_outbound", &CertFacts::seen_outbound, rule::either);
+    v("seen_outbound_with_sni", &CertFacts::seen_outbound_with_sni,
+      rule::either);
+    v("client_use_while_expired", &CertFacts::client_use_while_expired,
+      rule::either);
+    v("connection_count", &CertFacts::connection_count, rule::sum);
+    v("first_seen", &CertFacts::first_seen, rule::min);
+    v("last_seen", &CertFacts::last_seen, rule::max);
+    v("server_subnets", &CertFacts::server_subnets, rule::unite);
+    v("client_subnets", &CertFacts::client_subnets, rule::unite);
+    v("context_sld", &CertFacts::context_sld,
+      rule::first_set(colfmt::Str()));
+    v("context_assoc", &CertFacts::context_assoc,
+      rule::first_set(ServerAssociation::kNone));
+  }
 };
 
 /// Memoized facts about one distinct resolved host: registrable domain,
@@ -269,6 +303,17 @@ class Pipeline {
     std::uint64_t inbound = 0;
     std::uint64_t outbound = 0;
     std::uint64_t tls13 = 0;
+
+    template <class V>
+    static void fields(V& v) {
+      v("connections", &Totals::connections, rule::sum);
+      v("established", &Totals::established, rule::sum);
+      v("rejected_handshakes", &Totals::rejected_handshakes, rule::sum);
+      v("mutual", &Totals::mutual, rule::sum);
+      v("inbound", &Totals::inbound, rule::sum);
+      v("outbound", &Totals::outbound, rule::sum);
+      v("tls13", &Totals::tls13, rule::sum);
+    }
   };
   const Totals& totals() const { return totals_; }
 
@@ -286,14 +331,22 @@ class Pipeline {
   /// certificates included.
   void backfill_certificates(const CertMap& base);
 
-  /// Canonical shard-state encoding (core/shard_state.hpp): registry,
-  /// totals and interception issuers — everything merge() and the
-  /// certificate analyses consume. Unordered maps emit sorted by key, so
-  /// re-serialization is byte-identical regardless of hash-table
-  /// iteration order. Observers and the prepared state are deliberately
-  /// excluded; a deserialized pipeline is a result holder.
-  void serialize(StateWriter& w) const;
-  void deserialize(StateReader& r);
+  /// The field list (core/field_list.hpp): registry, totals and
+  /// interception issuers, everything merge() and the certificate
+  /// analyses consume. Observers, the prepared state and the enrichment
+  /// memo are deliberately not listed; a deserialized pipeline is a
+  /// result holder. The two retired runs held the deleted streaming
+  /// mode's mid-stream interception candidates and their reconciliation
+  /// ledger; no writer ever filled them.
+  template <class V>
+  static void fields(V& v) {
+    v("totals", &Pipeline::totals_, rule::fold);
+    v("excluded_connections", &Pipeline::excluded_connections_, rule::sum);
+    v("certificates", &Pipeline::certs_, rule::registry(&CertFacts::fuid));
+    v("interception_issuers", &Pipeline::interception_issuers_, rule::unite);
+    v("interception candidates", rule::retired);
+    v("reconciliation ledger", rule::retired);
+  }
 
  private:
   CertFacts* local_cert(const colfmt::Str& fuid);

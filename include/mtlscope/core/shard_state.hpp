@@ -8,8 +8,11 @@
 //   u32 section count | sections { u32 id, u64 length, payload } |
 //   32-byte SHA-256 over everything before the trailer
 //
-// Unknown versions, unknown section ids, truncation, and digest
-// mismatches are all hard errors (structured, never UB). Serialization
+// Unknown versions, unknown section ids, truncation, digest mismatches
+// and out-of-range field values are all structured errors. The digest
+// proves integrity, not origin (anyone can re-seal a file), so the
+// field lists' checked reader (core/field_list.hpp) is what stops a
+// crafted value before an analysis indexes with it. Serialization
 // is canonical: ordered containers emit in iteration order and unordered
 // ones sort by key first, so state → bytes → state → bytes is
 // byte-identical, for any thread count that produced the state.
@@ -35,9 +38,10 @@ namespace mtlscope::core {
 inline constexpr std::uint32_t kStateFormatVersion = 1;
 
 /// The eight standard connection analyzers, one instance each — the
-/// serializable complement of the Pipeline's certificate registry.
-/// Declaration order is the section order in the state file and the
-/// merge order in reduce.
+/// serializable complement of the Pipeline's certificate registry. The
+/// field list names each once: its order is the section order in the
+/// state file (each name is its section's) and the merge order in
+/// reduce, and the executor attaches and folds the set as one analyzer.
 struct AnalyzerSet {
   PrevalenceAnalyzer prevalence;
   ServicePortAnalyzer service_ports;
@@ -48,7 +52,25 @@ struct AnalyzerSet {
   SharedCertAnalyzer shared_certs;
   IncorrectDateAnalyzer incorrect_dates;
 
-  void merge(AnalyzerSet&& other);
+  template <class V>
+  static void fields(V& v) {
+    v("prevalence", &AnalyzerSet::prevalence, rule::fold);
+    v("service_ports", &AnalyzerSet::service_ports, rule::fold);
+    v("inbound_assoc", &AnalyzerSet::inbound_assoc, rule::fold);
+    v("outbound_flows", &AnalyzerSet::outbound_flows, rule::fold);
+    v("dummy_issuer", &AnalyzerSet::dummy_issuers, rule::fold);
+    v("serial_collision", &AnalyzerSet::serial_collisions, rule::fold);
+    v("shared_cert", &AnalyzerSet::shared_certs, rule::fold);
+    v("incorrect_date", &AnalyzerSet::incorrect_dates, rule::fold);
+  }
+
+  /// Feeds one connection to every analyzer, in list order.
+  void observe(const EnrichedConnection& conn) {
+    auto each = [&](const char*, auto analyzer, auto) {
+      (this->*analyzer).observe(conn);
+    };
+    fields(each);
+  }
 };
 
 /// Provenance of one shard: what input slice produced it and under which
@@ -63,6 +85,19 @@ struct ShardStateMeta {
   std::string x509_log;
   /// Bytes of log input parsed for this slice (0 in synthetic mode).
   std::uint64_t parse_bytes = 0;
+
+  /// Slices of one reduce share the configuration (compatible_meta()), so
+  /// the first one's stays; paths join and parsed bytes add.
+  template <class V>
+  static void fields(V& v) {
+    v("file_mode", &ShardStateMeta::file_mode, rule::keep);
+    v("seed", &ShardStateMeta::seed, rule::keep);
+    v("cert_scale", &ShardStateMeta::cert_scale, rule::keep);
+    v("conn_scale", &ShardStateMeta::conn_scale, rule::keep);
+    v("ssl_log", &ShardStateMeta::ssl_log, rule::join);
+    v("x509_log", &ShardStateMeta::x509_log, rule::join);
+    v("parse_bytes", &ShardStateMeta::parse_bytes, rule::sum);
+  }
 };
 
 /// Deterministic one-line rendering of the configuration half of a meta
@@ -101,9 +136,9 @@ struct StateFileInfo {
 std::string serialize_shard_state(const ShardState& state);
 
 /// Parses a complete container. On failure returns nullopt with `error`
-/// (when non-null) set to a deterministic message; never throws for
-/// malformed input, never UB. `info` (when non-null) is filled on
-/// success.
+/// (when non-null) set to a deterministic message, which names the field
+/// when a value is out of range; never throws for malformed input.
+/// `info` (when non-null) is filled on success.
 std::optional<ShardState> parse_shard_state(std::string_view data,
                                             StateFileInfo* info = nullptr,
                                             std::string* error = nullptr);

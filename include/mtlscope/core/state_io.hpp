@@ -7,9 +7,12 @@
 // byte-identical to its source.
 //
 // StateReader is bounds-checked everywhere: any read past the end of the
-// buffer throws StateError. Section payloads are only handed to
-// deserialize() after the file-level SHA-256 trailer verified, so a
-// throwing reader indicates a framing bug, never silent corruption.
+// buffer throws StateError. Section payloads are only handed to their
+// readers after the file-level SHA-256 trailer verified, but the trailer
+// proves integrity, not origin: anyone can re-seal a crafted file. So a
+// payload is hostile input, and every value narrower than its encoding
+// (an enum byte, a bool byte, an int) goes through the range-checked
+// reader of the field lists (core/field_list.hpp).
 //
 // write_sealed / read_sealed are the one sealed-file codec both formats
 // frame their sections with.
@@ -18,18 +21,18 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace mtlscope::core {
 
-/// Structured failure while decoding a state buffer. Every malformed
-/// input — truncation, bad magic, unknown version, digest mismatch —
-/// surfaces as this exception (or as the error string of
-/// parse_shard_state), never as UB.
+/// Structured failure while decoding a state buffer. Malformed input —
+/// truncation, bad magic, unknown version, digest mismatch, a field
+/// value out of range — surfaces as this exception (or as the error
+/// string of parse_shard_state).
 class StateError : public std::runtime_error {
  public:
   explicit StateError(const std::string& what) : std::runtime_error(what) {}
@@ -123,7 +126,7 @@ using SectionReader = std::function<void(StateReader&)>;
 
 /// Frames and seals one file: `writers[i]` fills section i + 1's payload.
 std::string write_sealed(const SealedFormat& format,
-                         std::initializer_list<SectionWriter> writers);
+                         const std::vector<SectionWriter>& writers);
 
 /// Verifies and walks one sealed file: `readers[i]` decodes section
 /// i + 1, which must then be fully consumed. Returns false with `error`
@@ -131,7 +134,7 @@ std::string write_sealed(const SealedFormat& format,
 /// malformed input. `digest_hex` (when non-null) receives the verified
 /// trailer as hex.
 bool read_sealed(const SealedFormat& format, std::string_view data,
-                 std::initializer_list<SectionReader> readers,
+                 const std::vector<SectionReader>& readers,
                  std::string* error, std::string* digest_hex = nullptr);
 
 }  // namespace mtlscope::core

@@ -78,4 +78,12 @@ struct RunOptions {
   bool parse_flag(const char* arg);
 };
 
+/// The value of a numeric flag: all of `text` must parse as a T
+/// (std::from_chars, no sign prefix, no trailing bytes) and lie in
+/// [lo, hi]. Anything else prints "bad <flag><text>: want …" naming the
+/// flag and its range, and exits 2. `flag` is the flag with its "=",
+/// e.g. "--seed=".
+template <class T>
+T flag_value(const char* flag, const char* text, T lo, T hi);
+
 }  // namespace mtlscope::experiments

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "mtlscope/core/field_list.hpp"
 #include "mtlscope/watch/follower.hpp"
 
 namespace mtlscope::watch {
@@ -61,6 +62,18 @@ struct TailPosition {
   std::uint64_t header_lines = 0;
   bool header_done = false;
   std::string carry;  ///< unterminated trailing partial line
+
+  /// Checkpoint encoding (core/field_list.hpp); positions never merge.
+  template <class V>
+  static void fields(V& v) {
+    v("inode", &TailPosition::inode, core::rule::keep);
+    v("offset", &TailPosition::offset, core::rule::keep);
+    v("body_lines", &TailPosition::body_lines, core::rule::keep);
+    v("header_text", &TailPosition::header_text, core::rule::keep);
+    v("header_lines", &TailPosition::header_lines, core::rule::keep);
+    v("header_done", &TailPosition::header_done, core::rule::keep);
+    v("carry", &TailPosition::carry, core::rule::keep);
+  }
 };
 
 class TailSource : private detail::Framing {

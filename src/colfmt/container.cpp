@@ -317,7 +317,7 @@ void ContainerWriter::add_x509(const zeek::X509Record& record) {
 
 void ContainerWriter::set_ledger(const core::ErrorLedger& ledger) {
   StateWriter w;
-  ledger.serialize(w);
+  core::write_fields(w, ledger);
   ledger_payload_ = std::move(w).take();
 }
 
@@ -565,7 +565,7 @@ core::ErrorLedger ContainerReader::ledger() const {
   core::ErrorLedger ledger;
   if (ledger_frame_) {
     StateReader r(payload(*ledger_frame_));
-    ledger.deserialize(r);
+    core::read_fields(r, ledger, "ledger");
     r.expect_done("container ledger");
   }
   return ledger;

@@ -57,17 +57,6 @@ void PrevalenceAnalyzer::observe(const EnrichedConnection& conn) {
   }
 }
 
-void PrevalenceAnalyzer::merge(PrevalenceAnalyzer&& other) {
-  for (const auto& [idx, point] : other.months_) {
-    auto& mine = months_[idx];
-    mine.month_index = idx;
-    mine.total += point.total;
-    mine.mutual += point.mutual;
-    mine.mutual_inbound += point.mutual_inbound;
-    mine.mutual_outbound += point.mutual_outbound;
-  }
-}
-
 std::vector<PrevalenceAnalyzer::MonthPoint> PrevalenceAnalyzer::series()
     const {
   std::vector<MonthPoint> out;
@@ -89,15 +78,6 @@ void ServicePortAnalyzer::observe(const EnrichedConnection& conn) {
                                 : std::to_string(port);
   ++counts_[quadrant][label];
   ++totals_[quadrant];
-}
-
-void ServicePortAnalyzer::merge(ServicePortAnalyzer&& other) {
-  for (std::size_t q = 0; q < counts_.size(); ++q) {
-    for (const auto& [label, count] : other.counts_[q]) {
-      counts_[q][label] += count;
-    }
-    totals_[q] += other.totals_[q];
-  }
 }
 
 std::vector<ServicePortAnalyzer::PortShare> ServicePortAnalyzer::top(
@@ -144,19 +124,6 @@ void InboundAssociationAnalyzer::observe(const EnrichedConnection& conn) {
   }
 }
 
-void InboundAssociationAnalyzer::merge(InboundAssociationAnalyzer&& other) {
-  total_conns_ += other.total_conns_;
-  for (auto& [assoc, acc] : other.acc_) {
-    auto& mine = acc_[assoc];
-    mine.connections += acc.connections;
-    mine.clients.insert(acc.clients.begin(), acc.clients.end());
-    for (auto& [category, clients] : acc.clients_by_category) {
-      mine.clients_by_category[category].insert(clients.begin(),
-                                                clients.end());
-    }
-  }
-}
-
 std::vector<InboundAssociationAnalyzer::Row> InboundAssociationAnalyzer::rows()
     const {
   std::vector<Row> out;
@@ -199,11 +166,9 @@ void OutboundFlowAnalyzer::observe(const EnrichedConnection& conn) {
   ++with_sni_;
   if (!conn.sld.empty()) ++sld_counts_[conn.sld.str()];
   if (conn.server_leaf == nullptr || conn.client_leaf == nullptr) return;
-  const auto key = std::make_tuple(
-      conn.tld.empty() ? std::string("(none)") : conn.tld.str(),
-      static_cast<int>(conn.server_leaf->issuer_class),
-      static_cast<int>(conn.client_leaf->issuer_category));
-  ++flows_[key];
+  ++flows_[FlowKey{conn.tld.empty() ? std::string("(none)") : conn.tld.str(),
+                  conn.server_leaf->issuer_class,
+                  conn.client_leaf->issuer_category}];
   if (conn.server_leaf->issuer_class == trust::IssuerClass::kPublic) {
     ++public_server_conns_;
     if (conn.client_leaf->issuer_category ==
@@ -213,22 +178,14 @@ void OutboundFlowAnalyzer::observe(const EnrichedConnection& conn) {
   }
 }
 
-void OutboundFlowAnalyzer::merge(OutboundFlowAnalyzer&& other) {
-  for (const auto& [sld, count] : other.sld_counts_) sld_counts_[sld] += count;
-  for (const auto& [key, count] : other.flows_) flows_[key] += count;
-  with_sni_ += other.with_sni_;
-  public_server_conns_ += other.public_server_conns_;
-  public_server_missing_client_ += other.public_server_missing_client_;
-}
-
 std::vector<OutboundFlowAnalyzer::Flow> OutboundFlowAnalyzer::top_flows(
     std::size_t n) const {
   std::vector<Flow> out;
   for (const auto& [key, count] : flows_) {
     Flow f;
-    f.tld = std::get<0>(key);
-    f.server_class = static_cast<trust::IssuerClass>(std::get<1>(key));
-    f.client_category = static_cast<IssuerCategory>(std::get<2>(key));
+    f.tld = key.tld;
+    f.server_class = key.server_class;
+    f.client_category = key.client_category;
     f.connections = count;
     out.push_back(std::move(f));
   }
@@ -340,50 +297,13 @@ void DummyIssuerAnalyzer::observe(const EnrichedConnection& conn) {
     if (conn.server_leaf != nullptr) tuple += conn.server_leaf->fuid.view();
     if (conn.client_leaf->version == 1) {
       weak_.v1_certs.insert(conn.client_leaf->fuid);
-      if (v1_tuple_set_.insert(tuple).second) ++weak_.v1_tuples;
+      if (weak_.v1_tuple_set.insert(tuple).second) ++weak_.v1_tuples;
     }
     if (conn.client_leaf->key_bits == 1024) {
       weak_.weak_key_certs.insert(conn.client_leaf->fuid);
-      if (weak_tuple_set_.insert(tuple).second) ++weak_.weak_key_tuples;
+      if (weak_.weak_tuple_set.insert(tuple).second) ++weak_.weak_key_tuples;
     }
   }
-}
-
-void DummyIssuerAnalyzer::merge(DummyIssuerAnalyzer&& other) {
-  for (auto& [key, row] : other.rows_) {
-    const auto it = rows_.find(key);
-    if (it == rows_.end()) {
-      rows_.emplace(key, std::move(row));
-      continue;
-    }
-    Row& mine = it->second;
-    mine.server_groups.insert(row.server_groups.begin(),
-                              row.server_groups.end());
-    mine.clients.insert(row.clients.begin(), row.clients.end());
-    mine.connections += row.connections;
-  }
-  for (auto& [key, row] : other.both_) {
-    const auto it = both_.find(key);
-    if (it == both_.end()) {
-      both_.emplace(key, std::move(row));
-      continue;
-    }
-    BothEndsRow& mine = it->second;
-    mine.clients.insert(row.clients.begin(), row.clients.end());
-    mine.first = std::min(mine.first, row.first);
-    mine.last = std::max(mine.last, row.last);
-  }
-  weak_.v1_certs.insert(other.weak_.v1_certs.begin(),
-                        other.weak_.v1_certs.end());
-  weak_.weak_key_certs.insert(other.weak_.weak_key_certs.begin(),
-                              other.weak_.weak_key_certs.end());
-  v1_tuple_set_.insert(other.v1_tuple_set_.begin(), other.v1_tuple_set_.end());
-  weak_tuple_set_.insert(other.weak_tuple_set_.begin(),
-                         other.weak_tuple_set_.end());
-  // Tuple counts track the (deduplicated) tuple sets, so re-derive them
-  // from the unions rather than adding shard counts.
-  weak_.v1_tuples = v1_tuple_set_.size();
-  weak_.weak_key_tuples = weak_tuple_set_.size();
 }
 
 std::vector<DummyIssuerAnalyzer::Row> DummyIssuerAnalyzer::rows() const {
@@ -425,10 +345,8 @@ void SerialCollisionAnalyzer::observe(const EnrichedConnection& conn) {
 
   const std::uint32_t client = client_key(conn);
   const auto record = [&](const CertFacts& facts, bool as_server) {
-    const auto key = std::make_tuple(issuer_label(facts),
-                                     facts.serial_hex.str(),
-                                     static_cast<int>(conn.direction));
-    auto& group = groups_[key];
+    auto& group = groups_[GroupKey{issuer_label(facts), facts.serial_hex.str(),
+                                   conn.direction}];
     group.issuer_org = issuer_label(facts);
     group.serial = facts.serial_hex.str();
     group.direction = conn.direction;
@@ -441,28 +359,6 @@ void SerialCollisionAnalyzer::observe(const EnrichedConnection& conn) {
   };
   if (server_candidate) record(*conn.server_leaf, true);
   if (client_candidate) record(*conn.client_leaf, false);
-}
-
-void SerialCollisionAnalyzer::merge(SerialCollisionAnalyzer&& other) {
-  for (auto& [key, group] : other.groups_) {
-    const auto it = groups_.find(key);
-    if (it == groups_.end()) {
-      groups_.emplace(key, std::move(group));
-      continue;
-    }
-    Group& mine = it->second;
-    mine.server_certs.insert(group.server_certs.begin(),
-                             group.server_certs.end());
-    mine.client_certs.insert(group.client_certs.begin(),
-                             group.client_certs.end());
-    mine.clients.insert(group.clients.begin(), group.clients.end());
-    mine.connections += group.connections;
-    mine.both_endpoint_connections += group.both_endpoint_connections;
-  }
-  for (std::size_t d = 0; d < involved_clients_.size(); ++d) {
-    involved_clients_[d].insert(other.involved_clients_[d].begin(),
-                                other.involved_clients_[d].end());
-  }
 }
 
 std::vector<SerialCollisionAnalyzer::Group>
@@ -524,26 +420,6 @@ void SharedCertAnalyzer::observe(const EnrichedConnection& conn) {
   row.first = std::min(row.first, conn.ts);
   row.last = std::max(row.last, conn.ts);
   ++row.connections;
-}
-
-void SharedCertAnalyzer::merge(SharedCertAnalyzer&& other) {
-  for (auto& [key, row] : other.same_conn_) {
-    const auto it = same_conn_.find(key);
-    if (it == same_conn_.end()) {
-      same_conn_.emplace(key, std::move(row));
-      continue;
-    }
-    SameConnRow& mine = it->second;
-    mine.clients.insert(row.clients.begin(), row.clients.end());
-    mine.first = std::min(mine.first, row.first);
-    mine.last = std::max(mine.last, row.last);
-    mine.connections += row.connections;
-  }
-  for (std::size_t d = 0; d < same_conn_conns_.size(); ++d) {
-    same_conn_conns_[d] += other.same_conn_conns_[d];
-  }
-  same_conn_fuids_.insert(other.same_conn_fuids_.begin(),
-                          other.same_conn_fuids_.end());
 }
 
 std::vector<SharedCertAnalyzer::SameConnRow>
@@ -627,26 +503,6 @@ void IncorrectDateAnalyzer::observe(const EnrichedConnection& conn) {
   if (client_wrong && server_wrong) {
     record(both_, *conn.client_leaf, true);
   }
-}
-
-void IncorrectDateAnalyzer::merge(IncorrectDateAnalyzer&& other) {
-  const auto merge_rows = [](std::map<std::string, Row>& into,
-                             std::map<std::string, Row>&& from) {
-    for (auto& [key, row] : from) {
-      const auto it = into.find(key);
-      if (it == into.end()) {
-        into.emplace(key, std::move(row));
-        continue;
-      }
-      Row& mine = it->second;
-      mine.clients.insert(row.clients.begin(), row.clients.end());
-      mine.certs.insert(row.certs.begin(), row.certs.end());
-      mine.first = std::min(mine.first, row.first);
-      mine.last = std::max(mine.last, row.last);
-    }
-  };
-  merge_rows(rows_, std::move(other.rows_));
-  merge_rows(both_, std::move(other.both_));
 }
 
 std::vector<IncorrectDateAnalyzer::Row> IncorrectDateAnalyzer::rows() const {

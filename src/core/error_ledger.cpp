@@ -72,24 +72,7 @@ void ErrorLedger::note_io(InputRole role, std::string event) {
 }
 
 void ErrorLedger::merge(ErrorLedger&& other) {
-  entries_.insert(entries_.end(),
-                  std::make_move_iterator(other.entries_.begin()),
-                  std::make_move_iterator(other.entries_.end()));
-  for (auto& note : other.io_notes_) {
-    if (io_notes_.size() < kMaxIoNotes) io_notes_.push_back(std::move(note));
-  }
-  for (std::size_t i = 0; i < kInputRoles; ++i) {
-    quarantined_[i] += other.quarantined_[i];
-    for (const auto& [reason, n] : other.reason_counts_[i]) {
-      reason_counts_[i][reason] += n;
-    }
-    rows_ok_[i] += other.rows_ok_[i];
-  }
-  for (std::size_t i = 0; i < kLedgerPhases; ++i) {
-    phase_counts_[i] += other.phase_counts_[i];
-  }
-  io_events_ += other.io_events_;
-  samples_truncated_ = samples_truncated_ || other.samples_truncated_;
+  merge_fields(*this, std::move(other));
   other.clear();
 }
 
@@ -126,16 +109,7 @@ void ErrorLedger::finalize() {
   entries_ = std::move(capped);
 }
 
-void ErrorLedger::clear() {
-  entries_.clear();
-  io_notes_.clear();
-  for (auto& c : quarantined_) c = 0;
-  for (auto& m : reason_counts_) m.clear();
-  for (auto& c : rows_ok_) c = 0;
-  for (auto& c : phase_counts_) c = 0;
-  io_events_ = 0;
-  samples_truncated_ = false;
-}
+void ErrorLedger::clear() { *this = ErrorLedger(); }
 
 std::optional<std::string> ErrorLedger::budget_violation(
     const ingest::ErrorPolicy& policy) const {

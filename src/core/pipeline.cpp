@@ -27,36 +27,6 @@ PipelineConfig PipelineConfig::campus_defaults() {
   return config;
 }
 
-void CertFacts::merge(const CertFacts& other) {
-  // Chain upgrades are monotonic (private → public); a shard that saw the
-  // upgrade wins. Identical certificates otherwise share all parsed and
-  // classification fields, so only usage aggregates need folding.
-  if (other.issuer_class == trust::IssuerClass::kPublic &&
-      issuer_class != trust::IssuerClass::kPublic) {
-    issuer_class = trust::IssuerClass::kPublic;
-    issuer_category = other.issuer_category;
-  }
-  flagged_interception |= other.flagged_interception;
-  used_as_server |= other.used_as_server;
-  used_as_client |= other.used_as_client;
-  used_in_mutual |= other.used_in_mutual;
-  seen_inbound |= other.seen_inbound;
-  seen_outbound |= other.seen_outbound;
-  seen_outbound_with_sni |= other.seen_outbound_with_sni;
-  client_use_while_expired |= other.client_use_while_expired;
-  connection_count += other.connection_count;
-  first_seen = std::min(first_seen, other.first_seen);
-  last_seen = std::max(last_seen, other.last_seen);
-  server_subnets.merge(other.server_subnets);
-  client_subnets.merge(other.client_subnets);
-  // "First observed" context: this pipeline precedes `other` in stream
-  // order, so its value wins when present.
-  if (context_sld.empty()) context_sld = other.context_sld;
-  if (context_assoc == ServerAssociation::kNone) {
-    context_assoc = other.context_assoc;
-  }
-}
-
 Pipeline::Pipeline(Prepared prepared)
     : enricher_(std::move(prepared.enricher)),
       base_certs_(std::move(prepared.base_certificates)),
@@ -164,28 +134,8 @@ void Pipeline::finalize() {
 }
 
 void Pipeline::merge(Pipeline&& other) {
-  for (auto& [fuid, facts] : other.certs_) {
-    const auto it = certs_.find(fuid);
-    if (it == certs_.end()) {
-      certs_.emplace(fuid, std::move(facts));
-    } else {
-      it->second.merge(facts);
-    }
-  }
+  merge_fields(*this, std::move(other));
   other.certs_.clear();
-
-  totals_.connections += other.totals_.connections;
-  totals_.established += other.totals_.established;
-  totals_.rejected_handshakes += other.totals_.rejected_handshakes;
-  totals_.mutual += other.totals_.mutual;
-  totals_.inbound += other.totals_.inbound;
-  totals_.outbound += other.totals_.outbound;
-  totals_.tls13 += other.totals_.tls13;
-  excluded_connections_ += other.excluded_connections_;
-
-  interception_issuers_.insert(other.interception_issuers_.begin(),
-                               other.interception_issuers_.end());
-
   // Cache bookkeeping only — the entries themselves stay shard-local.
   cache_.hits += other.cache_.hits;
   cache_.misses += other.cache_.misses;

@@ -102,7 +102,7 @@ void StateReader::expect_done(const char* section) const {
 }
 
 std::string write_sealed(const SealedFormat& format,
-                         std::initializer_list<SectionWriter> writers) {
+                         const std::vector<SectionWriter>& writers) {
   check_section_count(format, writers.size());
   StateWriter w;
   w.raw(format.magic.data(), format.magic.size());
@@ -124,7 +124,7 @@ std::string write_sealed(const SealedFormat& format,
 }
 
 bool read_sealed(const SealedFormat& format, std::string_view data,
-                 std::initializer_list<SectionReader> readers,
+                 const std::vector<SectionReader>& readers,
                  std::string* error, std::string* digest_hex) {
   check_section_count(format, readers.size());
   const auto fail = [error](std::string msg) {
@@ -183,7 +183,7 @@ bool read_sealed(const SealedFormat& format, std::string_view data,
                     name + "'");
       }
       seen[id] = true;
-      readers.begin()[id - 1](section);
+      readers[id - 1](section);
       section.expect_done(name);
     }
     for (std::size_t id = 1; id <= format.sections.size(); ++id) {

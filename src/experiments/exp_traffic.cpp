@@ -353,18 +353,21 @@ struct DatasetStatsAnalyzer {
     }
   }
 
-  void merge(DatasetStatsAnalyzer&& other) {
-    server_ips.merge(other.server_ips);
-    client_ips.merge(other.client_ips);
-    tls13_server_ips.merge(other.tls13_server_ips);
-    tls13_client_ips.merge(other.tls13_client_ips);
-    external_server_ips.merge(other.external_server_ips);
-    cloud_security_server_ips.merge(other.cloud_security_server_ips);
-    inbound_mutual += other.inbound_mutual;
-    inbound_device_mgmt += other.inbound_device_mgmt;
-    inbound_health += other.inbound_health;
-    outbound_mutual += other.outbound_mutual;
-    outbound_email += other.outbound_email;
+  template <class V>
+  static void fields(V& v) {
+    using S = DatasetStatsAnalyzer;
+    v("server_ips", &S::server_ips, core::rule::unite);
+    v("client_ips", &S::client_ips, core::rule::unite);
+    v("tls13_server_ips", &S::tls13_server_ips, core::rule::unite);
+    v("tls13_client_ips", &S::tls13_client_ips, core::rule::unite);
+    v("external_server_ips", &S::external_server_ips, core::rule::unite);
+    v("cloud_security_server_ips", &S::cloud_security_server_ips,
+      core::rule::unite);
+    v("inbound_mutual", &S::inbound_mutual, core::rule::sum);
+    v("inbound_device_mgmt", &S::inbound_device_mgmt, core::rule::sum);
+    v("inbound_health", &S::inbound_health, core::rule::sum);
+    v("outbound_mutual", &S::outbound_mutual, core::rule::sum);
+    v("outbound_email", &S::outbound_email, core::rule::sum);
   }
 };
 

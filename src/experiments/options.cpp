@@ -1,9 +1,13 @@
 #include "mtlscope/experiments/options.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
+#include <type_traits>
 
 #include "mtlscope/colfmt/container.hpp"
 
@@ -44,15 +48,48 @@ RunOptions RunOptions::resolved(double default_cert_scale,
   return out;
 }
 
+template <class T>
+T flag_value(const char* flag, const char* text, T lo, T hi) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  // `!(in range)` also refuses a NaN.
+  if (ec != std::errc() || ptr != end || ptr == text ||
+      !(value >= lo && value <= hi)) {
+    const auto show = [](T v) {
+      if constexpr (std::is_floating_point_v<T>) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", v);
+        return std::string(buf);
+      } else {
+        return std::to_string(v);
+      }
+    };
+    std::fprintf(stderr, "bad %s%s: want %s in [%s, %s]\n", flag, text,
+                 std::is_floating_point_v<T> ? "a number" : "an integer",
+                 show(lo).c_str(), show(hi).c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+template int flag_value(const char*, const char*, int, int);
+template std::uint32_t flag_value(const char*, const char*, std::uint32_t,
+                                  std::uint32_t);
+template std::uint64_t flag_value(const char*, const char*, std::uint64_t,
+                                  std::uint64_t);
+template double flag_value(const char*, const char*, double, double);
+
 bool RunOptions::parse_flag(const char* arg) {
+  constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
   if (std::strncmp(arg, "--cert-scale=", 13) == 0) {
-    cert_scale_override = std::atof(arg + 13);
+    cert_scale_override = flag_value("--cert-scale=", arg + 13, 1e-3, 1e12);
   } else if (std::strncmp(arg, "--conn-scale=", 13) == 0) {
-    conn_scale_override = std::atof(arg + 13);
+    conn_scale_override = flag_value("--conn-scale=", arg + 13, 1e-3, 1e12);
   } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-    seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
+    seed = flag_value<std::uint64_t>("--seed=", arg + 7, 0, kU64Max);
   } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-    threads = static_cast<std::size_t>(std::atoll(arg + 10));
+    threads = flag_value<std::uint64_t>("--threads=", arg + 10, 0, 65'536);
     // More shards than cores only adds contention and memory; clamp to
     // the machine (results are byte-identical for every thread count).
     const std::size_t hw = std::thread::hardware_concurrency();
@@ -82,7 +119,7 @@ bool RunOptions::parse_flag(const char* arg) {
       return false;  // not an input format; callers may layer their own
     }
   } else if (std::strncmp(arg, "--chunk-mb=", 11) == 0) {
-    chunk_mb = std::atof(arg + 11);
+    chunk_mb = flag_value("--chunk-mb=", arg + 11, 1e-6, 1e6);
   } else if (std::strcmp(arg, "--in-memory") == 0) {
     in_memory = true;
   } else if (std::strcmp(arg, "--force-buffered") == 0) {
@@ -101,9 +138,11 @@ bool RunOptions::parse_flag(const char* arg) {
       std::exit(2);
     }
   } else if (std::strncmp(arg, "--max-errors=", 13) == 0) {
-    errors.max_errors = static_cast<std::uint64_t>(std::atoll(arg + 13));
+    errors.max_errors =
+        flag_value<std::uint64_t>("--max-errors=", arg + 13, 0, kU64Max);
   } else if (std::strncmp(arg, "--max-error-rate=", 17) == 0) {
-    errors.max_error_rate = std::atof(arg + 17);
+    errors.max_error_rate =
+        flag_value("--max-error-rate=", arg + 17, 0.0, 1.0);
   } else {
     return false;
   }

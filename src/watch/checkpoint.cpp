@@ -70,28 +70,6 @@ colfmt::StrVec parse_interned_strings(StateReader& r) {
   return out;
 }
 
-void serialize_position(StateWriter& w, const TailPosition& p) {
-  w.u64(p.inode);
-  w.u64(p.offset);
-  w.u64(p.body_lines);
-  w.str(p.header_text);
-  w.u64(p.header_lines);
-  w.u8(p.header_done ? 1 : 0);
-  w.str(p.carry);
-}
-
-TailPosition parse_position(StateReader& r) {
-  TailPosition p;
-  p.inode = r.u64();
-  p.offset = r.u64();
-  p.body_lines = r.u64();
-  p.header_text = r.str();
-  p.header_lines = r.u64();
-  p.header_done = r.u8() != 0;
-  p.carry = r.str();
-  return p;
-}
-
 void serialize_ssl_rows(StateWriter& w,
                         const std::vector<zeek::SslRecord>& rows) {
   w.u64(rows.size());
@@ -186,8 +164,8 @@ std::string serialize_watch_checkpoint(const WatchCheckpoint& ckpt) {
             serialize_strings(p, ckpt.experiments);
             p.u64(ckpt.seed);
           },
-          [&](StateWriter& p) { serialize_position(p, ckpt.ssl_tail); },
-          [&](StateWriter& p) { serialize_position(p, ckpt.x509_tail); },
+          [&](StateWriter& p) { core::write_fields(p, ckpt.ssl_tail); },
+          [&](StateWriter& p) { core::write_fields(p, ckpt.x509_tail); },
           [&](StateWriter& p) {
             p.u8(ckpt.have_watermark ? 1 : 0);
             p.i64(ckpt.watermark_bucket);
@@ -199,7 +177,7 @@ std::string serialize_watch_checkpoint(const WatchCheckpoint& ckpt) {
           },
           [&](StateWriter& p) { p.str(ckpt.cumulative_blob); },
           [&](StateWriter& p) { p.str(ckpt.rollup_blob); },
-          [&](StateWriter& p) { ckpt.ledger.serialize(p); },
+          [&](StateWriter& p) { core::write_fields(p, ckpt.ledger); },
           [&](StateWriter& p) {
             p.u64(ckpt.x509_seen.size());
             for (const auto& row : ckpt.x509_seen) {
@@ -226,8 +204,12 @@ std::optional<WatchCheckpoint> parse_watch_checkpoint(std::string_view data,
                 ckpt.experiments = parse_strings(r);
                 ckpt.seed = r.u64();
               },
-              [&](StateReader& r) { ckpt.ssl_tail = parse_position(r); },
-              [&](StateReader& r) { ckpt.x509_tail = parse_position(r); },
+              [&](StateReader& r) {
+                core::read_fields(r, ckpt.ssl_tail, "ssl_tail");
+              },
+              [&](StateReader& r) {
+                core::read_fields(r, ckpt.x509_tail, "x509_tail");
+              },
               [&](StateReader& r) {
                 ckpt.have_watermark = r.u8() != 0;
                 ckpt.watermark_bucket = r.i64();
@@ -239,7 +221,9 @@ std::optional<WatchCheckpoint> parse_watch_checkpoint(std::string_view data,
               },
               [&](StateReader& r) { ckpt.cumulative_blob = r.str(); },
               [&](StateReader& r) { ckpt.rollup_blob = r.str(); },
-              [&](StateReader& r) { ckpt.ledger.deserialize(r); },
+              [&](StateReader& r) {
+                core::read_fields(r, ckpt.ledger, "ledger");
+              },
               [&](StateReader& r) {
                 const std::uint64_t n = r.u64();
                 ckpt.x509_seen.reserve(core::bounded_reserve(

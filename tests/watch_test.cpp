@@ -1158,6 +1158,51 @@ TEST_F(WatchTest, CheckpointStoreAllGenerationsBadReportsNewestError) {
   EXPECT_EQ(skipped, 1u);
 }
 
+// A checkpoint re-sealed over an out-of-range ledger byte is refused on
+// restore: the store steps back a generation instead of handing
+// ErrorLedger::finalize() an input role it would index with.
+TEST_F(WatchTest, CheckpointStoreRefusesOutOfRangeLedgerValue) {
+  const auto with_entry = [](core::InputRole role) {
+    watch::WatchCheckpoint ckpt = tagged_checkpoint(2);
+    ckpt.ledger.quarantine(core::LedgerPhase::kUpgrades,
+                           {role, 10, 2, 5, "bad column count", "abcd"});
+    return watch::serialize_watch_checkpoint(ckpt);
+  };
+  // The two encodings first differ at the entry's input byte.
+  std::string bytes = with_entry(core::InputRole::kSsl);
+  const std::string other = with_entry(core::InputRole::kX509);
+  ASSERT_EQ(bytes.size(), other.size());
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(bytes.begin(), bytes.end(), other.begin()).first -
+      bytes.begin());
+  bytes[at] = static_cast<char>(200);
+  const std::size_t digest_at = bytes.size() - crypto::Sha256::kDigestSize;
+  const auto digest =
+      crypto::Sha256::hash(std::string_view(bytes.data(), digest_at));
+  bytes.replace(digest_at, digest.size(),
+                reinterpret_cast<const char*>(digest.data()), digest.size());
+  std::string error;
+  EXPECT_FALSE(watch::parse_watch_checkpoint(bytes, &error).has_value());
+  EXPECT_EQ(error,
+            "bad value 200 in state field 'ledger.entries.input' (enum of 2 "
+            "values)");
+
+  watch::CheckpointStore store(dir_.string(), 3);
+  ASSERT_TRUE(store.save(tagged_checkpoint(1)).ok);
+  ASSERT_TRUE(store.save(tagged_checkpoint(2)).ok);
+  std::ofstream((dir_ / "watch.ckpt.2").string(),
+                std::ios::binary | std::ios::trunc)
+      << bytes;
+  std::uint64_t generation = 0;
+  std::uint32_t skipped = 0;
+  watch::CheckpointStore reopened(dir_.string(), 3);
+  const auto loaded = reopened.load(&error, &generation, &skipped);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(generation, 1u);
+  EXPECT_EQ(skipped, 1u);
+  EXPECT_EQ(loaded->seed, 1u);
+}
+
 TEST_F(WatchTest, SaveWatchCheckpointClassifiesEnospc) {
   ingest::FaultVfs::instance().clear();
   ingest::reset_write_retry_counters();
