@@ -1,7 +1,9 @@
-# CLI usage errors (the cli_usage_errors CTest): a mistyped flag, an
-# unknown experiment name, half a file-mode log pair and a malformed or
-# out-of-range numeric flag value each exit 2 with a message naming the
-# problem, instead of running with defaults.
+# CLI usage errors (the cli_usage_errors CTest): a mistyped flag, a flag
+# the verb does not read, an unknown experiment name, half a file-mode log
+# pair, an empty required flag and a malformed or out-of-range flag value
+# each exit 2 with a message naming the problem, instead of running with
+# defaults. A verb's usage, printed after an unknown flag, is generated
+# from its flag table.
 #
 #   cmake -DMTLSCOPE=PATH -P cli_usage_check.cmake
 cmake_minimum_required(VERSION 3.16)
@@ -41,3 +43,46 @@ expect_usage_error("bad --block-rows=x"
                    compact --block-rows=x --out=x.mtlc --ssl-log=s --x509-log=x)
 expect_usage_error("bad --checkpoint-every=x"
                    watch --checkpoint-every=x --out-dir=out --all)
+expect_usage_error("bad --window=fortnight"
+                   watch --window=fortnight --out-dir=out --all)
+expect_usage_error("bad --window=0" watch --window=0 --out-dir=out --all)
+expect_usage_error("bad --format=auto" reduce s.state --format=auto)
+
+# Each verb accepts only the shared flags its code reads; the rest are
+# refused by name rather than ignored.
+foreach(flag --threads=4 --cert-scale=1 --conn-scale=1 --seed=5
+             --format=zeek --in-memory --force-buffered --stable-output)
+  expect_usage_error("unknown flag: ${flag}"
+                     compact ${flag} --out=x.mtlc --ssl-log=s --x509-log=x)
+endforeach()
+foreach(flag --in-memory --stable-output)
+  expect_usage_error("unknown flag: ${flag}"
+                     map --state-out=state.bin ${flag})
+endforeach()
+foreach(flag --seed=5 --chunk-mb=1 --in-memory --force-buffered
+             --max-errors=3 --max-error-rate=0.5)
+  expect_usage_error("unknown flag: ${flag}" reduce s.state ${flag})
+endforeach()
+foreach(flag --chunk-mb=1 --in-memory --force-buffered --max-errors=3
+             --max-error-rate=0.5)
+  expect_usage_error("unknown flag: ${flag}"
+                     watch --out-dir=out --all ${flag})
+endforeach()
+
+# A required flag with an empty value (an unset shell variable) is refused
+# like a missing one rather than run on an empty path.
+expect_usage_error("watch needs --ssl-log=FILE"
+                   watch --ssl-log= --out-dir=out --all)
+expect_usage_error("watch needs --out-dir=DIR"
+                   watch --ssl-log=s --x509-log=x --out-dir= --all)
+expect_usage_error("compact needs --out=FILE" compact --out= --verify)
+expect_usage_error("map needs --state-out=FILE"
+                   map --state-out= --cert-scale=1 --conn-scale=1)
+
+# The usage after an unknown flag is that verb's table.
+foreach(want "unknown flag: --bogus" --checkpoint-keep= --report-x509-log=)
+  expect_usage_error("${want}" watch --bogus)
+endforeach()
+foreach(want "unknown flag: --bogus" --dict-mb= --block-rows=)
+  expect_usage_error("${want}" compact --bogus)
+endforeach()

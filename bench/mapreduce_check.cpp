@@ -10,7 +10,11 @@
 //      JSON byte-identical to a single-host `mtlscope run` over the
 //      unsliced logs, for every distributable experiment;
 //   3. reducing states produced under different seeds fails with the
-//      deterministic incompatibility message.
+//      deterministic incompatibility message;
+//   4. file-mode scale flags reach the report the same way on both
+//      sides: `map` + `reduce` with --cert-scale=/--conn-scale= emit the
+//      same JSON as `run` with them, and that JSON differs from the
+//      default-scale reference (the paper-vs counts divide by the scale).
 //
 // Usage: mapreduce_check --fixture-dir=DIR --mtlscope=PATH
 #include <cstdint>
@@ -106,26 +110,30 @@ int main(int argc, char** argv) {
   const std::vector<std::string> common = {
       std::string("--run=") + kDistributable, "--format=json",
       "--stable-output", "--ssl-log=" + ssl_log, "--x509-log=" + x509_log};
-  std::string reference;
-  {
+  // `mtlscope run` over the unsliced logs with `extra` flags, written to
+  // `out`; an empty string when it fails.
+  const auto single_host = [&](const std::vector<std::string>& extra,
+                               const std::string& out) -> std::string {
     std::vector<std::string> args = {"run", "--format=json", "--stable-output",
                                      "--threads=4", "--ssl-log=" + ssl_log,
                                      "--x509-log=" + x509_log};
+    args.insert(args.end(), extra.begin(), extra.end());
     for (const char* name = kDistributable; *name != '\0';) {
       const char* comma = std::strchr(name, ',');
       args.emplace_back(comma ? std::string(name, comma) : std::string(name));
       name = comma ? comma + 1 : name + std::strlen(name);
     }
-    const auto run = run_child(mtlscope, args,
-                               (dir / "mr_single_host.json").string(),
+    const auto run = run_child(mtlscope, args, (dir / out).string(),
                                /*capture_stderr=*/true);
     if (run.exit_code != 0) {
       std::fprintf(stderr, "FAIL: single-host run exited %d\n%s\n",
                    run.exit_code, run.output.c_str());
-      return 1;
+      return "";
     }
-    reference = slurp((dir / "mr_single_host.json").string());
-  }
+    return slurp((dir / out).string());
+  };
+  const std::string reference = single_host({}, "mr_single_host.json");
+  if (reference.empty()) return 1;
   std::printf("single-host reference: %zu bytes of canonical JSON\n",
               reference.size());
 
@@ -245,6 +253,54 @@ int main(int argc, char** argv) {
     }
     std::printf("seed mismatch refused deterministically (exit %d)\n",
                 reduce.exit_code);
+  }
+
+  // File-mode scales: run, map and reduce all take them, and map +
+  // reduce report at them exactly as run does.
+  {
+    const std::vector<std::string> scales = {"--cert-scale=7",
+                                             "--conn-scale=7"};
+    const std::string scaled = single_host(scales, "mr_scaled_host.json");
+    if (scaled.empty()) return 1;
+    if (scaled == reference) {
+      std::fprintf(stderr,
+                   "FAIL: --cert-scale=7 --conn-scale=7 left the single-host "
+                   "report unchanged\n");
+      return 1;
+    }
+    std::vector<std::string> args = {"reduce"};
+    for (std::size_t s = 0; s < 3; ++s) {
+      const std::string state_path =
+          (dir / ("mr_scaled_s" + std::to_string(s) + ".state")).string();
+      std::vector<std::string> map_args = {
+          "map", "--state-out=" + state_path,
+          "--ssl-log=" + (dir / ("mr_uneven_ssl" + std::to_string(s) + ".log"))
+                             .string(),
+          "--x509-log=" + x509_log};
+      map_args.insert(map_args.end(), scales.begin(), scales.end());
+      const auto map = run_child(mtlscope, map_args,
+                                 (dir / "mr_map_out.txt").string(),
+                                 /*capture_stderr=*/true);
+      if (map.exit_code != 0) {
+        std::fprintf(stderr, "FAIL: scaled map slice %zu exited %d\n%s\n", s,
+                     map.exit_code, map.output.c_str());
+        return 1;
+      }
+      args.push_back(state_path);
+    }
+    args.insert(args.end(), common.begin(), common.end());
+    args.insert(args.end(), scales.begin(), scales.end());
+    const std::string out_path = (dir / "mr_reduce_scaled.json").string();
+    const auto reduce =
+        run_child(mtlscope, args, out_path, /*capture_stderr=*/true);
+    if (reduce.exit_code != 0 || slurp(out_path) != scaled) {
+      std::fprintf(stderr,
+                   "FAIL: scaled reduce (exit %d) differs from the scaled "
+                   "single-host run — see %s\n%s\n",
+                   reduce.exit_code, out_path.c_str(), reduce.output.c_str());
+      return 1;
+    }
+    std::printf("file-mode scales: map + reduce byte-identical to run\n");
   }
 
   // Tidy the large intermediates; keep the JSON outputs for debugging.

@@ -1,33 +1,25 @@
 // mtlscope — the single CLI over the experiment registry.
 //
 //   mtlscope list
-//   mtlscope run table1 fig4 [--format=text|json|csv|tsv] [--out=DIR]
-//   mtlscope run --all --format=json
+//   mtlscope run table1 fig4 [--format=json] [--out=DIR]
 //   mtlscope map --state-out=F --ssl-log=F --x509-log=F
 //   mtlscope reduce S1 S2 ... --run=table1,fig1 [--format=json]
+//   mtlscope compact --ssl-log=F --x509-log=F --out=F.mtlc [--verify]
+//   mtlscope watch --ssl-log=F --x509-log=F --out-dir=DIR --all
 //
-// `run` groups the requested experiments by model key and configuration,
-// so one generated trace serves every compatible experiment (e.g. the
-// six pristine-model certificate tables share one pipeline pass). The
-// shared flags (--cert-scale= / --conn-scale= / --seed= / --threads= /
-// --ssl-log= / --x509-log= / --chunk-mb= / --in-memory /
-// --force-buffered / --stable-output / --on-error= / --max-errors= /
-// --max-error-rate=) apply to every experiment in the invocation;
-// scales default to each experiment's calibrated values.
-//
-// `map` runs one pipeline pass over an input slice and writes the
-// complete shard state (pipeline, analyzers, ledger) to a versioned
-// state file; `reduce` merges state files from compatible slices and
-// reports any distributable experiments from the merged state,
-// byte-identical to a single-host `run` over the concatenated inputs
-// (DESIGN §12).
+// Each verb is one flag table (Verb, below). A flag several verbs read is
+// one SharedFlags row or *_flag function, listed by each verb whose code
+// reads it, so a verb refuses the flags it would ignore; its usage comes
+// from the table. `map` + `reduce` equal one `run` (DESIGN §12).
+#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "mtlscope/colfmt/container.hpp"
@@ -40,75 +32,273 @@
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/ingest/durable_io.hpp"
 #include "mtlscope/watch/daemon.hpp"
-#include "mtlscope/watch/scheduler.hpp"
 
 using namespace mtlscope;
+using namespace mtlscope::experiments;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s list\n"
-               "       %s run <experiment>... [--all] "
-               "[--format=text|json|csv|tsv] [--out=DIR] [options]\n"
-               "       %s map --state-out=FILE "
-               "(--ssl-log=F --x509-log=F | --cert-scale=N --conn-scale=N) "
-               "[options]\n"
-               "       %s reduce <state-file>... (--run=NAME[,NAME...] | "
-               "--all) [--format=text|json|csv|tsv] [--out=DIR] [options]\n"
-               "       %s compact --ssl-log=F --x509-log=F --out=FILE "
-               "[--verify] [--block-rows=N] [--dict-mb=N] [options]\n"
-               "       %s compact --verify --out=FILE\n"
-               "       %s watch --ssl-log=F --x509-log=F --out-dir=DIR "
-               "(--run=NAME[,NAME...] | --all) [--window=hour|day|week|SECS] "
-               "[--rollup=N] [--poll-ms=N] [--checkpoint-dir=DIR] "
-               "[--checkpoint-every=SECS] [--checkpoint-keep=N] "
-               "[--exit-idle-ms=N] "
-               "[--report-ssl-log=F --report-x509-log=F] [options]\n"
-               "\n"
-               "options (apply to every experiment in the run):\n"
-               "  --cert-scale=N --conn-scale=N --seed=N --threads=N\n"
-               "  --ssl-log=F --x509-log=F --format=auto|zeek|compact\n"
-               "  --chunk-mb=N --in-memory --force-buffered --stable-output\n"
-               "  --on-error=abort|skip --max-errors=N --max-error-rate=F\n"
-               "\n"
-               "compact converts a TSV log pair into one columnar .mtlc "
-               "container (DESIGN §14); run/map/watch accept the container "
-               "via --ssl-log= alone (--format=auto detects it by magic) "
-               "and report byte-identically to the TSV pair. --verify "
-               "re-expands the container and field-compares every record "
-               "(and the quarantined-row counts) against a fresh TSV "
-               "parse, exiting non-zero on any divergence.\n"
-               "\n"
-               "reduce merges shard states written by map (same seed, "
-               "scales, and mode required) and reports the named "
-               "distributable experiments from the merged state; --all "
-               "selects every distributable experiment. --ssl-log=/"
-               "--x509-log= override the input paths shown in the report "
-               "(e.g. the unsliced originals).\n"
-               "\n"
-               "watch tails growing (and rotating) Zeek logs, folds complete "
-               "records into windowed analyzer state, and publishes "
-               "window-<start>.json / rollup-<start>.json / cumulative.json "
-               "into --out-dir atomically (write + fsync + rename + "
-               "directory fsync). --checkpoint-dir= enables SIGTERM/crash "
-               "resume; the last --checkpoint-keep=N (default 3) checkpoint "
-               "generations are retained and resume restores the newest "
-               "one whose digest verifies. SIGUSR1 prints a status line; "
-               "--exit-idle-ms=N drains and exits once the logs stop "
-               "growing.\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0);
-  return 2;
+// ---------------------------------------------------------------------------
+// Flag tables. A row binds one flag to the option it fills; Verb::parse
+// walks argv against a verb's rows and Verb::usage prints them, so a verb
+// accepts exactly the flags it lists and its usage names exactly those.
+
+struct Flag;
+/// Stores the text of a flag's value (a switch gets ""), or exits 2 with
+/// a message naming the flag.
+using FlagSet = std::function<void(const Flag& self, const char* text)>;
+
+/// A switch `--name` when `value` is empty, else `--name=value`, where
+/// `value` is the usage placeholder and "a|b|c" lists an enum's literals.
+struct Flag {
+  std::string name, value, help;
+  FlagSet set;
+  bool required = false;
+
+  std::string spelled() const {
+    return value.empty() ? name : name + "=" + value;
+  }
+  bool matches(std::string_view arg) const {
+    return value.empty() ? arg == name : arg.starts_with(name + "=");
+  }
+};
+
+// The value kinds.
+FlagSet on(bool* target) {
+  return [target](const Flag&, const char*) { *target = true; };
+}
+FlagSet store(std::string* target) {
+  return [target](const Flag&, const char* text) { *target = text; };
+}
+/// A number in [lo, hi], through flag_value.
+template <class T, class Target>
+FlagSet number(Target* target, T lo, T hi) {
+  return [=](const Flag& self, const char* text) {
+    *target = flag_value<T>((self.name + "=").c_str(), text, lo, hi);
+  };
+}
+/// The position of `text` among the `a|b|c` literals, or npos.
+std::size_t find_literal(std::string_view literals, std::string_view text) {
+  for (std::size_t i = 0; !literals.empty(); ++i) {
+    const std::size_t bar = std::min(literals.find('|'), literals.size());
+    if (literals.substr(0, bar) == text) return i;
+    literals.remove_prefix(std::min(bar + 1, literals.size()));
+  }
+  return std::string_view::npos;
+}
+/// The position of `text` among the row's enum literals; exits 2 when it
+/// is none of them.
+std::size_t literal_index(const Flag& self, std::string_view text) {
+  const std::size_t i = find_literal(self.value, text);
+  if (i != std::string_view::npos) return i;
+  std::fprintf(stderr, "bad %s=%.*s: want %s\n", self.name.c_str(),
+               static_cast<int>(text.size()), text.data(), self.value.c_str());
+  std::exit(2);
+}
+/// An enum: the i-th literal stores values[i].
+template <class T>
+FlagSet pick(T* target, std::vector<T> values) {
+  return [=](const Flag& self, const char* text) {
+    *target = values[literal_index(self, text)];
+  };
+}
+/// An enum kept as its literal.
+FlagSet literal(std::string* target) {
+  return [target](const Flag& self, const char* text) {
+    literal_index(self, text);
+    *target = text;
+  };
+}
+/// Comma-separated names, appended (a repeated flag adds more).
+FlagSet name_list(std::vector<std::string>* target) {
+  return [target](const Flag&, const char* text) {
+    for (std::string_view rest = text; !rest.empty();) {
+      const std::size_t comma = std::min(rest.find(','), rest.size());
+      if (comma > 0) target->emplace_back(rest.substr(0, comma));
+      rest.remove_prefix(std::min(comma + 1, rest.size()));
+    }
+  };
+}
+FlagSet window(std::int64_t* target) {
+  return [target](const Flag& self, const char* text) {
+    const auto seconds = window_seconds(text);
+    if (!seconds) {
+      std::fprintf(stderr, "bad %s=%s: want hour, day, week or seconds > 0\n",
+                   self.name.c_str(), text);
+      std::exit(2);
+    }
+    *target = *seconds;
+  };
 }
 
-int run_list() {
-  const auto& registry = experiments::ExperimentRegistry::instance();
-  for (const auto& entry : registry.entries()) {
-    std::printf("%-22s %-14s cert 1:%-6g conn 1:%-9g %s\n", entry.info.name,
-                entry.info.anchor, entry.info.cert_scale,
-                entry.info.conn_scale, entry.info.title);
+Flag required(Flag flag) {
+  flag.required = true;
+  return flag;
+}
+
+/// A verb's command line: its flags, the usage of its positional
+/// arguments (nullptr: it takes none), and its usage's opening paragraph.
+struct Verb {
+  const char* name;
+  const char* operands;
+  const char* help;
+  std::vector<Flag> flags;
+
+  std::string usage(const char* argv0) const {
+    std::string out = std::string("usage: ") + argv0 + " " + name +
+                      (operands != nullptr ? " " + std::string(operands) : "") +
+                      (flags.empty() ? "\n" : " [flags]\n") + help + "\n";
+    for (const Flag& flag : flags) {
+      std::string line = "  " + flag.spelled();
+      line.resize(std::max<std::size_t>(line.size() + 2, 28), ' ');
+      out += line + flag.help + (flag.required ? " (required)\n" : "\n");
+    }
+    return out;
   }
-  return 0;
+
+  /// Parses argv[2..argc) and returns the positional arguments. An
+  /// unknown flag or an unwanted positional argument exits 2 with this
+  /// usage; a required flag that is missing or empty (`--out=`, as an
+  /// unset shell variable gives) with "<verb> needs --name=VALUE".
+  std::vector<std::string> parse(int argc, char** argv) const {
+    std::vector<std::string> positional;
+    std::vector<bool> given(flags.size());
+    for (int i = 2; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      const bool is_flag = !arg.empty() && arg[0] == '-';
+      if (!is_flag && operands != nullptr) {
+        positional.emplace_back(arg);
+        continue;
+      }
+      std::size_t row = 0;
+      while (is_flag && row < flags.size() && !flags[row].matches(arg)) ++row;
+      if (!is_flag || row == flags.size()) {
+        std::fprintf(stderr, "%s%s: %s\n%s", is_flag ? "" : name,
+                     is_flag ? "unknown flag"
+                             : " takes no positional arguments",
+                     argv[i], usage(argv[0]).c_str());
+        std::exit(2);
+      }
+      const Flag& flag = flags[row];
+      const char* text =
+          flag.value.empty() ? "" : argv[i] + flag.name.size() + 1;
+      flag.set(flag, text);
+      // A switch counts once given; a value only when it is not empty
+      // (the last value is the one kept).
+      given[row] = flag.value.empty() || *text != '\0';
+    }
+    for (std::size_t row = 0; row < flags.size(); ++row) {
+      if (flags[row].required && !given[row]) {
+        std::fprintf(stderr, "%s needs %s\n", name,
+                     flags[row].spelled().c_str());
+        std::exit(2);
+      }
+    }
+    return positional;
+  }
+};
+
+/// What a verb's run() returns to have its usage printed and exit 2.
+constexpr int kUsage = -1;
+
+/// More shards than cores only adds contention and memory: --threads= is
+/// clamped to the machine (results are byte-identical for any count).
+FlagSet clamped_threads(std::size_t* threads) {
+  return [threads](const Flag& self, const char* text) {
+    number<std::uint64_t>(threads, 0, 65'536)(self, text);
+    const std::size_t hw = std::thread::hardware_concurrency();
+    if (hw == 0 || *threads <= hw) return;
+    std::fprintf(stderr,
+                 "note: %s=%zu exceeds this machine's %zu hardware threads; "
+                 "running with %zu\n",
+                 self.name.c_str(), *threads, hw, hw);
+    *threads = hw;
+  };
+}
+
+/// The rows of the RunOptions flags several verbs read, bound to `o`.
+struct SharedFlags {
+  using Action = ingest::ErrorPolicy::Action;
+  RunOptions& o;
+  Flag cert_scale{"--cert-scale", "N", "certificate scale 1:N",
+                  number(&o.cert_scale_override, 1e-3, 1e12)};
+  Flag conn_scale{"--conn-scale", "N", "connection scale 1:N",
+                  number(&o.conn_scale_override, 1e-3, 1e12)};
+  Flag seed{"--seed", "N", "generator seed (default 20240504)",
+            number<std::uint64_t>(&o.seed, 0, UINT64_MAX)};
+  Flag threads{"--threads", "N", "workers; 0 = all cores (default and cap)",
+               clamped_threads(&o.threads)};
+  Flag ssl_log{"--ssl-log", "FILE", "Zeek ssl.log, or a .mtlc container",
+               store(&o.ssl_log)};
+  Flag x509_log{"--x509-log", "FILE", "Zeek x509.log", store(&o.x509_log)};
+  Flag chunk_mb{"--chunk-mb", "N", "streaming chunk MiB (default 1)",
+                number(&o.chunk_mb, 1e-6, 1e6)};
+  Flag in_memory{"--in-memory", "", "slurp the logs instead of streaming",
+                 on(&o.in_memory)};
+  Flag force_buffered{"--force-buffered", "", "pread instead of mmap",
+                      on(&o.force_buffered)};
+  Flag stable_output{"--stable-output", "", "omit threads and timing output",
+                     on(&o.stable_output)};
+  Flag on_error{"--on-error", "abort|skip",
+                "malformed records abort (default) or are quarantined",
+                pick(&o.errors.on_error, {Action::kAbort, Action::kSkip})};
+  Flag max_errors{"--max-errors", "N", "skip mode: fail past N quarantined",
+                  number<std::uint64_t>(&o.errors.max_errors, 0, UINT64_MAX)};
+  Flag max_error_rate{"--max-error-rate", "N",
+                      "skip mode: fail past this quarantined share",
+                      number(&o.errors.max_error_rate, 0.0, 1.0)};
+
+  /// File mode needs the log pair, except that a compact container named
+  /// by the ssl log alone carries both halves. Reports the gap on stderr.
+  bool log_pair_complete() const {
+    if (o.ssl_log.empty() == o.x509_log.empty() || o.compact_input()) {
+      return true;
+    }
+    std::fprintf(stderr,
+                 "file mode needs both %s= and %s= (a compact container "
+                 "via %s= alone works)\n",
+                 ssl_log.name.c_str(), x509_log.name.c_str(),
+                 ssl_log.name.c_str());
+    return false;
+  }
+};
+
+/// --format= is the output format (reduce), the input format (map,
+/// watch), or either (run), whose literals do not overlap.
+constexpr const char* kFormatFlag = "--format";
+Flag output_format(std::string* format) {
+  return {kFormatFlag, "text|json|csv|tsv", "output (default text)",
+          literal(format)};
+}
+Flag input_format(RunOptions::InputFormat* format) {
+  using In = RunOptions::InputFormat;
+  return {kFormatFlag, "auto|zeek|compact", "input (default auto: by magic)",
+          pick(format, {In::kAuto, In::kZeek, In::kCompact})};
+}
+Flag output_or_input_format(std::string* output,
+                            RunOptions::InputFormat* input) {
+  const Flag out = output_format(output), in = input_format(input);
+  return {kFormatFlag, out.value + "|" + in.value,
+          "output (default text) or input (default auto)",
+          [out, in](const Flag& self, const char* text) {
+            literal_index(self, text);
+            const Flag& meaning =
+                find_literal(out.value, text) != std::string_view::npos ? out
+                                                                        : in;
+            meaning.set(meaning, text);
+          }};
+}
+
+// Rows several verbs share whose targets are not RunOptions fields.
+Flag all_flag(bool* all, const char* help) {
+  return {"--all", "", help, on(all)};
+}
+Flag out_flag(std::string* out, const char* value, const char* help) {
+  return {"--out", value, help, store(out)};
+}
+Flag run_flag(std::vector<std::string>* experiments) {
+  return {"--run", "NAME[,NAME...]", "experiments to report",
+          name_list(experiments)};
 }
 
 bool write_file(const std::filesystem::path& path,
@@ -194,58 +384,43 @@ int emit_docs(const std::vector<core::ResultDoc>& docs,
   return 0;
 }
 
-/// File mode needs the log pair, except that a compact container named
-/// by --ssl-log= alone carries both halves. Reports the gap on stderr.
-bool file_mode_complete(const experiments::RunOptions& options) {
-  if (options.ssl_log.empty() == options.x509_log.empty() ||
-      options.compact_input()) {
-    return true;
+struct ListCmd {
+  const Verb verb{"list", nullptr, "  Names every experiment.\n", {}};
+  int run(const std::vector<std::string>&) {
+    for (const auto& e : ExperimentRegistry::instance().entries()) {
+      std::printf("%-22s %-14s cert 1:%-6g conn 1:%-9g %s\n", e.info.name,
+                  e.info.anchor, e.info.cert_scale, e.info.conn_scale,
+                  e.info.title);
+    }
+    return 0;
   }
-  std::fprintf(stderr,
-               "file mode needs both --ssl-log= and --x509-log= "
-               "(a compact container via --ssl-log= alone works)\n");
-  return false;
-}
+};
 
-int run_run(int argc, char** argv) {
-  experiments::RunOptions options;
-  std::vector<std::string> names;
+struct RunCmd {
+  RunOptions options;
+  SharedFlags s{options};
   std::string format = "text";
   std::string out_dir;
   bool all = false;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--all") == 0) {
-      all = true;
-    } else if (std::strncmp(arg, "--format=", 9) == 0) {
-      // Output formats first; other values are input formats
-      // (auto|zeek|compact) and belong to the shared options.
-      const char* value = arg + 9;
-      if (std::strcmp(value, "text") == 0 || std::strcmp(value, "json") == 0 ||
-          std::strcmp(value, "csv") == 0 || std::strcmp(value, "tsv") == 0) {
-        format = value;
-      } else if (!options.parse_flag(arg)) {
-        std::fprintf(stderr, "unknown format: %s\n", value);
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_dir = arg + 6;
-    } else if (arg[0] == '-') {
-      if (!options.parse_flag(arg)) {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        return usage(argv[0]);
-      }
-    } else {
-      names.emplace_back(arg);
-    }
-  }
-  if (!file_mode_complete(options)) return 2;
-  if (all) {
-    names = experiments::ExperimentRegistry::instance().names();
-  }
+  const Verb verb{
+      "run", "<experiment>...",
+      "  Runs experiments over a log pair, a .mtlc container, or a synthetic\n"
+      "  trace at calibrated scales; compatible experiments share a pass.\n",
+      {all_flag(&all, "every registered experiment"),
+       output_or_input_format(&format, &options.format),
+       out_flag(&out_dir, "DIR", "one file per experiment, not stdout"),
+       s.cert_scale, s.conn_scale, s.seed, s.threads, s.ssl_log, s.x509_log,
+       s.chunk_mb, s.in_memory, s.force_buffered, s.stable_output, s.on_error,
+       s.max_errors, s.max_error_rate}};
+  int run(std::vector<std::string> names);
+};
+
+int RunCmd::run(std::vector<std::string> names) {
+  if (!s.log_pair_complete()) return 2;
+  if (all) names = ExperimentRegistry::instance().names();
   if (names.empty()) {
-    std::fprintf(stderr, "no experiments requested (try --all)\n");
-    return usage(argv[0]);
+    std::fprintf(stderr, "no experiments requested\n");
+    return kUsage;
   }
 
   std::vector<core::ResultDoc> docs;
@@ -265,28 +440,23 @@ std::uint64_t file_size_or_zero(const std::string& path) {
   return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
-int run_map(int argc, char** argv) {
-  experiments::RunOptions options;
+struct MapCmd {
+  RunOptions options;
+  SharedFlags s{options};
   std::string state_out;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--state-out=", 12) == 0) {
-      state_out = arg + 12;
-    } else if (arg[0] == '-') {
-      if (!options.parse_flag(arg)) {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        return usage(argv[0]);
-      }
-    } else {
-      std::fprintf(stderr, "map takes no positional arguments: %s\n", arg);
-      return usage(argv[0]);
-    }
-  }
-  if (state_out.empty()) {
-    std::fprintf(stderr, "map needs --state-out=FILE\n");
-    return 2;
-  }
-  if (!file_mode_complete(options)) return 2;
+  const Verb verb{
+      "map", nullptr,
+      "  Folds one input slice (a log pair, a .mtlc container, or a synthetic\n"
+      "  trace at explicit scales) and writes its shard state for reduce.\n",
+      {{"--state-out", "FILE", "shard state to write", store(&state_out), true},
+       s.ssl_log, s.x509_log, input_format(&options.format),
+       s.cert_scale, s.conn_scale, s.seed, s.threads, s.chunk_mb,
+       s.force_buffered, s.on_error, s.max_errors, s.max_error_rate}};
+  int run(const std::vector<std::string>&);
+};
+
+int MapCmd::run(const std::vector<std::string>&) {
+  if (!s.log_pair_complete()) return 2;
 
   core::ShardState state;
   auto config = core::PipelineConfig::campus_defaults();
@@ -342,11 +512,8 @@ int run_map(int argc, char** argv) {
     // Synthetic slices make no sense at an accidental scale: require
     // the scales explicitly rather than defaulting per-experiment.
     if (!options.cert_scale_override || !options.conn_scale_override) {
-      std::fprintf(stderr,
-                   "synthetic map needs explicit --cert-scale= and "
-                   "--conn-scale= (or --ssl-log=/--x509-log= for file "
-                   "mode)\n");
-      return 2;
+      std::fprintf(stderr, "synthetic map needs explicit scales\n");
+      return kUsage;
     }
     auto model = gen::paper_model(*options.cert_scale_override,
                                   *options.conn_scale_override);
@@ -377,50 +544,33 @@ int run_map(int argc, char** argv) {
   return 0;
 }
 
-int run_reduce(int argc, char** argv) {
-  experiments::RunOptions options;
-  std::vector<std::string> state_paths;
+struct ReduceCmd {
+  RunOptions options;
+  SharedFlags s{options};
   std::vector<std::string> names;
   std::string format = "text";
   std::string out_dir;
   bool all = false;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--all") == 0) {
-      all = true;
-    } else if (std::strncmp(arg, "--run=", 6) == 0) {
-      std::string list = arg + 6;
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string name =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        if (!name.empty()) names.push_back(name);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (std::strncmp(arg, "--format=", 9) == 0) {
-      format = arg + 9;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_dir = arg + 6;
-    } else if (arg[0] == '-') {
-      if (!options.parse_flag(arg)) {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        return usage(argv[0]);
-      }
-    } else {
-      state_paths.emplace_back(arg);
-    }
-  }
-  if (format != "text" && format != "json" && format != "csv" &&
-      format != "tsv") {
-    std::fprintf(stderr, "unknown format: %s\n", format.c_str());
-    return 2;
-  }
+  // Nothing is ingested: the log pair only names the inputs, the error
+  // policy labels the data-quality block. The seed comes from the merged
+  // meta, and so do the scales of synthetic states; file-mode states
+  // report at the given scales, as `run` over the same logs does.
+  const Verb verb{
+      "reduce", "<state-file>...",
+      "  Merges map's shard states and reports distributable experiments as\n"
+      "  one run over all inputs would; a log pair relabels the inputs.\n",
+      {run_flag(&names), all_flag(&all, "every distributable experiment"),
+       output_format(&format),
+       out_flag(&out_dir, "DIR", "one file per experiment, not stdout"),
+       s.ssl_log, s.x509_log, s.cert_scale, s.conn_scale, s.threads,
+       s.stable_output, s.on_error}};
+  int run(const std::vector<std::string>& state_paths);
+};
+
+int ReduceCmd::run(const std::vector<std::string>& state_paths) {
   if (state_paths.empty()) {
     std::fprintf(stderr, "no state files to reduce\n");
-    return usage(argv[0]);
+    return kUsage;
   }
 
   // Load and merge in argv order; refuse configuration mismatches with a
@@ -468,9 +618,9 @@ int run_reduce(int argc, char** argv) {
   reduce_info.state_digest =
       crypto::to_hex(crypto::Sha256::hash(digest_chain)).substr(0, 16);
 
-  // The producing configuration labels the report; explicit --ssl-log=
-  // / --x509-log= override the (comma-joined) slice paths, e.g. with
-  // the unsliced originals a single-host run would name.
+  // The producing configuration labels the report; an explicit log pair
+  // overrides the (comma-joined) slice paths, e.g. with the unsliced
+  // originals a single-host run would name.
   options.seed = merged.meta.seed;
   if (!merged.meta.file_mode) {
     options.cert_scale_override = merged.meta.cert_scale;
@@ -481,14 +631,12 @@ int run_reduce(int argc, char** argv) {
   }
 
   if (all) {
-    const auto& registry = experiments::ExperimentRegistry::instance();
-    for (const auto& entry : registry.entries()) {
-      if (entry.make()->distributable()) names.emplace_back(entry.info.name);
-    }
+    const auto every = ExperimentRegistry::instance().distributable_names();
+    names.insert(names.end(), every.begin(), every.end());
   }
   if (names.empty()) {
-    std::fprintf(stderr, "no experiments requested (try --run= or --all)\n");
-    return usage(argv[0]);
+    std::fprintf(stderr, "no experiments requested\n");
+    return kUsage;
   }
 
   std::vector<core::ResultDoc> docs;
@@ -503,48 +651,39 @@ int run_reduce(int argc, char** argv) {
                    /*include_perf=*/!options.stable_output);
 }
 
-int run_compact(int argc, char** argv) {
-  experiments::RunOptions options;
+struct CompactCmd {
+  RunOptions options;
+  SharedFlags s{options};
   colfmt::WriterOptions writer;
+  double dict_mb = 8;
   std::string out;
   bool verify = false;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--out=", 6) == 0) {
-      out = arg + 6;
-    } else if (std::strcmp(arg, "--verify") == 0) {
-      verify = true;
-    } else if (std::strncmp(arg, "--block-rows=", 13) == 0) {
-      writer.block_rows = experiments::flag_value<std::uint32_t>(
-          "--block-rows=", arg + 13, 1, UINT32_MAX);
-    } else if (std::strncmp(arg, "--dict-mb=", 10) == 0) {
-      const double mb = experiments::flag_value("--dict-mb=", arg + 10, 1e-6,
-                                                1e6);
-      writer.dict_bytes = static_cast<std::size_t>(mb * 1024.0 * 1024.0);
-    } else if (arg[0] == '-') {
-      if (!options.parse_flag(arg)) {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        return usage(argv[0]);
-      }
-    } else {
-      std::fprintf(stderr, "compact takes no positional arguments: %s\n", arg);
-      return usage(argv[0]);
-    }
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "compact needs --out=FILE\n");
-    return 2;
-  }
+  const Verb verb{
+      "compact", nullptr,
+      "  Converts a TSV log pair into a .mtlc container (DESIGN §14) that\n"
+      "  run, map and watch read in its place, or verifies a container.\n",
+      {required(out_flag(&out, "FILE", "container to write or verify")),
+       s.ssl_log, s.x509_log,
+       {"--verify", "", "field-compare against a TSV re-parse", on(&verify)},
+       {"--block-rows", "N", "rows per block (default 65536)",
+        number<std::uint32_t>(&writer.block_rows, 1, UINT32_MAX)},
+       {"--dict-mb", "N", "dictionary MiB per block (default 8)",
+        number(&dict_mb, 1e-6, 1e6)},
+       s.chunk_mb, s.on_error, s.max_errors, s.max_error_rate}};
+  int run(const std::vector<std::string>&);
+};
+
+int CompactCmd::run(const std::vector<std::string>&) {
+  writer.dict_bytes = static_cast<std::size_t>(dict_mb * 1024.0 * 1024.0);
   const bool convert = !options.ssl_log.empty() || !options.x509_log.empty();
   if (convert && (options.ssl_log.empty() || options.x509_log.empty())) {
-    std::fprintf(stderr, "compact needs both --ssl-log= and --x509-log=\n");
+    std::fprintf(stderr, "compact needs both %s= and %s=\n",
+                 s.ssl_log.name.c_str(), s.x509_log.name.c_str());
     return 2;
   }
   if (!convert && !verify) {
-    std::fprintf(stderr,
-                 "compact without --ssl-log=/--x509-log= needs --verify "
-                 "(verify-only mode)\n");
-    return 2;
+    std::fprintf(stderr, "compact without a log pair can only verify\n");
+    return kUsage;
   }
 
   if (convert) {
@@ -590,124 +729,98 @@ int run_compact(int argc, char** argv) {
   return 0;
 }
 
-int run_watch_cmd(int argc, char** argv) {
+struct WatchCmd {
   watch::WatchOptions options;
+  SharedFlags s{options.run};
   bool all = false;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--all") == 0) {
-      all = true;
-    } else if (std::strncmp(arg, "--run=", 6) == 0) {
-      std::string list = arg + 6;
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string name =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        if (!name.empty()) options.experiments.push_back(name);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (std::strncmp(arg, "--out-dir=", 10) == 0) {
-      options.out_dir = arg + 10;
-    } else if (std::strncmp(arg, "--checkpoint-dir=", 17) == 0) {
-      options.checkpoint_dir = arg + 17;
-    } else if (std::strncmp(arg, "--window=", 9) == 0) {
-      options.window_seconds = watch::parse_window_spec(arg + 9);
-      if (options.window_seconds <= 0) {
-        std::fprintf(stderr, "bad --window= (hour|day|week|SECS): %s\n",
-                     arg + 9);
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--rollup=", 9) == 0) {
-      // Windows per roll-up.
-      options.rollup_windows = experiments::flag_value<std::uint32_t>(
-          "--rollup=", arg + 9, 1, UINT32_MAX);
-    } else if (std::strncmp(arg, "--poll-ms=", 10) == 0) {
-      options.poll_ms =
-          experiments::flag_value("--poll-ms=", arg + 10, 1, INT_MAX);
-    } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      options.checkpoint_every_s =
-          experiments::flag_value("--checkpoint-every=", arg + 19, 0.0, 1e9);
-    } else if (std::strncmp(arg, "--checkpoint-keep=", 18) == 0) {
-      // Generations kept, at least one.
-      options.checkpoint_keep = experiments::flag_value<std::uint32_t>(
-          "--checkpoint-keep=", arg + 18, 1, UINT32_MAX);
-    } else if (std::strncmp(arg, "--exit-idle-ms=", 15) == 0) {
-      options.exit_idle_ms =
-          experiments::flag_value("--exit-idle-ms=", arg + 15, 0, INT_MAX);
-    } else if (std::strncmp(arg, "--report-ssl-log=", 17) == 0) {
-      options.report_ssl_log = arg + 17;
-    } else if (std::strncmp(arg, "--report-x509-log=", 18) == 0) {
-      options.report_x509_log = arg + 18;
-    } else if (arg[0] == '-') {
-      if (!options.run.parse_flag(arg)) {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        return usage(argv[0]);
-      }
-    } else {
-      std::fprintf(stderr, "watch takes no positional arguments: %s\n", arg);
-      return usage(argv[0]);
-    }
-  }
-  if (options.run.ssl_log.empty() ||
-      (options.run.x509_log.empty() && !options.run.compact_input())) {
-    std::fprintf(stderr,
-                 "watch needs both --ssl-log= and --x509-log= "
-                 "(a compact container via --ssl-log= alone works)\n");
-    return 2;
-  }
-  if (options.out_dir.empty()) {
-    std::fprintf(stderr, "watch needs --out-dir=DIR\n");
-    return 2;
-  }
+  Flag report_ssl{"--report-ssl-log", "FILE", "ssl log the documents name",
+                  store(&options.report_ssl_log)};
+  Flag report_x509{"--report-x509-log", "FILE", "x509 log they name",
+                   store(&options.report_x509_log)};
+  const Verb verb{
+      "watch", nullptr,
+      "  Tails growing logs (or a .mtlc container) and publishes window,\n"
+      "  roll-up and cumulative documents; checkpoints resume it after a\n"
+      "  crash. It always quarantines; the error policy only labels it.\n",
+      {required(s.ssl_log), s.x509_log,
+       input_format(&options.run.format),
+       {"--out-dir", "DIR", "publish here", store(&options.out_dir), true},
+       run_flag(&options.experiments),
+       all_flag(&all, "every distributable experiment"),
+       {"--window", "hour|day|week|SECS", "window width (default hour)",
+        window(&options.window_seconds)},
+       {"--rollup", "N", "windows per roll-up (default 24)",
+        number<std::uint32_t>(&options.rollup_windows, 1, UINT32_MAX)},
+       {"--poll-ms", "N", "poll interval (default 200)",
+        number<std::uint32_t>(&options.poll_ms, 1, INT_MAX)},
+       {"--checkpoint-dir", "DIR", "checkpoint here (default: never)",
+        store(&options.checkpoint_dir)},
+       {"--checkpoint-every", "N", "seconds; 0 = each poll (default 30)",
+        number(&options.checkpoint_every_s, 0.0, 1e9)},
+       {"--checkpoint-keep", "N", "generations kept (default 3)",
+        number<std::uint32_t>(&options.checkpoint_keep, 1, UINT32_MAX)},
+       {"--exit-idle-ms", "N", "exit once idle this long (default: never)",
+        number<std::uint32_t>(&options.exit_idle_ms, 0, INT_MAX)},
+       report_ssl, report_x509, s.cert_scale, s.conn_scale, s.seed,
+       s.threads, s.stable_output, s.on_error}};
+  int run(const std::vector<std::string>&);
+};
+
+int WatchCmd::run(const std::vector<std::string>&) {
+  if (!s.log_pair_complete()) return 2;
   if (options.report_ssl_log.empty() != options.report_x509_log.empty()) {
-    std::fprintf(stderr,
-                 "--report-ssl-log= and --report-x509-log= go together\n");
+    std::fprintf(stderr, "%s= and %s= go together\n", report_ssl.name.c_str(),
+                 report_x509.name.c_str());
     return 2;
   }
+  const auto every = ExperimentRegistry::instance().distributable_names();
   if (all) {
-    const auto& registry = experiments::ExperimentRegistry::instance();
-    for (const auto& entry : registry.entries()) {
-      if (entry.make()->distributable())
-        options.experiments.emplace_back(entry.info.name);
-    }
+    options.experiments.insert(options.experiments.end(), every.begin(),
+                               every.end());
   }
   if (options.experiments.empty()) {
-    std::fprintf(stderr, "no experiments requested (try --run= or --all)\n");
-    return usage(argv[0]);
+    std::fprintf(stderr, "no experiments requested\n");
+    return kUsage;
   }
   // Watch folds shard states across windows, so like reduce it can only
-  // serve distributable experiments; reject the rest up front.
-  const auto& registry = experiments::ExperimentRegistry::instance();
+  // serve distributable experiments; refuse the rest up front.
   for (const auto& name : options.experiments) {
-    const auto* entry = registry.find(name);
-    if (entry == nullptr) {
-      std::fprintf(stderr, "unknown experiment: %s (see `mtlscope list`)\n",
-                   name.c_str());
-      return 2;
-    }
-    if (!entry->make()->distributable()) {
-      std::fprintf(stderr, "experiment %s is not distributable; watch "
-                           "cannot serve it\n",
-                   name.c_str());
+    if (std::find(every.begin(), every.end(), name) == every.end()) {
+      std::fprintf(stderr, "no distributable experiment %s for watch (see "
+                   "`mtlscope list`)\n", name.c_str());
       return 2;
     }
   }
   return watch::run_watch(options);
 }
 
+template <class Cmd>
+int run_cmd(int argc, char** argv) {
+  Cmd cmd;
+  const int rc = cmd.run(cmd.verb.parse(argc, argv));
+  if (rc != kUsage) return rc;
+  std::fputs(cmd.verb.usage(argv[0]).c_str(), stderr);
+  return 2;
+}
+
+template <class... Cmd>
+std::string usages(const char* argv0) {
+  return ((Cmd().verb.usage(argv0) + "\n") + ...);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage(argv[0]);
-  if (std::strcmp(argv[1], "list") == 0) return run_list();
-  if (std::strcmp(argv[1], "run") == 0) return run_run(argc, argv);
-  if (std::strcmp(argv[1], "map") == 0) return run_map(argc, argv);
-  if (std::strcmp(argv[1], "compact") == 0) return run_compact(argc, argv);
-  if (std::strcmp(argv[1], "reduce") == 0) return run_reduce(argc, argv);
-  if (std::strcmp(argv[1], "watch") == 0) return run_watch_cmd(argc, argv);
-  std::fprintf(stderr, "unknown command: %s\n", argv[1]);
-  return usage(argv[0]);
+  const std::string_view verb = argc < 2 ? "" : argv[1];
+  if (verb == "list") return run_cmd<ListCmd>(argc, argv);
+  if (verb == "run") return run_cmd<RunCmd>(argc, argv);
+  if (verb == "map") return run_cmd<MapCmd>(argc, argv);
+  if (verb == "compact") return run_cmd<CompactCmd>(argc, argv);
+  if (verb == "reduce") return run_cmd<ReduceCmd>(argc, argv);
+  if (verb == "watch") return run_cmd<WatchCmd>(argc, argv);
+  if (!verb.empty()) std::fprintf(stderr, "unknown command: %s\n", argv[1]);
+  std::fputs(usages<ListCmd, RunCmd, MapCmd, ReduceCmd, CompactCmd,
+                    WatchCmd>(argv[0]).c_str(),
+             stderr);
+  return 2;
 }

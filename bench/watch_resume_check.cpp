@@ -10,12 +10,17 @@
 //      then resumed to completion;
 //   4. run C — `mtlscope compact` of the same sorted pair, appended in
 //      chunks that straddle frame boundaries while `watch
-//      --format=compact` follows the growing container.
+//      --format=compact` follows the growing container;
+//   5. run D — the daemon over the finished sorted log with table8
+//      added (its paper-vs count divides by the certificate scale) and
+//      --cert-scale=7 --conn-scale=7, against a batch run at those
+//      scales (which must differ from one at the default scales).
 //
 // Asserts: A's, B's and C's cumulative.json are byte-identical to the
-// batch reference, and every window-*.json / rollup-*.json file of B
-// and C agrees with A's (poll cadence, thread count, rotation, a crash
-// and the input format must all be invisible in the published bytes).
+// batch reference, D's to the scaled batch run, and every window-*.json /
+// rollup-*.json file of B and C agrees with A's (poll cadence, thread
+// count, rotation, a crash and the input format must all be invisible in
+// the published bytes).
 //
 // Usage: watch_resume_check --fixture-dir=DIR --mtlscope=PATH
 #include <signal.h>
@@ -183,10 +188,11 @@ int main(int argc, char** argv) {
     write_file(sorted_ssl, text);
   }
 
-  // Batch reference over the final sorted logs.
-  const std::string reference_path = (dir / "wr_batch.json").string();
-  {
-    ::unlink(reference_path.c_str());
+  // Batch run over the final sorted logs with `extra` flags, written to
+  // `path`; an empty string when it fails.
+  const auto batch = [&](const std::vector<std::string>& extra,
+                         const std::string& path) -> std::string {
+    ::unlink(path.c_str());
     std::vector<std::string> args = {"run",
                                      "--format=json",
                                      "--stable-output",
@@ -196,14 +202,16 @@ int main(int argc, char** argv) {
                                      "table1",
                                      "fig1",
                                      "serials"};
-    const pid_t pid = spawn_child(mtlscope, args, reference_path,
-                                  reference_path + ".stderr");
+    args.insert(args.end(), extra.begin(), extra.end());
+    const pid_t pid = spawn_child(mtlscope, args, path, path + ".stderr");
     if (pid < 0 || wait_child(pid) != 0) {
       std::fprintf(stderr, "FAIL: batch reference run failed\n");
-      return 1;
+      return "";
     }
-  }
-  const std::string reference = slurp(reference_path);
+    return slurp(path);
+  };
+  const std::string reference = batch({}, (dir / "wr_batch.json").string());
+  if (reference.empty()) return 1;
   std::printf("batch reference: %zu bytes over %zu sorted rows\n",
               reference.size(), feeder.rows.size());
 
@@ -422,6 +430,40 @@ int main(int argc, char** argv) {
               "byte-identical to batch\n",
               frame_chunk);
   if (!same_published_files(out_a, out_c, "C")) return 1;
+
+  // --- run D: the finished sorted log at non-default scales ---
+  {
+    const std::string scale_cert = "--cert-scale=7";
+    const std::string scale_conn = "--conn-scale=7";
+    const std::string unscaled =
+        batch({"table8"}, (dir / "wr_batch_table8.json").string());
+    const std::string scaled =
+        batch({"table8", scale_cert, scale_conn},
+              (dir / "wr_batch_scaled.json").string());
+    if (unscaled.empty() || scaled.empty()) return 1;
+    if (scaled == unscaled) {
+      std::fprintf(stderr, "FAIL: the scales left the batch run unchanged\n");
+      return 1;
+    }
+    const std::string out_d = (dir / "wr_out_d").string();
+    const std::string log_d = (dir / "wr_watch_d.txt").string();
+    fs::remove_all(out_d);
+    ::unlink(log_d.c_str());
+    auto args = watch_args(sorted_ssl, out_d, "", "--threads=2",
+                           "--poll-ms=25", /*idle_exit=*/true);
+    args.insert(args.end(), {"--run=table8", scale_cert, scale_conn});
+    const int code = wait_child(spawn_child(mtlscope, args, log_d, log_d));
+    if (code != 0 || slurp(out_d + "/cumulative.json") != scaled) {
+      std::fprintf(stderr,
+                   "FAIL: run D (exit %d) cumulative.json differs from the "
+                   "scaled batch run — see %s\n%s\n",
+                   code, (out_d + "/cumulative.json").c_str(),
+                   slurp(log_d).c_str());
+      return 1;
+    }
+  }
+  std::printf("run D (--cert-scale=7 --conn-scale=7): cumulative "
+              "byte-identical to the scaled batch run\n");
 
   // Tidy the large intermediates; keep the outputs for debugging.
   std::error_code ec;

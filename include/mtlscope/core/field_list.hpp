@@ -22,7 +22,7 @@
 //   u64 count + elements (map: key, value) in strictly increasing key
 //   order; a type with a field list its fields in list order. One rule
 //   also picks the encoding: rule::registry(key) writes an unordered map
-//   as its values alone, sorted by their key field.
+//   as its values alone, sorted by their key field. A uint16 is a u32.
 //
 // The reader is the checked one. A SHA-256 trailer proves integrity, not
 // origin — anyone can re-seal a file — so every narrowing read is
@@ -31,7 +31,7 @@
 // throw a StateError naming the field ("bad value 200 in state field
 // 'pipeline.certificates.cn_type' (enum of 10 values)"). That keeps a
 // crafted byte out of the array indexes downstream, and every accepted
-// file re-serializes to its own bytes.
+// file re-serializes to its own bytes. A u32 past a uint16 is refused too.
 #pragma once
 
 #include <algorithm>
@@ -263,7 +263,8 @@ void put(StateWriter& w, const T& v) {
     w.i64(v);
   } else if constexpr (std::is_same_v<T, std::uint64_t>) {
     w.u64(v);
-  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+  } else if constexpr (std::is_same_v<T, std::uint32_t> ||
+                       std::is_same_v<T, std::uint16_t>) {
     w.u32(v);
   } else if constexpr (std::is_same_v<T, double>) {
     w.f64(v);
@@ -386,6 +387,10 @@ void take(StateReader& r, T& v, const FieldPath& path) {
     v = r.u64();
   } else if constexpr (std::is_same_v<T, std::uint32_t>) {
     v = r.u32();
+  } else if constexpr (std::is_same_v<T, std::uint16_t>) {
+    const std::uint32_t x = r.u32();
+    if (x > UINT16_MAX) bad_value(path, x, "uint16");
+    v = static_cast<std::uint16_t>(x);
   } else if constexpr (std::is_same_v<T, double>) {
     v = r.f64();
   } else if constexpr (std::is_same_v<T, std::string>) {
@@ -544,6 +549,20 @@ void write_fields(StateWriter& w, const T& state) {
 template <FieldListed T>
 void read_fields(StateReader& r, T& state, const char* root = nullptr) {
   detail::take<false>(r, state, detail::FieldPath{nullptr, root});
+}
+
+/// One value in its field encoding, for a codec that lists its fields by
+/// hand; read_field reads it back through the checked reader, `name`
+/// ("scheduler.have_watermark") labelling a refusal.
+template <class T>
+void write_field(StateWriter& w, const T& value) {
+  detail::put<false>(w, value);
+}
+template <class T>
+T read_field(StateReader& r, const char* name) {
+  T value{};
+  detail::take<false>(r, value, detail::FieldPath{nullptr, name});
+  return value;
 }
 
 /// Folds a later shard's state into `mine`, each field by its rule.

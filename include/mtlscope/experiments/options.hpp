@@ -1,12 +1,13 @@
-// Shared run options for every mtlscope CLI subcommand (run, map,
-// reduce, compact, watch): each parses the same flag set. Scales are
-// optional overrides — each experiment carries its own calibrated
-// defaults in the registry, and resolve() applies them.
+// Run options for the mtlscope verbs, which fill them from their flag
+// tables (bench/mtlscope.cpp). Scales are optional overrides — each
+// experiment carries its own calibrated defaults in the registry, and
+// resolved() applies them.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "mtlscope/ingest/chunker.hpp"
 
@@ -67,15 +68,6 @@ struct RunOptions {
   /// otherwise to the given experiment defaults.
   RunOptions resolved(double default_cert_scale,
                       double default_conn_scale) const;
-
-  /// True when `arg` was consumed as one of the shared flags
-  /// (--cert-scale= / --conn-scale= / --seed= / --threads= / --ssl-log=
-  /// / --x509-log= / --format= / --chunk-mb= / --in-memory /
-  /// --force-buffered / --stable-output / --on-error= / --max-errors= /
-  /// --max-error-rate=); each CLI subcommand layers its own flags on top
-  /// and rejects the rest. Exits(2) when --on-error= is neither abort
-  /// nor skip.
-  bool parse_flag(const char* arg);
 };
 
 /// The value of a numeric flag: all of `text` must parse as a T
@@ -85,5 +77,9 @@ struct RunOptions {
 /// e.g. "--seed=".
 template <class T>
 T flag_value(const char* flag, const char* text, T lo, T hi);
+
+/// The value of a window-spec flag: "hour", "day", "week", or a positive
+/// whole number of seconds (std::from_chars). nullopt for anything else.
+std::optional<std::int64_t> window_seconds(std::string_view text);
 
 }  // namespace mtlscope::experiments

@@ -81,6 +81,9 @@ class ExperimentRegistry {
   const std::vector<Entry>& entries() const { return entries_; }
   const Entry* find(const std::string& name) const;
   std::vector<std::string> names() const;
+  /// The names of the experiments reduce and watch can serve from shard
+  /// state (distributable()), in registry order.
+  std::vector<std::string> distributable_names() const;
 
   void add(ExperimentInfo info, std::unique_ptr<Experiment> (*make)());
 

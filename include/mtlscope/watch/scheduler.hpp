@@ -179,8 +179,4 @@ class WindowScheduler {
   std::uint64_t rollups_emitted_ = 0;
 };
 
-/// Parses --window= values: "hour", "day", "week", or a positive
-/// integer second count. Returns 0 on bad input.
-std::int64_t parse_window_spec(const std::string& spec);
-
 }  // namespace mtlscope::watch

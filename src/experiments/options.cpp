@@ -4,9 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
-#include <thread>
 #include <type_traits>
 
 #include "mtlscope/colfmt/container.hpp"
@@ -73,80 +71,21 @@ T flag_value(const char* flag, const char* text, T lo, T hi) {
   return value;
 }
 
-template int flag_value(const char*, const char*, int, int);
 template std::uint32_t flag_value(const char*, const char*, std::uint32_t,
                                   std::uint32_t);
 template std::uint64_t flag_value(const char*, const char*, std::uint64_t,
                                   std::uint64_t);
 template double flag_value(const char*, const char*, double, double);
 
-bool RunOptions::parse_flag(const char* arg) {
-  constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
-  if (std::strncmp(arg, "--cert-scale=", 13) == 0) {
-    cert_scale_override = flag_value("--cert-scale=", arg + 13, 1e-3, 1e12);
-  } else if (std::strncmp(arg, "--conn-scale=", 13) == 0) {
-    conn_scale_override = flag_value("--conn-scale=", arg + 13, 1e-3, 1e12);
-  } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-    seed = flag_value<std::uint64_t>("--seed=", arg + 7, 0, kU64Max);
-  } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-    threads = flag_value<std::uint64_t>("--threads=", arg + 10, 0, 65'536);
-    // More shards than cores only adds contention and memory; clamp to
-    // the machine (results are byte-identical for every thread count).
-    const std::size_t hw = std::thread::hardware_concurrency();
-    if (hw != 0 && threads > hw) {
-      std::fprintf(stderr,
-                   "note: --threads=%zu exceeds this machine's %zu "
-                   "hardware threads; running with %zu\n",
-                   threads, hw, hw);
-      threads = hw;
-    }
-  } else if (std::strncmp(arg, "--ssl-log=", 10) == 0) {
-    ssl_log = arg + 10;
-  } else if (std::strncmp(arg, "--x509-log=", 11) == 0) {
-    x509_log = arg + 11;
-  } else if (std::strncmp(arg, "--format=", 9) == 0) {
-    // Input format only; run/reduce consume their output --format=
-    // values (text|json|csv|tsv) before delegating here, so the two
-    // flag namespaces never collide.
-    const char* value = arg + 9;
-    if (std::strcmp(value, "auto") == 0) {
-      format = InputFormat::kAuto;
-    } else if (std::strcmp(value, "zeek") == 0) {
-      format = InputFormat::kZeek;
-    } else if (std::strcmp(value, "compact") == 0) {
-      format = InputFormat::kCompact;
-    } else {
-      return false;  // not an input format; callers may layer their own
-    }
-  } else if (std::strncmp(arg, "--chunk-mb=", 11) == 0) {
-    chunk_mb = flag_value("--chunk-mb=", arg + 11, 1e-6, 1e6);
-  } else if (std::strcmp(arg, "--in-memory") == 0) {
-    in_memory = true;
-  } else if (std::strcmp(arg, "--force-buffered") == 0) {
-    force_buffered = true;
-  } else if (std::strcmp(arg, "--stable-output") == 0) {
-    stable_output = true;
-  } else if (std::strncmp(arg, "--on-error=", 11) == 0) {
-    const char* value = arg + 11;
-    if (std::strcmp(value, "abort") == 0) {
-      errors.on_error = ingest::ErrorPolicy::Action::kAbort;
-    } else if (std::strcmp(value, "skip") == 0) {
-      errors.on_error = ingest::ErrorPolicy::Action::kSkip;
-    } else {
-      std::fprintf(stderr, "--on-error= takes abort or skip, got %s\n",
-                   value);
-      std::exit(2);
-    }
-  } else if (std::strncmp(arg, "--max-errors=", 13) == 0) {
-    errors.max_errors =
-        flag_value<std::uint64_t>("--max-errors=", arg + 13, 0, kU64Max);
-  } else if (std::strncmp(arg, "--max-error-rate=", 17) == 0) {
-    errors.max_error_rate =
-        flag_value("--max-error-rate=", arg + 17, 0.0, 1.0);
-  } else {
-    return false;
-  }
-  return true;
+std::optional<std::int64_t> window_seconds(std::string_view text) {
+  if (text == "hour") return 3600;
+  if (text == "day") return 86400;
+  if (text == "week") return 604800;
+  std::int64_t seconds = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, seconds);
+  if (ec != std::errc() || ptr != end || seconds <= 0) return std::nullopt;
+  return seconds;
 }
 
 }  // namespace mtlscope::experiments

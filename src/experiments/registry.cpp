@@ -69,6 +69,14 @@ std::vector<std::string> ExperimentRegistry::names() const {
   return out;
 }
 
+std::vector<std::string> ExperimentRegistry::distributable_names() const {
+  std::vector<std::string> out;
+  for (const auto& entry : entries_) {
+    if (entry.make()->distributable()) out.emplace_back(entry.info.name);
+  }
+  return out;
+}
+
 void ExperimentRegistry::add(ExperimentInfo info,
                              std::unique_ptr<Experiment> (*make)()) {
   entries_.push_back(Entry{info, make});

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "mtlscope/core/field_list.hpp"
+
 namespace mtlscope::watch {
 namespace {
 
@@ -41,19 +43,6 @@ constexpr std::size_t kMinSslRecordBytes = 8 + 8 + 8 + 4 + 8 + 4 + 8 + 8 + 1 +
 // fuid, version, serial, subject, issuer, not_before, not_after, key_alg,
 // key_length, the four SAN counts, and cert_der.
 constexpr std::size_t kMinX509RecordBytes = 9 * 8 + 4 * 8 + 8;
-
-void serialize_strings(StateWriter& w, const std::vector<std::string>& v) {
-  w.u64(v.size());
-  for (const auto& s : v) w.str(s);
-}
-
-std::vector<std::string> parse_strings(StateReader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<std::string> out;
-  out.reserve(core::bounded_reserve(n, r.remaining(), kMinStrBytes));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.str());
-  return out;
-}
 
 // Interned-string vectors share the wire format of plain string vectors
 // (the bytes are written, never arena identities); reading re-interns.
@@ -105,12 +94,12 @@ zeek::SslRecord parse_ssl_record(StateReader& r) {
   rec.ts = r.i64();
   rec.uid = r.str();
   rec.orig_h = r.str();
-  rec.orig_p = static_cast<std::uint16_t>(r.u32());
+  rec.orig_p = core::read_field<std::uint16_t>(r, "ssl_record.orig_p");
   rec.resp_h = r.str();
-  rec.resp_p = static_cast<std::uint16_t>(r.u32());
+  rec.resp_p = core::read_field<std::uint16_t>(r, "ssl_record.resp_p");
   rec.version = r.str();
   rec.server_name = r.str();
-  rec.established = r.u8() != 0;
+  rec.established = core::read_field<bool>(r, "ssl_record.established");
   rec.cert_chain_fuids = parse_interned_strings(r);
   rec.client_cert_chain_fuids = parse_interned_strings(r);
   return rec;
@@ -138,14 +127,14 @@ void serialize_x509_record(StateWriter& w, const zeek::X509Record& r) {
 zeek::X509Record parse_x509_record(StateReader& r) {
   zeek::X509Record rec;
   rec.fuid = r.str();
-  rec.version = static_cast<int>(r.i64());
+  rec.version = core::read_field<int>(r, "x509_record.version");
   rec.serial = r.str();
   rec.subject = r.str();
   rec.issuer = r.str();
   rec.not_valid_before = r.i64();
   rec.not_valid_after = r.i64();
   rec.key_alg = r.str();
-  rec.key_length = static_cast<int>(r.i64());
+  rec.key_length = core::read_field<int>(r, "x509_record.key_length");
   rec.san_dns = parse_interned_strings(r);
   rec.san_email = parse_interned_strings(r);
   rec.san_uri = parse_interned_strings(r);
@@ -161,7 +150,7 @@ std::string serialize_watch_checkpoint(const WatchCheckpoint& ckpt) {
           [&](StateWriter& p) {
             p.i64(ckpt.window_seconds);
             p.u32(ckpt.rollup_windows);
-            serialize_strings(p, ckpt.experiments);
+            core::write_field(p, ckpt.experiments);
             p.u64(ckpt.seed);
           },
           [&](StateWriter& p) { core::write_fields(p, ckpt.ssl_tail); },
@@ -201,7 +190,8 @@ std::optional<WatchCheckpoint> parse_watch_checkpoint(std::string_view data,
               [&](StateReader& r) {
                 ckpt.window_seconds = r.i64();
                 ckpt.rollup_windows = r.u32();
-                ckpt.experiments = parse_strings(r);
+                ckpt.experiments = core::read_field<std::vector<std::string>>(
+                    r, "config.experiments");
                 ckpt.seed = r.u64();
               },
               [&](StateReader& r) {
@@ -211,7 +201,8 @@ std::optional<WatchCheckpoint> parse_watch_checkpoint(std::string_view data,
                 core::read_fields(r, ckpt.x509_tail, "x509_tail");
               },
               [&](StateReader& r) {
-                ckpt.have_watermark = r.u8() != 0;
+                ckpt.have_watermark =
+                    core::read_field<bool>(r, "scheduler.have_watermark");
                 ckpt.watermark_bucket = r.i64();
                 ckpt.watermark_ts = r.i64();
                 ckpt.rollup_bucket = r.i64();

@@ -18,21 +18,6 @@ std::int64_t bucket_of(std::int64_t ts, std::int64_t width) {
 
 }  // namespace
 
-std::int64_t parse_window_spec(const std::string& spec) {
-  if (spec == "hour") return 3600;
-  if (spec == "day") return 86400;
-  if (spec == "week") return 604800;
-  if (spec.empty() ||
-      spec.find_first_not_of("0123456789") != std::string::npos) {
-    return 0;
-  }
-  try {
-    return std::stoll(spec);
-  } catch (...) {
-    return 0;
-  }
-}
-
 // The executor mirrors `mtlscope map` in file mode: campus defaults, no
 // CT database, so window states merge without cross-slice confirmation
 // effects.

@@ -521,6 +521,70 @@ TEST(SealedFormats, CommittedFilesRoundTripByteForByte) {
   EXPECT_EQ(core::serialize_shard_state(*cumulative), parsed->cumulative_blob);
 }
 
+// The checkpoint fields its codec lists by hand go through the checked
+// reader too. A re-sealed copy of the committed checkpoint with a bool
+// byte of 2, a port past 65535 or an int field past INT_MAX used to
+// parse and re-serialize to other bytes; now each is refused, naming
+// the field.
+TEST(SealedFormats, CheckpointRefusesOutOfRangeFieldValues) {
+  const std::string checkpoint = read_data_file("watch_checkpoint_v2.ckpt");
+  std::string error;
+  const auto parsed = watch::parse_watch_checkpoint(checkpoint, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_EQ(parsed->current_rows.size(), 1u);
+  ASSERT_FALSE(parsed->x509_seen.empty());
+  const zeek::SslRecord& row = parsed->current_rows[0];
+  // ssl_buffers (section id 9) opens with the current rows: a u64 count,
+  // then the row's ts, uid, orig_h, orig_p, resp_h, resp_p, version,
+  // server_name and established; strings are a u64 length + bytes.
+  const std::size_t orig_p =
+      8 + 8 + 8 + row.uid.size() + 8 + row.orig_h.size();
+  const std::size_t resp_p = orig_p + 4 + 8 + row.resp_h.size();
+  const std::size_t established =
+      resp_p + 4 + 8 + row.version.size() + 8 + row.server_name.size();
+  // x509_seen (section id 8): a u64 count, then the first row's fuid and
+  // version (an i64 read into an int).
+  const std::size_t x509_version = 8 + 8 + parsed->x509_seen[0].fuid.size();
+  core::StateWriter port;
+  port.u32(70'000);
+  core::StateWriter wide;
+  wide.i64(std::int64_t{1} << 40);
+  const auto poke = [&](std::uint32_t section, std::size_t at,
+                        const std::string& bytes) {
+    return reframe(checkpoint, [&](Framed& f) {
+      for (auto& [id, payload] : f.sections) {
+        if (id == section) payload.replace(at, bytes.size(), bytes);
+      }
+    });
+  };
+  struct Poison {
+    std::uint32_t section;
+    std::size_t at;
+    std::string bytes;
+    const char* error;
+  };
+  // The scheduler section (id 4) opens with have_watermark.
+  const Poison cases[] = {
+      {4, 0, "\x02",
+       "bad value 2 in state field 'scheduler.have_watermark' (bool)"},
+      {9, established, "\x02",
+       "bad value 2 in state field 'ssl_record.established' (bool)"},
+      {9, orig_p, port.buffer(),
+       "bad value 70000 in state field 'ssl_record.orig_p' (uint16)"},
+      {9, resp_p, port.buffer(),
+       "bad value 70000 in state field 'ssl_record.resp_p' (uint16)"},
+      {8, x509_version, wide.buffer(),
+       "bad value 1099511627776 in state field 'x509_record.version' (int)"},
+  };
+  for (const Poison& c : cases) {
+    SCOPED_TRACE(c.error);
+    const std::string poisoned = poke(c.section, c.at, c.bytes);
+    ASSERT_NE(poisoned, checkpoint);
+    EXPECT_NE(checkpoint_error(poisoned).find(c.error), std::string::npos)
+        << checkpoint_error(poisoned);
+  }
+}
+
 // A re-sealed state file can claim any entry count: 2^60 quarantined
 // records or io notes must end in a structured error, not a
 // std::length_error or bad_alloc from the reservation ahead of the loop.

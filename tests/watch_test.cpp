@@ -36,6 +36,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -45,6 +46,7 @@
 #include "mtlscope/core/result_doc.hpp"
 #include "mtlscope/crypto/sha256.hpp"
 #include "mtlscope/crypto/tsig.hpp"
+#include "mtlscope/experiments/options.hpp"
 #include "mtlscope/experiments/registry.hpp"
 #include "mtlscope/gen/generator.hpp"
 #include "mtlscope/ingest/durable_io.hpp"
@@ -1262,17 +1264,20 @@ TEST_F(WatchTest, DurablePublisherDegradedModeCountsEpisodesAndRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// parse_window_spec
+// window_seconds: the reader of the window flag in watch's flag table
 
 TEST(WatchSpecTest, ParseWindowSpec) {
-  EXPECT_EQ(watch::parse_window_spec("hour"), 3600);
-  EXPECT_EQ(watch::parse_window_spec("day"), 24 * 3600);
-  EXPECT_EQ(watch::parse_window_spec("week"), 7 * 24 * 3600);
-  EXPECT_EQ(watch::parse_window_spec("900"), 900);
-  EXPECT_EQ(watch::parse_window_spec("0"), 0);
-  EXPECT_EQ(watch::parse_window_spec("-5"), 0);
-  EXPECT_EQ(watch::parse_window_spec("fortnight"), 0);
-  EXPECT_EQ(watch::parse_window_spec(""), 0);
+  EXPECT_EQ(experiments::window_seconds("hour"), 3600);
+  EXPECT_EQ(experiments::window_seconds("day"), 24 * 3600);
+  EXPECT_EQ(experiments::window_seconds("week"), 7 * 24 * 3600);
+  EXPECT_EQ(experiments::window_seconds("900"), 900);
+  EXPECT_EQ(experiments::window_seconds("0"), std::nullopt);
+  EXPECT_EQ(experiments::window_seconds("-5"), std::nullopt);
+  EXPECT_EQ(experiments::window_seconds("fortnight"), std::nullopt);
+  EXPECT_EQ(experiments::window_seconds(""), std::nullopt);
+  // Past int64 and trailing bytes are refused too, not clamped or cut.
+  EXPECT_EQ(experiments::window_seconds("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(experiments::window_seconds("60s"), std::nullopt);
 }
 
 }  // namespace
