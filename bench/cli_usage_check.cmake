@@ -46,6 +46,9 @@ expect_usage_error("bad --checkpoint-every=x"
 expect_usage_error("bad --window=fortnight"
                    watch --window=fortnight --out-dir=out --all)
 expect_usage_error("bad --window=0" watch --window=0 --out-dir=out --all)
+# watch always quarantines, so it refuses the abort policy by name.
+expect_usage_error("bad --on-error=abort: want skip"
+                   watch --on-error=abort --out-dir=out --all)
 expect_usage_error("bad --format=auto" reduce s.state --format=auto)
 
 # Each verb accepts only the shared flags its code reads; the rest are

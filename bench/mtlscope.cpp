@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -460,52 +461,46 @@ int MapCmd::run(const std::vector<std::string>&) {
 
   core::ShardState state;
   auto config = core::PipelineConfig::campus_defaults();
-  if (options.file_mode() && options.compact_input()) {
-    // Compact container: scan its blocks and fold. The state
-    // meta carries the original TSV labels and byte sizes from the
-    // container, so the shard state merges and reports byte-identically
-    // to a map over the TSV pair.
-    std::string open_error;
-    const auto reader =
-        colfmt::ContainerReader::open(options.ssl_log, &open_error);
-    if (!reader) {
-      std::fprintf(stderr, "ingest failed: %s\n", open_error.c_str());
-      return 1;
-    }
-    core::PipelineExecutor executor(config, options.threads);
-    ingest::IngestError error;
-    auto folded =
-        executor.fold_container(*reader, &error, options.ingest_options());
-    if (!folded) {
-      std::fprintf(stderr, "ingest failed: %s\n", error.to_string().c_str());
-      return 1;
-    }
-    state = std::move(*folded);
-    state.meta.file_mode = true;
-    state.meta.ssl_log = reader->meta().ssl_path;
-    state.meta.x509_log = reader->meta().x509_path;
-    state.meta.parse_bytes =
-        reader->meta().ssl_bytes + reader->meta().x509_bytes;
-    state.meta.cert_scale = options.cert_scale_override.value_or(1.0);
-    state.meta.conn_scale = options.conn_scale_override.value_or(1.0);
-  } else if (options.file_mode()) {
+  if (options.file_mode()) {
     // Foreign logs: no synthetic CT database applies (mirrors the
     // harness), so the interception analysis stays disarmed and shard
-    // states merge without cross-slice confirmation effects.
+    // states merge without cross-slice confirmation effects. A compact
+    // container's meta carries the original TSV labels and byte sizes,
+    // so its shard state merges and reports byte-identically to a map
+    // over the TSV pair.
     core::PipelineExecutor executor(config, options.threads);
     ingest::IngestError error;
-    auto folded = executor.fold_log_files(options.ssl_log, options.x509_log,
-                                          &error, options.ingest_options());
+    std::optional<core::ShardState> folded;
+    std::string ssl_label = options.ssl_log, x509_label = options.x509_log;
+    std::uint64_t parse_bytes = 0;
+    if (options.compact_input()) {
+      std::string open_error;
+      const auto reader =
+          colfmt::ContainerReader::open(options.ssl_log, &open_error);
+      if (!reader) {
+        std::fprintf(stderr, "ingest failed: %s\n", open_error.c_str());
+        return 1;
+      }
+      folded =
+          executor.fold_container(*reader, &error, options.ingest_options());
+      ssl_label = reader->meta().ssl_path;
+      x509_label = reader->meta().x509_path;
+      parse_bytes = reader->meta().ssl_bytes + reader->meta().x509_bytes;
+    } else {
+      folded = executor.fold_log_files(options.ssl_log, options.x509_log,
+                                       &error, options.ingest_options());
+      parse_bytes = file_size_or_zero(options.ssl_log) +
+                    file_size_or_zero(options.x509_log);
+    }
     if (!folded) {
       std::fprintf(stderr, "ingest failed: %s\n", error.to_string().c_str());
       return 1;
     }
     state = std::move(*folded);
     state.meta.file_mode = true;
-    state.meta.ssl_log = options.ssl_log;
-    state.meta.x509_log = options.x509_log;
-    state.meta.parse_bytes = file_size_or_zero(options.ssl_log) +
-                             file_size_or_zero(options.x509_log);
+    state.meta.ssl_log = std::move(ssl_label);
+    state.meta.x509_log = std::move(x509_label);
+    state.meta.parse_bytes = parse_bytes;
     state.meta.cert_scale = options.cert_scale_override.value_or(1.0);
     state.meta.conn_scale = options.conn_scale_override.value_or(1.0);
   } else {
@@ -741,7 +736,8 @@ struct WatchCmd {
       "watch", nullptr,
       "  Tails growing logs (or a .mtlc container) and publishes window,\n"
       "  roll-up and cumulative documents; checkpoints resume it after a\n"
-      "  crash. It always quarantines; the error policy only labels it.\n",
+      "  crash. It always quarantines malformed rows, and its documents\n"
+      "  say so (policy skip).\n",
       {required(s.ssl_log), s.x509_log,
        input_format(&options.run.format),
        {"--out-dir", "DIR", "publish here", store(&options.out_dir), true},
@@ -762,7 +758,11 @@ struct WatchCmd {
        {"--exit-idle-ms", "N", "exit once idle this long (default: never)",
         number<std::uint32_t>(&options.exit_idle_ms, 0, INT_MAX)},
        report_ssl, report_x509, s.cert_scale, s.conn_scale, s.seed,
-       s.threads, s.stable_output, s.on_error}};
+       s.threads, s.stable_output,
+       {s.on_error.name, "skip", "malformed rows are quarantined (the only "
+        "policy)", [](const Flag& self, const char* text) {
+          literal_index(self, text);
+        }}}};
   int run(const std::vector<std::string>&);
 };
 

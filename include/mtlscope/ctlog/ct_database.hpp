@@ -39,6 +39,11 @@ class CtDatabase {
 
   std::size_t domain_count() const { return by_domain_.size(); }
 
+  /// Adds every (domain, issuer) record of `other`.
+  void merge(const CtDatabase& other);
+
+  bool operator==(const CtDatabase&) const = default;
+
  private:
   std::map<std::string, IssuerSet, std::less<>> by_domain_;
 };

@@ -1,5 +1,5 @@
 // Fork-join over index ranges: the one threading primitive shared by the
-// executor's sharded phases and the trace generator's materialize stage.
+// executor's sharded phases and the trace generator's unit workers.
 #pragma once
 
 #include <cstddef>

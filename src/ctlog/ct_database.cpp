@@ -11,6 +11,12 @@ void CtDatabase::log_certificate(std::string_view domain,
   it->second.insert(issuer.to_string());
 }
 
+void CtDatabase::merge(const CtDatabase& other) {
+  for (const auto& [domain, issuers] : other.by_domain_) {
+    by_domain_[domain].insert(issuers.begin(), issuers.end());
+  }
+}
+
 bool CtDatabase::has_domain(std::string_view domain) const {
   return by_domain_.find(domain) != by_domain_.end();
 }

@@ -2,9 +2,20 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <deque>
+#include <exception>
+#include <functional>
+#include <mutex>
+#include <numeric>
+#include <span>
 #include <stdexcept>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "mtlscope/textclass/lexicon.hpp"
 #include "mtlscope/tls/handshake.hpp"
@@ -30,9 +41,10 @@ constexpr CertId kNoCert = ~CertId{0};
 /// Connections planned before the materialize stage runs: bounds the
 /// plan buffer (and the transient row buffers) per unit.
 constexpr std::size_t kConnBatch = 16'384;
-/// Smallest share of work worth a thread of its own.
-constexpr std::size_t kCertsPerWorker = 16;
-constexpr std::size_t kConnsPerWorker = 1'024;
+/// Work items per shared chunk of the materialize stage: about a
+/// millisecond each, small enough to balance, large enough to amortize.
+constexpr std::size_t kCertsPerChunk = 32;
+constexpr std::size_t kRowsPerChunk = 2'048;
 
 /// One certificate of the current unit. The plan stage fills the plan
 /// fields (every random draw already made) or points `prebuilt` at a CA
@@ -77,11 +89,6 @@ struct ConnPlan {
   CertId client_leaf = kNoCert;
 };
 
-std::size_t workers_for(std::size_t items, std::size_t per_worker,
-                        std::size_t threads) {
-  return std::clamp<std::size_t>(items / per_worker, 1, threads);
-}
-
 /// The campus address plan: NATed clients in 10.0.0.0/8, university
 /// hosts in 128.143.0.0/16 (PipelineConfig::campus_defaults()'s subnets).
 constexpr std::uint32_t kNatNet = 0x0a000000u;
@@ -101,200 +108,397 @@ bool is_public_ca(const trust::CertificateAuthority* ca) {
   return false;
 }
 
-}  // namespace
+// --- CA registry -------------------------------------------------------------
 
-std::uint64_t label_hash(std::string_view label) {
-  constexpr std::uint64_t kMul = 0xc6a4a7935bd1e995ULL;
-  const auto shift_mix = [](std::uint64_t v) { return v ^ (v >> 47); };
-  const auto* p = reinterpret_cast<const unsigned char*>(label.data());
-  const std::size_t len = label.size();
-  // Little-endian loads, as libstdc++ reads words on x86-64.
-  const auto load = [p](std::size_t at, std::size_t n) {
-    std::uint64_t v = 0;
-    for (std::size_t i = n; i-- > 0;) v = (v << 8) | p[at + i];
-    return v;
-  };
-  std::uint64_t hash = 0xc70f6907ULL ^ (len * kMul);
-  const std::size_t aligned = len & ~std::size_t{7};
-  for (std::size_t at = 0; at < aligned; at += 8) {
-    hash ^= shift_mix(load(at, 8) * kMul) * kMul;
-    hash *= kMul;
-  }
-  if ((len & 7) != 0) {
-    hash ^= load(aligned, len & 7);
-    hash *= kMul;
-  }
-  hash = shift_mix(hash) * kMul;
-  return shift_mix(hash);
+const trust::CertificateAuthority& hosting_parent() {
+  return trust::public_pki().find("digicert")->intermediate;
 }
 
-const char* direction_name(Direction d) {
-  return d == Direction::kInbound ? "inbound" : "outbound";
-}
-
-const char* association_name(ServerAssociation a) {
-  switch (a) {
-    case ServerAssociation::kUniversityHealth:
-      return "University Health";
-    case ServerAssociation::kUniversityServer:
-      return "University Server";
-    case ServerAssociation::kUniversityVpn:
-      return "University VPN";
-    case ServerAssociation::kLocalOrganization:
-      return "Local Organization";
-    case ServerAssociation::kThirdPartyService:
-      return "Third Party Services";
-    case ServerAssociation::kGlobus:
-      return "Globus";
-    case ServerAssociation::kUnknown:
-      return "Unknown";
-    case ServerAssociation::kNone:
-      return "-";
-  }
-  return "?";
-}
-
-class TraceGenerator::Impl {
+/// The private CAs every unit shares, created on first use. A CA is a
+/// pure function of its DN, so which unit creates it changes no byte;
+/// the lock only keeps concurrent units off each other's insert. Map
+/// nodes never move, so a returned CA stays valid.
+class CaRegistry {
  public:
-  Impl(CampusModel model, ctlog::CtDatabase& ct, Stats& stats)
-      : model_(std::move(model)), ct_(ct), stats_(stats), rng_(model_.seed) {}
+  using Ca = trust::CertificateAuthority;
 
-  /// Plans the trace unit by unit (each cluster, then interception, then
-  /// background) and materializes each unit's plans into exactly one of
-  /// `sink` or `dataset`, recording each connection's labels into
-  /// `truth` when it is non-null.
-  void generate(const Sink* sink, zeek::Dataset* dataset,
-                std::size_t threads, std::vector<ConnTruth>* truth) {
-    sink_ = sink;
-    dataset_ = dataset;
-    truth_ = truth;
-    threads_ = std::max<std::size_t>(1, threads);
-    // One exact reservation, so the rows never move while they grow.
-    const std::size_t planned = planned_connections();
-    if (dataset_ != nullptr) dataset_->ssl().reserve(planned);
-    if (truth_ != nullptr) truth_->reserve(truth_->size() + planned);
-    for (auto& cluster : model_.clusters) {
-      plan_cluster(cluster);
-      end_unit();
-    }
-    unit_ = ConnTruth::Unit::kInterception;
-    plan_interception();
-    end_unit();
-    unit_ = ConnTruth::Unit::kBackground;
-    plan_background();
-    end_unit();
-  }
-
-  /// The connections generate() plans, from the same sizing functions
-  /// the planner's loops call.
-  std::size_t planned_connections() const {
-    std::size_t total = 0;
-    for (const auto& cluster : model_.clusters) {
-      const std::size_t servers =
-          population_shape(cluster, cluster.server_certs,
-                           server_cert_count(cluster))
-              .count;
-      const std::size_t client_request = client_cert_count(cluster);
-      const std::size_t clients =
-          client_request == 0
-              ? 0
-              : population_shape(cluster, cluster.client_certs,
-                                 client_request)
-                    .count;
-      total += cluster_connections(cluster, servers, clients);
-    }
-    return total + interception_connections() +
-           model_.background_connections;
-  }
-
- private:
-  // --- CA management -------------------------------------------------------
-
-  const trust::CertificateAuthority& private_ca(const std::string& org,
-                                                const std::string& cn = {}) {
-    const std::string key = org + "|" + cn;
-    auto it = private_cas_.find(key);
-    if (it == private_cas_.end()) {
+  const Ca& private_ca(const std::string& org, const std::string& cn = {}) {
+    return get(org + "|" + cn, [&] {
       x509::DistinguishedName dn;
       dn.add_org(org).add_cn(cn.empty() ? org + " CA" : cn);
-      it = private_cas_
-               .emplace(key, trust::CertificateAuthority::make_root(
-                                 dn, util::to_unix({2015, 1, 1, 0, 0, 0}),
-                                 util::to_unix({2045, 1, 1, 0, 0, 0})))
-               .first;
-    }
-    return it->second;
+      return Ca::make_root(dn, util::to_unix({2015, 1, 1, 0, 0, 0}),
+                           util::to_unix({2045, 1, 1, 0, 0, 0}));
+    });
   }
 
-  const trust::CertificateAuthority& campus_ca(std::size_t which) {
+  const Ca& campus_ca(std::size_t which) {
     static constexpr const char* kCnSuffix[] = {"User CA", "Device CA",
                                                 "Health System CA"};
     const std::size_t idx = which % std::size(kCnSuffix);
-    const std::string key = "campus" + std::to_string(idx);
-    auto it = private_cas_.find(key);
-    if (it == private_cas_.end()) {
+    return get("campus" + std::to_string(idx), [&] {
       x509::DistinguishedName dn;
       dn.add_org(campus_org())
           .add_cn(campus_org() + " " + kCnSuffix[idx]);
-      it = private_cas_
-               .emplace(key, trust::CertificateAuthority::make_root(
-                                 dn, util::to_unix({2015, 1, 1, 0, 0, 0}),
-                                 util::to_unix({2045, 1, 1, 0, 0, 0})))
-               .first;
-    }
-    return it->second;
+      return Ca::make_root(dn, util::to_unix({2015, 1, 1, 0, 0, 0}),
+                           util::to_unix({2045, 1, 1, 0, 0, 0}));
+    });
   }
 
-  const trust::CertificateAuthority& missing_issuer_ca(
-      const std::string& cluster_name) {
+  /// A cluster's missing-issuer CA. Its CN comes from a stream forked off
+  /// `parent`, the seed's stream, so the pre-pass creates it in fork
+  /// order; units look it up with `parent` null.
+  const Ca& missing_issuer_ca(const std::string& cluster_name, Rng* parent) {
     const std::string key = "missing:" + cluster_name;
-    auto it = private_cas_.find(key);
-    if (it == private_cas_.end()) {
+    return get(key, [&] {
+      if (parent == nullptr) {
+        throw std::logic_error("the unit pre-pass did not create " + key);
+      }
       // Issuer DN with no organization — the paper's
       // "Private - MissingIssuer" category.
       x509::DistinguishedName dn;
-      Rng local(rng_.fork(label_hash(key)));
+      Rng local(parent->fork(label_hash(key)));
       dn.add_cn("ca-" + local.hex(6));
-      it = private_cas_
-               .emplace(key, trust::CertificateAuthority::make_root(
-                                 dn, 0, util::to_unix({2045, 1, 1, 0, 0, 0})))
-               .first;
-    }
-    return it->second;
+      return Ca::make_root(dn, 0, util::to_unix({2045, 1, 1, 0, 0, 0}));
+    });
   }
 
-  static const trust::CertificateAuthority& hosting_parent() {
-    return trust::public_pki().find("digicert")->intermediate;
-  }
-
-  const trust::CertificateAuthority& hosting_subca() {
-    if (!hosting_subca_) {
+  const Ca& hosting_subca() {
+    return get("hosting", [] {
       x509::DistinguishedName dn;
       dn.add_org("Example Hosting").add_cn("Example Hosting Issuing CA");
-      hosting_subca_ = std::make_unique<trust::CertificateAuthority>(
-          trust::CertificateAuthority::make_intermediate(
-              hosting_parent(), dn,
-              util::to_unix({2018, 1, 1, 0, 0, 0}),
-              util::to_unix({2038, 1, 1, 0, 0, 0})));
-    }
-    return *hosting_subca_;
+      return Ca::make_intermediate(hosting_parent(), dn,
+                                   util::to_unix({2018, 1, 1, 0, 0, 0}),
+                                   util::to_unix({2038, 1, 1, 0, 0, 0}));
+    });
   }
 
-  const trust::CertificateAuthority& dummy_ca(const std::string& org) {
-    const std::string key = "dummy:" + org;
-    auto it = private_cas_.find(key);
-    if (it == private_cas_.end()) {
+  const Ca& dummy_ca(const std::string& org) {
+    return get("dummy:" + org, [&] {
       // OpenSSL-style default DN.
       x509::DistinguishedName dn;
       dn.add_country("AU")
           .add(asn1::oids::state_or_province_name(), "Some-State")
           .add_org(org);
-      it = private_cas_
-               .emplace(key, trust::CertificateAuthority::make_root(
-                                 dn, 0, util::to_unix({2045, 1, 1, 0, 0, 0})))
-               .first;
-    }
+      return Ca::make_root(dn, 0, util::to_unix({2045, 1, 1, 0, 0, 0}));
+    });
+  }
+
+ private:
+  template <class Make>
+  const Ca& get(const std::string& key, const Make& make) {
+    const std::lock_guard lock(mutex_);
+    auto it = cas_.find(key);
+    if (it == cas_.end()) it = cas_.emplace(key, make()).first;
     return it->second;
+  }
+
+  std::mutex mutex_;
+  // Keys: "org|cn" (private), "campusN", "missing:<cluster>", "dummy:<org>"
+  // and "hosting".
+  std::map<std::string, Ca> cas_;
+};
+
+// --- Sizing ------------------------------------------------------------------
+//
+// The planner's loops and the unit pre-pass both size units here, so a
+// unit's row slice cannot drift from its plan.
+
+/// Server certificates a cluster asks for, before rotation slots.
+std::size_t server_cert_count(const TrafficCluster& cluster) {
+  if (cluster.tunnel_client_only) return 0;
+  return std::max<std::size_t>(
+      cluster.mutual || cluster.server_certs.count > 0 ? 1 : 0,
+      cluster.server_certs.count);
+}
+
+/// Client certificates a cluster asks for; 0: it mints none.
+std::size_t client_cert_count(const TrafficCluster& cluster) {
+  if (!cluster.mutual || cluster.sharing == SharingMode::kSameCertBothEnds) {
+    return 0;
+  }
+  return std::max<std::size_t>(1, cluster.client_certs.count);
+}
+
+/// Connection volume: at least one connection per certificate so the
+/// population is fully observable in the logs.
+std::size_t cluster_connections(const TrafficCluster& cluster,
+                                std::size_t servers, std::size_t clients) {
+  return std::max({cluster.connections, servers, clients});
+}
+
+/// Unique interception certificates: proxy × domain × client batch.
+std::size_t interception_certificates(const CampusModel& model) {
+  const auto& spec = model.interception;
+  return std::max(spec.certificates, spec.proxy_issuers * spec.domains);
+}
+
+/// Interception connections; 0: the unit is skipped.
+std::size_t interception_connections(const CampusModel& model) {
+  const auto& spec = model.interception;
+  if (spec.connections == 0 && spec.certificates == 0) return 0;
+  return std::max(spec.connections, interception_certificates(model));
+}
+
+double cluster_window_days(const CampusModel& model,
+                           const TrafficCluster& cluster) {
+  return cluster.activity_days > 0
+             ? cluster.activity_days
+             : static_cast<double>(model.study_end - model.study_start) /
+                   kDaySeconds;
+}
+
+// A certificate population plus its time-slotting. Short-lived
+// certificates (Globus's 14-day cycle, ephemeral WebRTC/DTLS certs) are
+// minted per time slot so every connection presents a certificate that
+// is actually valid at the connection's timestamp.
+struct Population {
+  CertId first = 0;  // slot ids [first, first + count)
+  std::size_t count = 0;
+  double slot_days = 0;  // 0 => certificates span the whole study
+  std::size_t slots = 1;
+
+  bool contains(CertId id) const {
+    return id != kNoCert && id >= first && id - first < count;
+  }
+};
+
+/// The slot layout and final size (`first` unset) of a population
+/// asked to hold `count` certificates.
+Population population_shape(const CampusModel& model,
+                            const TrafficCluster& cluster,
+                            const CertSpec& spec, std::size_t count) {
+  Population population;
+  population.count = count;
+  const double window_days = cluster_window_days(model, cluster);
+  double slot_days = cluster.reissue_days;
+  if (slot_days == 0 && !spec.validity.fixed_dates &&
+      spec.validity.expired_days_before_study == 0 &&
+      spec.validity.typical_days * 1.3 < window_days) {
+    // Short-lived certificates must rotate or late connections would
+    // present long-expired leaves, polluting the §5.3.3 analysis.
+    slot_days = spec.validity.typical_days;
+  }
+  if (slot_days > 0) {
+    population.slot_days = slot_days;
+    population.slots = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(window_days / slot_days)));
+    // Every slot needs at least one certificate, or late connections
+    // would present a leaf that expired in an earlier slot.
+    population.count = std::max(count, population.slots);
+  }
+  return population;
+}
+
+/// Hands free heap pages back to the system. Units free their plan
+/// buffers on the worker that ran them, so without this the freed pages
+/// stay resident in each worker's malloc arena.
+void release_free_memory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+// --- Workers -----------------------------------------------------------------
+
+/// The workers of one generation. Each runs whole units; a worker with
+/// no unit left to start helps the units still running with their
+/// materialize steps, so a long unit does not finish alone, and no more
+/// threads run than the caller asked for.
+class Crew {
+ public:
+  using RangeFn = std::function<void(std::size_t begin, std::size_t end)>;
+
+  explicit Crew(std::size_t units) : units_left_(units) {}
+
+  /// Runs fn over [0, n) in chunks of `chunk` items, on this thread and on
+  /// any helping worker; returns once every chunk has run.
+  void share(std::size_t n, std::size_t chunk, const RangeFn& fn) {
+    Task task(fn, n, chunk);
+    if (task.chunks <= 1) {
+      if (n > 0) fn(0, n);
+      return;
+    }
+    {
+      const std::lock_guard lock(mutex_);
+      tasks_.push_back(&task);
+    }
+    wake_.notify_all();
+    work(task);
+    std::unique_lock lock(mutex_);
+    std::erase(tasks_, &task);
+    wake_.wait(lock, [&task] { return task.helpers == 0; });
+    if (task.error) std::rethrow_exception(task.error);
+  }
+
+  void unit_done() {
+    const std::lock_guard lock(mutex_);
+    if (--units_left_ == 0) wake_.notify_all();
+  }
+
+  /// Helps shared steps until every unit has finished.
+  void help() {
+    std::unique_lock lock(mutex_);
+    for (;;) {
+      // A task only ever closes outside the lock (its chunks run out);
+      // it opens only when shared, under the lock, with a notify.
+      Task* task = nullptr;
+      wake_.wait(lock, [&] {
+        const auto open = std::find_if(
+            tasks_.begin(), tasks_.end(),
+            [](const Task* t) { return t->next < t->chunks; });
+        task = open == tasks_.end() ? nullptr : *open;
+        return task != nullptr || units_left_ == 0;
+      });
+      if (task == nullptr) return;
+      // The owner waits in share() until helpers is back to 0, so the
+      // task outlives this use.
+      ++task->helpers;
+      lock.unlock();
+      work(*task);
+      lock.lock();
+      if (--task->helpers == 0) wake_.notify_all();
+    }
+  }
+
+ private:
+  struct Task {
+    Task(const RangeFn& fn, std::size_t n, std::size_t chunk)
+        : fn(fn), n(n), chunk(chunk), chunks((n + chunk - 1) / chunk) {}
+
+    const RangeFn& fn;
+    std::size_t n, chunk, chunks;
+    std::atomic<std::size_t> next{0};
+    std::size_t helpers = 0;   // guarded by mutex_
+    std::exception_ptr error;  // guarded by mutex_
+  };
+
+  void work(Task& task) {
+    for (std::size_t c; (c = task.next++) < task.chunks;) {
+      try {
+        task.fn(c * task.chunk, std::min(task.n, (c + 1) * task.chunk));
+      } catch (...) {
+        const std::lock_guard lock(mutex_);
+        if (!task.error) task.error = std::current_exception();
+      }
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable wake_;  // a task shared or finished, units done
+  std::vector<Task*> tasks_;
+  std::size_t units_left_;
+};
+
+// --- Units -------------------------------------------------------------------
+
+/// One unit of the trace (a cluster, interception, or background) as the
+/// pre-pass fixes it: its own stream, and its slice of the output rows,
+/// whose offset is also its uid base.
+struct UnitJob {
+  ConnTruth::Unit unit;
+  const TrafficCluster* cluster;  // kCluster only
+  Rng rng;
+  std::size_t first_row;
+  std::size_t rows;
+};
+
+/// What a unit hands back, merged in unit order after every unit ran.
+struct UnitResult {
+  TraceGenerator::Stats stats;
+  ctlog::CtDatabase ct;
+  std::exception_ptr error;
+};
+
+/// Where units write. With a dataset, each unit fills its own slice of
+/// `rows` (and of `truth`, when requested) and inserts its x509 rows
+/// under `x509_mutex`; otherwise `sink` receives every connection.
+struct UnitOutputs {
+  const TraceGenerator::Sink* sink = nullptr;
+  zeek::Dataset* dataset = nullptr;
+  std::span<zeek::SslRecord> rows;
+  std::span<ConnTruth> truth;
+  std::mutex x509_mutex;
+};
+
+/// Plans and materializes one unit. It shares only the model (read-only),
+/// the CA registry and, under its lock, the dataset's x509 rows; all else
+/// is its own, so units run concurrently without changing a byte. Idle
+/// workers may run chunks of its materialize stage, which is pure.
+class UnitPlanner {
+ public:
+  UnitPlanner(const CampusModel& model, CaRegistry& cas, Crew& crew,
+              const UnitJob& job, UnitOutputs& out, UnitResult& result)
+      : model_(model),
+        cas_(cas),
+        crew_(crew),
+        job_(job),
+        out_(out),
+        result_(result) {
+    if (out.dataset != nullptr) {
+      rows_ = out.rows.subspan(job.first_row, job.rows);
+      if (!out.truth.empty()) {
+        truth_ = out.truth.subspan(job.first_row, job.rows);
+      }
+    }
+  }
+
+  void run() {
+    Rng rng = job_.rng;
+    switch (job_.unit) {
+      case ConnTruth::Unit::kCluster:
+        plan_cluster(*job_.cluster, rng);
+        break;
+      case ConnTruth::Unit::kInterception:
+        plan_interception(rng);
+        break;
+      case ConnTruth::Unit::kBackground:
+        plan_background(rng);
+        break;
+    }
+    materialize();
+    if (planned_ != job_.rows) {
+      throw std::logic_error("a unit planned fewer connections than sized");
+    }
+  }
+
+ private:
+  // --- CA choice -------------------------------------------------------------
+
+  const trust::CertificateAuthority& issuer_for(const TrafficCluster& cluster,
+                                                const CertSpec& spec,
+                                                std::size_t index) {
+    switch (spec.issuer_kind) {
+      case IssuerKind::kPublicCa: {
+        const auto& pki = trust::public_pki();
+        if (!spec.issuer_ref.empty()) {
+          const auto* ca = pki.find(spec.issuer_ref);
+          if (ca == nullptr) {
+            throw std::invalid_argument("unknown public CA label: " +
+                                        spec.issuer_ref);
+          }
+          return ca->intermediate;
+        }
+        // Rotate through the general-purpose web CAs.
+        static constexpr const char* kWebCas[] = {
+            "lets-encrypt", "digicert", "sectigo", "godaddy", "amazon",
+            "globalsign", "entrust"};
+        return pki.find(kWebCas[index % std::size(kWebCas)])->intermediate;
+      }
+      case IssuerKind::kPrivateOrg:
+        return cas_.private_ca(spec.issuer_ref, spec.issuer_cn);
+      case IssuerKind::kCampus:
+        return cas_.campus_ca(index);
+      case IssuerKind::kMissingIssuer:
+        return cas_.missing_issuer_ca(cluster.name, nullptr);
+      case IssuerKind::kDummy:
+        return cas_.dummy_ca(spec.issuer_ref);
+      case IssuerKind::kHostingSubCa:
+        return cas_.hosting_subca();
+      case IssuerKind::kSelfSigned:
+        // handled by mint(): not reached.
+        return cas_.private_ca("self");
+    }
+    return cas_.private_ca("unreachable");
   }
 
   // --- Content generation ---------------------------------------------------
@@ -427,43 +631,6 @@ class TraceGenerator::Impl {
 
   // --- Certificate minting ---------------------------------------------------
 
-  const trust::CertificateAuthority& issuer_for(const TrafficCluster& cluster,
-                                                const CertSpec& spec,
-                                                std::size_t index) {
-    switch (spec.issuer_kind) {
-      case IssuerKind::kPublicCa: {
-        const auto& pki = trust::public_pki();
-        if (!spec.issuer_ref.empty()) {
-          const auto* ca = pki.find(spec.issuer_ref);
-          if (ca == nullptr) {
-            throw std::invalid_argument("unknown public CA label: " +
-                                        spec.issuer_ref);
-          }
-          return ca->intermediate;
-        }
-        // Rotate through the general-purpose web CAs.
-        static constexpr const char* kWebCas[] = {
-            "lets-encrypt", "digicert", "sectigo", "godaddy", "amazon",
-            "globalsign", "entrust"};
-        return pki.find(kWebCas[index % std::size(kWebCas)])->intermediate;
-      }
-      case IssuerKind::kPrivateOrg:
-        return private_ca(spec.issuer_ref, spec.issuer_cn);
-      case IssuerKind::kCampus:
-        return campus_ca(index);
-      case IssuerKind::kMissingIssuer:
-        return missing_issuer_ca(cluster.name);
-      case IssuerKind::kDummy:
-        return dummy_ca(spec.issuer_ref);
-      case IssuerKind::kHostingSubCa:
-        return hosting_subca();
-      case IssuerKind::kSelfSigned:
-        // handled by mint(): not reached.
-        return private_ca("self");
-    }
-    return private_ca("unreachable");
-  }
-
   /// Plans one certificate: makes its random draws, resolves (and lazily
   /// creates) its issuer, and logs it to CT. Returns its slot id.
   CertId mint(const TrafficCluster& cluster, const CertSpec& spec,
@@ -542,7 +709,7 @@ class TraceGenerator::Impl {
       builder.spki_algorithm(asn1::oids::alg_rsa_encryption());
     }
 
-    ++stats_.certificates_minted;
+    ++result_.stats.certificates_minted;
     if (spec.issuer_kind == IssuerKind::kSelfSigned) {
       x509::DistinguishedName self_dn = subject;
       if (self_dn.empty()) self_dn.add_cn("self-" + rng.hex(6));
@@ -558,7 +725,7 @@ class TraceGenerator::Impl {
     if (server_role && !cluster.sld.empty() &&
         (spec.issuer_kind == IssuerKind::kPublicCa ||
          spec.issuer_kind == IssuerKind::kHostingSubCa)) {
-      ct_.log_certificate(cluster.sld, ca.dn());
+      result_.ct.log_certificate(cluster.sld, ca.dn());
     }
     return add_cert(std::move(slot));
   }
@@ -716,6 +883,9 @@ class TraceGenerator::Impl {
                        const net::IpAddress& server_ip, CertId server_cert,
                        CertId client_cert, bool tls13, Rng& rng,
                        CertId server_intermediate = kNoCert) {
+    if (planned_ == job_.rows) {
+      throw std::logic_error("a unit planned more connections than sized");
+    }
     ConnPlan plan;
     tls::TlsConnection& conn = plan.conn;
     conn.client = {client_ip,
@@ -726,7 +896,9 @@ class TraceGenerator::Impl {
     } else if (!cluster.sni_absent && !cluster.sld.empty()) {
       conn.sni = cluster.sld;
     }
-    conn.uid = "C" + std::to_string(++uid_counter_) + rng.alnum(6);
+    // uids number the connections of the whole trace from 1.
+    conn.uid = "C" + std::to_string(job_.first_row + ++planned_) +
+               rng.alnum(6);
     conn.timestamp = ts;
 
     tls::HandshakeTerms terms;
@@ -748,11 +920,11 @@ class TraceGenerator::Impl {
     }
     if (outcome.client_chain_visible) plan.client_leaf = client_cert;
 
-    ++stats_.connections;
+    ++result_.stats.connections;
     if (plan.server_chain[0] != kNoCert && plan.client_leaf != kNoCert) {
-      ++stats_.mutual_connections;
+      ++result_.stats.mutual_connections;
     }
-    if (truth_ != nullptr) record_truth(plan);
+    if (!truth_.empty()) record_truth(plan, truth_[planned_ - 1]);
     // First sight of a certificate in a visible chain queues its x509
     // row, in plan order (Dataset::add_connection's first-wins rule).
     for (const CertId id :
@@ -766,13 +938,12 @@ class TraceGenerator::Impl {
     if (conns_.size() == kConnBatch) materialize();
   }
 
-  void record_truth(const ConnPlan& plan) {
+  void record_truth(const ConnPlan& plan, ConnTruth& t) const {
     const auto public_issuer = [this](CertId id) {
       return id != kNoCert && is_public_ca(certs_[id].issuer);
     };
-    ConnTruth& t = truth_->emplace_back();
     t.uid = plan.conn.uid;
-    t.unit = unit_;
+    t.unit = job_.unit;
     t.direction = on_campus(plan.conn.server.addr) ? Direction::kInbound
                                                    : Direction::kOutbound;
     t.established = plan.conn.established;
@@ -781,7 +952,7 @@ class TraceGenerator::Impl {
     t.server_leaf_public = public_issuer(plan.server_chain[0]);
     t.server_intermediate_public = public_issuer(plan.server_chain[1]);
     t.client_leaf_public = public_issuer(plan.client_leaf);
-    if (unit_ == ConnTruth::Unit::kInterception &&
+    if (job_.unit == ConnTruth::Unit::kInterception &&
         plan.server_chain[0] != kNoCert) {
       t.proxy_issuer = certs_[plan.server_chain[0]].issuer->dn().to_string();
     }
@@ -798,100 +969,10 @@ class TraceGenerator::Impl {
     return cluster.ports.empty() ? 443 : cluster.ports.back().first;
   }
 
-  // A certificate population plus its time-slotting. Short-lived
-  // certificates (Globus's 14-day cycle, ephemeral WebRTC/DTLS certs) are
-  // minted per time slot so every connection presents a certificate that
-  // is actually valid at the connection's timestamp.
-  struct Population {
-    CertId first = 0;  // slot ids [first, first + count)
-    std::size_t count = 0;
-    double slot_days = 0;  // 0 => certificates span the whole study
-    std::size_t slots = 1;
-
-    bool contains(CertId id) const {
-      return id != kNoCert && id >= first && id - first < count;
-    }
-  };
-
-  double cluster_window_days(const TrafficCluster& cluster) const {
-    return cluster.activity_days > 0
-               ? cluster.activity_days
-               : static_cast<double>(model_.study_end - model_.study_start) /
-                     kDaySeconds;
-  }
-
-  // --- Sizing ---------------------------------------------------------------
-  //
-  // The planner's loops and planned_connections() both size units here,
-  // so the up-front row reservation cannot drift from the plan.
-
-  /// Server certificates a cluster asks for, before rotation slots.
-  static std::size_t server_cert_count(const TrafficCluster& cluster) {
-    if (cluster.tunnel_client_only) return 0;
-    return std::max<std::size_t>(
-        cluster.mutual || cluster.server_certs.count > 0 ? 1 : 0,
-        cluster.server_certs.count);
-  }
-
-  /// Client certificates a cluster asks for; 0: it mints none.
-  static std::size_t client_cert_count(const TrafficCluster& cluster) {
-    if (!cluster.mutual || cluster.sharing == SharingMode::kSameCertBothEnds) {
-      return 0;
-    }
-    return std::max<std::size_t>(1, cluster.client_certs.count);
-  }
-
-  /// Connection volume: at least one connection per certificate so the
-  /// population is fully observable in the logs.
-  static std::size_t cluster_connections(const TrafficCluster& cluster,
-                                         std::size_t servers,
-                                         std::size_t clients) {
-    return std::max({cluster.connections, servers, clients});
-  }
-
-  /// Unique interception certificates: proxy × domain × client batch.
-  std::size_t interception_certificates() const {
-    const auto& spec = model_.interception;
-    return std::max(spec.certificates, spec.proxy_issuers * spec.domains);
-  }
-
-  /// Interception connections; 0: the unit is skipped.
-  std::size_t interception_connections() const {
-    const auto& spec = model_.interception;
-    if (spec.connections == 0 && spec.certificates == 0) return 0;
-    return std::max(spec.connections, interception_certificates());
-  }
-
-  /// The slot layout and final size (`first` unset) of a population
-  /// asked to hold `count` certificates.
-  Population population_shape(const TrafficCluster& cluster,
-                              const CertSpec& spec, std::size_t count) const {
-    Population population;
-    population.count = count;
-    const double window_days = cluster_window_days(cluster);
-    double slot_days = cluster.reissue_days;
-    if (slot_days == 0 && !spec.validity.fixed_dates &&
-        spec.validity.expired_days_before_study == 0 &&
-        spec.validity.typical_days * 1.3 < window_days) {
-      // Short-lived certificates must rotate or late connections would
-      // present long-expired leaves, polluting the §5.3.3 analysis.
-      slot_days = spec.validity.typical_days;
-    }
-    if (slot_days > 0) {
-      population.slot_days = slot_days;
-      population.slots = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::ceil(window_days / slot_days)));
-      // Every slot needs at least one certificate, or late connections
-      // would present a leaf that expired in an earlier slot.
-      population.count = std::max(count, population.slots);
-    }
-    return population;
-  }
-
   Population mint_population(const TrafficCluster& cluster,
                              const CertSpec& spec, std::size_t count,
                              bool server_role, Rng& rng) {
-    Population population = population_shape(cluster, spec, count);
+    Population population = population_shape(model_, cluster, spec, count);
     const double slot_days = population.slot_days;
     // Rotating populations model re-issuance: the *identity* (subject CN)
     // persists across slots, as a real device keeps its name through
@@ -956,7 +1037,7 @@ class TraceGenerator::Impl {
   CertId server_intermediate_for(const CertSpec& spec, std::size_t index) {
     const auto& pki = trust::public_pki();
     if (spec.issuer_kind == IssuerKind::kHostingSubCa) {
-      return prebuilt_cert(hosting_subca(), hosting_parent());
+      return prebuilt_cert(cas_.hosting_subca(), hosting_parent());
     }
     if (spec.issuer_kind != IssuerKind::kPublicCa) return kNoCert;
     if (!spec.issuer_ref.empty()) {
@@ -970,9 +1051,7 @@ class TraceGenerator::Impl {
     return prebuilt_cert(ca->intermediate, ca->root);
   }
 
-  void plan_cluster(const TrafficCluster& cluster) {
-    Rng rng = rng_.fork(label_hash(cluster.name));
-
+  void plan_cluster(const TrafficCluster& cluster, Rng& rng) {
     const int first_month = util::month_index(model_.study_start);
     const int month_count =
         util::month_index(model_.study_end - 1) - first_month + 1;
@@ -1078,11 +1157,9 @@ class TraceGenerator::Impl {
 
   // --- Interception ---------------------------------------------------------------
 
-  void plan_interception() {
+  void plan_interception(Rng& rng) {
     const auto& spec = model_.interception;
-    const std::size_t conns = interception_connections();
-    if (conns == 0) return;
-    Rng rng = rng_.fork(0x1ce);
+    const std::size_t conns = interception_connections(model_);
 
     // Popular public domains with legitimate CT records.
     std::vector<std::string> domains;
@@ -1090,7 +1167,7 @@ class TraceGenerator::Impl {
     for (std::size_t d = 0; d < spec.domains; ++d) {
       const std::string domain = "cdn-site" + std::to_string(d) + ".com";
       const auto& ca = pki.cas()[d % pki.cas().size()].intermediate;
-      ct_.log_certificate(domain, ca.dn());
+      result_.ct.log_certificate(domain, ca.dn());
       domains.push_back(domain);
     }
 
@@ -1103,13 +1180,13 @@ class TraceGenerator::Impl {
         "CorpNet Inspection CA",     "PacketShield Interceptor"};
     for (std::size_t p = 0; p < spec.proxy_issuers; ++p) {
       proxies.push_back(
-          &private_ca(kProxyNames[p % std::size(kProxyNames)] +
-                      (p >= std::size(kProxyNames)
-                           ? " " + std::to_string(p)
-                           : "")));
+          &cas_.private_ca(kProxyNames[p % std::size(kProxyNames)] +
+                           (p >= std::size(kProxyNames)
+                                ? " " + std::to_string(p)
+                                : "")));
     }
 
-    const std::size_t cert_count = interception_certificates();
+    const std::size_t cert_count = interception_certificates(model_);
     const CertId first_cert = static_cast<CertId>(certs_.size());
     std::vector<std::size_t> cert_domain;
     for (std::size_t i = 0; i < cert_count; ++i) {
@@ -1125,7 +1202,7 @@ class TraceGenerator::Impl {
       slot.issuer = proxies[i % proxies.size()];
       add_cert(std::move(slot));
       cert_domain.push_back(d);
-      ++stats_.certificates_minted;
+      ++result_.stats.certificates_minted;
     }
 
     const int first_month = util::month_index(model_.study_start);
@@ -1151,10 +1228,7 @@ class TraceGenerator::Impl {
 
   // --- Background (certificate-less volume) -----------------------------------------
 
-  void plan_background() {
-    if (model_.background_connections == 0) return;
-    Rng rng = rng_.fork(0xb6);
-
+  void plan_background(Rng& rng) {
     // A small pool of ordinary public-CA server certs for the visible
     // (pre-1.3) share of background traffic.
     TrafficCluster shape;
@@ -1247,23 +1321,34 @@ class TraceGenerator::Impl {
   // --- Materialize stage ----------------------------------------------------
   //
   // Pure with respect to the plan: it reads the planned slots and
-  // connections and writes only their materialized fields and its
-  // output, so the result cannot depend on the thread count.
+  // connections and writes only their materialized fields and the
+  // unit's own output, so the result cannot depend on which thread runs
+  // a chunk, or when.
 
-  /// Builds any planned certificates, then renders the planned
-  /// connections (and the x509 rows they first show) into the output.
+  /// Builds the certificates the planned connections show for the first
+  /// time (and renders their x509 rows), then renders the connections
+  /// into the output. A certificate no visible chain shows is never
+  /// built: nothing reads its bytes.
   void materialize() {
-    const std::size_t pending = certs_.size() - certs_built_;
-    util::parallel_ranges(
-        pending, workers_for(pending, kCertsPerWorker, threads_),
-        [this](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            certs_[certs_built_ + i].materialize();
-          }
-        });
-    certs_built_ = certs_.size();
-    if (dataset_ != nullptr) {
-      fill_dataset();
+    const bool to_dataset = out_.dataset != nullptr;
+    std::vector<zeek::X509Record> x509(to_dataset ? new_rows_.size() : 0);
+    crew_.share(new_rows_.size(), kCertsPerChunk,
+                [&](std::size_t begin, std::size_t end) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    CertSlot& slot = certs_[new_rows_[i]];
+                    slot.materialize();
+                    if (to_dataset) {
+                      x509[i] = zeek::to_x509_record(slot.cert(), slot.fuid);
+                      slot.built = x509::Certificate();  // rows need the fuid
+                    }
+                  }
+                });
+    if (to_dataset) {
+      fill_rows();
+      // Units that show the same certificate render the same row, so the
+      // first-wins insert keeps the same bytes whichever unit comes first.
+      const std::lock_guard lock(out_.x509_mutex);
+      for (auto& record : x509) out_.dataset->add_x509(std::move(record));
     } else {
       emit_connections();
     }
@@ -1271,37 +1356,27 @@ class TraceGenerator::Impl {
     new_rows_.clear();
   }
 
-  void fill_dataset() {
+  void fill_rows() {
     const std::span<zeek::SslRecord> rows =
-        dataset_->append_ssl_slots(conns_.size());
-    util::parallel_ranges(
-        conns_.size(), workers_for(conns_.size(), kConnsPerWorker, threads_),
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const ConnPlan& plan = conns_[i];
-            zeek::SslRecord& row = rows[i];
-            row = zeek::ssl_row(plan.conn);
-            for (const CertId id : plan.server_chain) {
-              if (id != kNoCert) {
-                row.cert_chain_fuids.push_back(certs_[id].fuid);
-              }
-            }
-            if (plan.client_leaf != kNoCert) {
-              row.client_cert_chain_fuids.push_back(
-                  certs_[plan.client_leaf].fuid);
-            }
-          }
-        });
-    std::vector<zeek::X509Record> x509(new_rows_.size());
-    util::parallel_ranges(
-        x509.size(), workers_for(x509.size(), kCertsPerWorker, threads_),
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const CertSlot& slot = certs_[new_rows_[i]];
-            x509[i] = zeek::to_x509_record(slot.cert(), slot.fuid);
-          }
-        });
-    for (auto& record : x509) dataset_->add_x509(std::move(record));
+        rows_.subspan(rows_done_, conns_.size());
+    rows_done_ += conns_.size();
+    crew_.share(conns_.size(), kRowsPerChunk,
+                [&](std::size_t begin, std::size_t end) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    const ConnPlan& plan = conns_[i];
+                    zeek::SslRecord& row = rows[i];
+                    row = zeek::ssl_row(plan.conn);
+                    for (const CertId id : plan.server_chain) {
+                      if (id != kNoCert) {
+                        row.cert_chain_fuids.push_back(certs_[id].fuid);
+                      }
+                    }
+                    if (plan.client_leaf != kNoCert) {
+                      row.client_cert_chain_fuids.push_back(
+                          certs_[plan.client_leaf].fuid);
+                    }
+                  }
+                });
   }
 
   void emit_connections() {
@@ -1313,42 +1388,208 @@ class TraceGenerator::Impl {
       if (plan.client_leaf != kNoCert) {
         conn.client_chain.push_back(certs_[plan.client_leaf].cert());
       }
-      (*sink_)(conn);
+      (*out_.sink)(conn);
     }
   }
 
-  /// Materializes what is left of the unit and drops its certificates:
-  /// no later unit refers to them.
-  void end_unit() {
-    materialize();
-    certs_.clear();
-    certs_built_ = 0;
-    prebuilt_ids_.clear();
+  const CampusModel& model_;
+  CaRegistry& cas_;
+  Crew& crew_;
+  const UnitJob& job_;
+  UnitOutputs& out_;
+  UnitResult& result_;
+  std::span<zeek::SslRecord> rows_;  // the unit's slice (dataset output)
+  std::span<ConnTruth> truth_;       // the unit's slice; empty: not recorded
+  std::size_t planned_ = 0;          // connections planned so far
+  std::size_t rows_done_ = 0;        // rows_[0, rows_done_) rendered
+
+  // Plan buffers. A unit's certificates live as long as the unit: no
+  // other unit refers to them.
+  std::deque<CertSlot> certs_;  // grows without moving slots
+  std::map<const x509::Certificate*, CertId> prebuilt_ids_;
+  std::vector<ConnPlan> conns_;   // planned, not yet materialized
+  std::vector<CertId> new_rows_;  // first visible sightings in conns_
+};
+
+}  // namespace
+
+std::uint64_t label_hash(std::string_view label) {
+  constexpr std::uint64_t kMul = 0xc6a4a7935bd1e995ULL;
+  const auto shift_mix = [](std::uint64_t v) { return v ^ (v >> 47); };
+  const auto* p = reinterpret_cast<const unsigned char*>(label.data());
+  const std::size_t len = label.size();
+  // Little-endian loads, as libstdc++ reads words on x86-64.
+  const auto load = [p](std::size_t at, std::size_t n) {
+    std::uint64_t v = 0;
+    for (std::size_t i = n; i-- > 0;) v = (v << 8) | p[at + i];
+    return v;
+  };
+  std::uint64_t hash = 0xc70f6907ULL ^ (len * kMul);
+  const std::size_t aligned = len & ~std::size_t{7};
+  for (std::size_t at = 0; at < aligned; at += 8) {
+    hash ^= shift_mix(load(at, 8) * kMul) * kMul;
+    hash *= kMul;
+  }
+  if ((len & 7) != 0) {
+    hash ^= load(aligned, len & 7);
+    hash *= kMul;
+  }
+  hash = shift_mix(hash) * kMul;
+  return shift_mix(hash);
+}
+
+const char* direction_name(Direction d) {
+  return d == Direction::kInbound ? "inbound" : "outbound";
+}
+
+const char* association_name(ServerAssociation a) {
+  switch (a) {
+    case ServerAssociation::kUniversityHealth:
+      return "University Health";
+    case ServerAssociation::kUniversityServer:
+      return "University Server";
+    case ServerAssociation::kUniversityVpn:
+      return "University VPN";
+    case ServerAssociation::kLocalOrganization:
+      return "Local Organization";
+    case ServerAssociation::kThirdPartyService:
+      return "Third Party Services";
+    case ServerAssociation::kGlobus:
+      return "Globus";
+    case ServerAssociation::kUnknown:
+      return "Unknown";
+    case ServerAssociation::kNone:
+      return "-";
+  }
+  return "?";
+}
+
+class TraceGenerator::Impl {
+ public:
+  Impl(CampusModel model, ctlog::CtDatabase& ct, Stats& stats)
+      : model_(std::move(model)), ct_(ct), stats_(stats), rng_(model_.seed) {}
+
+  /// Lists the units, then runs each as an independent job that plans
+  /// and materializes into exactly one of `sink` (in unit order, on the
+  /// caller's thread) or `dataset` (largest unit first, on `threads`
+  /// workers), recording each connection's labels into `truth` when it
+  /// is non-null.
+  void generate(const Sink* sink, zeek::Dataset* dataset,
+                std::size_t threads, std::vector<ConnTruth>* truth) {
+    release_free_memory();  // what an earlier trace left behind
+    const std::vector<UnitJob> jobs = list_units();
+    const std::size_t total =
+        jobs.empty() ? 0 : jobs.back().first_row + jobs.back().rows;
+    UnitOutputs out;
+    out.sink = sink;
+    out.dataset = dataset;
+    if (dataset != nullptr) {
+      // One exact reservation: the rows never move, and each unit fills
+      // its own slice.
+      dataset->ssl().reserve(total);
+      out.rows = dataset->append_ssl_slots(total);
+      if (truth != nullptr) {
+        truth->resize(truth->size() + total);
+        out.truth = std::span<ConnTruth>(*truth).last(total);
+      }
+    }
+
+    const std::size_t workers =
+        sink != nullptr
+            ? 1
+            : std::max<std::size_t>(1, std::min(threads, jobs.size()));
+    // One worker takes the units in order. More take the largest first:
+    // the long units start at once and the short ones fill in around
+    // them.
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (workers > 1) {
+      std::stable_sort(order.begin(), order.end(),
+                       [&jobs](std::size_t a, std::size_t b) {
+                         return jobs[a].rows > jobs[b].rows;
+                       });
+    }
+    std::vector<UnitResult> results(jobs.size());
+    Crew crew(jobs.size());
+    std::atomic<std::size_t> next{0};
+    util::parallel_ranges(
+        workers, workers, [&](std::size_t, std::size_t, std::size_t) {
+          for (std::size_t i; (i = next++) < order.size(); crew.unit_done()) {
+            const std::size_t u = order[i];
+            try {
+              UnitPlanner(model_, cas_, crew, jobs[u], out, results[u]).run();
+            } catch (...) {
+              results[u].error = std::current_exception();
+            }
+          }
+          crew.help();
+        });
+    release_free_memory();  // the units' plan buffers
+
+    // Unit order: the error a serial run would meet first, and CT
+    // records applied as the serial planner logged them.
+    for (const UnitResult& result : results) {
+      if (result.error) std::rethrow_exception(result.error);
+      stats_.connections += result.stats.connections;
+      stats_.mutual_connections += result.stats.mutual_connections;
+      stats_.certificates_minted += result.stats.certificates_minted;
+      ct_.merge(result.ct);
+    }
+  }
+
+ private:
+  /// The pre-pass: every unit in plan order (each cluster, then
+  /// interception, then background) with its stream, forked off the
+  /// seed's stream in the serial planner's order, and its row slice,
+  /// sized by the functions the planner's loops call.
+  std::vector<UnitJob> list_units() {
+    std::vector<UnitJob> jobs;
+    std::size_t next_row = 0;
+    const auto add = [&](ConnTruth::Unit unit, const TrafficCluster* cluster,
+                         Rng rng, std::size_t rows) {
+      jobs.push_back({unit, cluster, rng, next_row, rows});
+      next_row += rows;
+    };
+    for (const auto& cluster : model_.clusters) {
+      const Rng rng = rng_.fork(label_hash(cluster.name));
+      const std::size_t servers =
+          population_shape(model_, cluster, cluster.server_certs,
+                           server_cert_count(cluster))
+              .count;
+      const std::size_t client_request = client_cert_count(cluster);
+      const std::size_t clients =
+          client_request == 0
+              ? 0
+              : population_shape(model_, cluster, cluster.client_certs,
+                                 client_request)
+                    .count;
+      // The cluster's first missing-issuer mint forked its CA's stream
+      // next, before the following cluster's fork.
+      const auto missing = [](const CertSpec& spec, std::size_t count) {
+        return count > 0 && spec.issuer_kind == IssuerKind::kMissingIssuer;
+      };
+      if (missing(cluster.server_certs, servers) ||
+          missing(cluster.client_certs, clients)) {
+        cas_.missing_issuer_ca(cluster.name, &rng_);
+      }
+      add(ConnTruth::Unit::kCluster, &cluster, rng,
+          cluster_connections(cluster, servers, clients));
+    }
+    if (const std::size_t rows = interception_connections(model_); rows > 0) {
+      add(ConnTruth::Unit::kInterception, nullptr, rng_.fork(0x1ce), rows);
+    }
+    if (model_.background_connections > 0) {
+      add(ConnTruth::Unit::kBackground, nullptr, rng_.fork(0xb6),
+          model_.background_connections);
+    }
+    return jobs;
   }
 
   CampusModel model_;
   ctlog::CtDatabase& ct_;
   Stats& stats_;
   Rng rng_;
-  std::map<std::string, trust::CertificateAuthority> private_cas_;
-  std::unique_ptr<trust::CertificateAuthority> hosting_subca_;
-  std::uint64_t uid_counter_ = 0;
-
-  // Output of the materialize stage: exactly one of sink_ / dataset_.
-  const Sink* sink_ = nullptr;
-  zeek::Dataset* dataset_ = nullptr;
-  // Truth sidecar (optional) and the unit being planned.
-  std::vector<ConnTruth>* truth_ = nullptr;
-  ConnTruth::Unit unit_ = ConnTruth::Unit::kCluster;
-  std::size_t threads_ = 1;
-
-  // Plan buffers of the current unit (a cluster, interception, or
-  // background).
-  std::deque<CertSlot> certs_;  // grows without moving slots
-  std::size_t certs_built_ = 0;  // certs_[0, certs_built_) materialized
-  std::map<const x509::Certificate*, CertId> prebuilt_ids_;
-  std::vector<ConnPlan> conns_;   // planned, not yet materialized
-  std::vector<CertId> new_rows_;  // first visible sightings in conns_
+  CaRegistry cas_;
 };
 
 TraceGenerator::TraceGenerator(CampusModel model)

@@ -336,6 +336,8 @@ int run_watch(const WatchOptions& options) {
   config.rollup_windows = options.rollup_windows;
   config.experiments = options.experiments;
   config.run = options.run;
+  // The tails always quarantine malformed rows; label the documents so.
+  config.run.errors.on_error = ingest::ErrorPolicy::Action::kSkip;
   // The documents label the logical logs, not the tailed segment paths,
   // when the caller says so (mirrors `mtlscope reduce --ssl-log=`).
   const bool compact = options.run.compact_input();

@@ -139,7 +139,7 @@ TEST(Generator, DatasetByteIdenticalAcrossThreadCounts) {
 
 TEST(Generator, TruthSidecarChangesNoByteAndFollowsRows) {
   for (const auto& expected : kTinyDigests) {
-    for (const std::size_t threads : {1u, 4u}) {
+    for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
       SCOPED_TRACE("seed " + std::to_string(expected.seed) + ", threads " +
                    std::to_string(threads));
       TraceGenerator g(tiny_model(expected.seed));
@@ -151,6 +151,29 @@ TEST(Generator, TruthSidecarChangesNoByteAndFollowsRows) {
         ASSERT_EQ(truth[i].uid, dataset.ssl()[i].uid) << "row " << i;
       }
     }
+  }
+}
+
+// Units run concurrently and each logs CT records and counts into its
+// own result; the merged CT database and stats must not depend on which
+// unit finished first.
+TEST(Generator, StatsAndCtDatabaseIdenticalAcrossThreadCounts) {
+  for (const auto& expected : kTinyDigests) {
+    TraceGenerator serial(tiny_model(expected.seed));
+    serial.generate_dataset(1);
+    for (const std::size_t threads : {4u, 7u}) {
+      SCOPED_TRACE("seed " + std::to_string(expected.seed) + ", threads " +
+                   std::to_string(threads));
+      TraceGenerator g(tiny_model(expected.seed));
+      g.generate_dataset(threads);
+      EXPECT_EQ(g.stats().connections, serial.stats().connections);
+      EXPECT_EQ(g.stats().mutual_connections,
+                serial.stats().mutual_connections);
+      EXPECT_EQ(g.stats().certificates_minted,
+                serial.stats().certificates_minted);
+      EXPECT_TRUE(g.ct_database() == serial.ct_database());
+    }
+    EXPECT_GT(serial.ct_database().domain_count(), 0u);
   }
 }
 

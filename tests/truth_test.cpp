@@ -38,7 +38,8 @@ struct Trace {
 Trace generate(gen::CampusModel model) {
   Trace trace;
   trace.generator = std::make_unique<gen::TraceGenerator>(std::move(model));
-  trace.dataset = trace.generator->generate_dataset(1, &trace.truth);
+  // Four workers: units run concurrently while recording truth.
+  trace.dataset = trace.generator->generate_dataset(4, &trace.truth);
   return trace;
 }
 

@@ -679,6 +679,41 @@ TEST_F(WatchSchedulerTest, CumulativeMatchesBatchRun) {
   EXPECT_EQ(last.envelope, batch);
 }
 
+// The daemon's tails always quarantine malformed rows, so its documents
+// label the policy `skip`, and its cumulative document equals a batch
+// `run --on-error=skip` over the same logs, garbage row included.
+TEST_F(WatchSchedulerTest, DaemonLabelsItsPolicySkip) {
+  const LogPair logs = generated_logs(8'000, 800'000);
+  std::string ssl;
+  {
+    std::ifstream in(logs.ssl_path, std::ios::binary);
+    ssl.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ssl.insert(ssl.find('\n', ssl.size() / 2) + 1, "not a row\n");
+  write_file("ssl.log", ssl);
+
+  watch::WatchOptions options;
+  options.run.ssl_log = logs.ssl_path;
+  options.run.x509_log = logs.x509_path;
+  options.run.stable_output = true;
+  options.run.threads = 1;
+  options.experiments = {"table1", "fig1"};
+  options.out_dir = (dir_ / "out").string();
+  options.window_seconds = 7 * 24 * 3600;
+  options.poll_ms = 10;
+  options.exit_idle_ms = 100;
+  ASSERT_EQ(watch::run_watch(options), 0);
+  std::ifstream in(dir_ / "out" / "cumulative.json", std::ios::binary);
+  const std::string cumulative(std::istreambuf_iterator<char>(in), {});
+  EXPECT_NE(cumulative.find("\"data_quality\":{\"policy\":\"skip\""),
+            std::string::npos);
+
+  experiments::RunOptions batch = options.run;
+  batch.errors.on_error = ingest::ErrorPolicy::Action::kSkip;
+  const auto docs = experiments::run_experiments(options.experiments, batch);
+  EXPECT_EQ(cumulative, core::render_json_envelope(docs, false));
+}
+
 TEST_F(WatchSchedulerTest, HeldRecordsReleaseWhenCertificatesArrive) {
   const std::string ssl = ssl_path(std::string(kSslHeader));
   const std::string x509 = x509_path("");
