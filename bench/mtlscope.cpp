@@ -316,19 +316,6 @@ bool write_file(const std::filesystem::path& path,
   return true;
 }
 
-std::string render_tables(const core::ResultDoc& doc, char sep) {
-  std::string out;
-  for (const core::ResultTable* table : doc.tables()) {
-    out += "# ";
-    out += doc.experiment;
-    out += ".";
-    out += table->id();
-    out += "\n";
-    out += core::render_csv(*table, sep);
-  }
-  return out;
-}
-
 /// Shared output tail of `run` and `reduce`: --out=DIR writes one file
 /// per experiment (or per table for csv/tsv); otherwise everything goes
 /// to stdout.
@@ -376,7 +363,15 @@ int emit_docs(const std::vector<core::ResultDoc>& docs,
         if (!first) out += "\n";
         out += core::render_text(doc);
       } else {
-        out += render_tables(doc, sep);
+        // Every table under a "# <experiment>.<table-id>" header line.
+        for (const core::ResultTable* table : doc.tables()) {
+          out += "# ";
+          out += doc.experiment;
+          out += ".";
+          out += table->id();
+          out += "\n";
+          out += core::render_csv(*table, sep);
+        }
       }
       first = false;
     }

@@ -1,10 +1,12 @@
 // Microbenchmarks for shard-state serialization (DESIGN §12): how fast a
 // complete ShardState — pipeline registry, eight analyzers, ledger —
-// serializes, parses (digest check included), and merges. Throughput is
-// reported against the serialized container size, the unit map/reduce
-// actually moves between hosts.
+// serializes, parses (digest check included), and merges, and what the
+// certificate reports pay for the registry's fuid-ordered view.
+// Throughput is reported against the serialized container size, the unit
+// map/reduce actually moves between hosts.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -84,5 +86,27 @@ BENCHMARK(BM_StateMergeAndFinalize)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/// The certificate reports' registry cost on a registry the size of the
+/// paper job's pristine pass (table1 … table14 share one at cert 1:100,
+/// conn 1:400000): finalize() after the registry changed, then the
+/// twelve fuid-ordered reads those reports make.
+void BM_CertificateView(benchmark::State& state) {
+  const auto shard = make_state(100, 400'000);
+  std::optional<core::Pipeline> pipeline;
+  for (auto _ : state) {
+    state.PauseTiming();
+    pipeline.emplace(*shard.pipeline);  // a copy: its view is not built
+    state.ResumeTiming();
+    pipeline->finalize();
+    for (int read = 0; read < 12; ++read) {
+      const auto& view = pipeline->certificates_sorted();
+      benchmark::DoNotOptimize(view.data());
+    }
+  }
+  state.counters["certificates"] =
+      static_cast<double>(shard.pipeline->certificates().size());
+}
+BENCHMARK(BM_CertificateView)->Unit(benchmark::kMillisecond);
 
 }  // namespace

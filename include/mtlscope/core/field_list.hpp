@@ -509,6 +509,14 @@ void fold(const R& how, T& mine, T& theirs) {
   } else if constexpr (kIs<R, rule::FirstSet>) {
     if (mine == how.unset) mine = std::move(theirs);
   } else if constexpr (kIs<R, rule::Keyed> || kIs<R, rule::Registry>) {
+    // An empty map adopts the later one whole, nodes and all: the first
+    // shard of a merge costs nothing, whatever its size. No reserve for
+    // the rest: shards share most keys, so their summed sizes overshoot
+    // and the rehash costs more than the growth it saves.
+    if (mine.empty()) {
+      mine = std::move(theirs);
+      return;
+    }
     for (auto& [key, value] : theirs) {
       const auto it = mine.find(key);
       if (it == mine.end()) {

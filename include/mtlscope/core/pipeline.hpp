@@ -233,7 +233,8 @@ class Pipeline {
  public:
   /// Hot-path registry: fuid-keyed hash map with transparent lookup, so
   /// chain fuids probe without materializing a key. Analyzers that need
-  /// ordered iteration sort at result time (see certificates_sorted()).
+  /// ordered iteration read the fuid-ordered view finalize() builds (see
+  /// certificates_sorted()).
   using CertMap = std::unordered_map<colfmt::Str, CertFacts, colfmt::StrHash,
                                      colfmt::StrEq>;
   /// Byte-ordered set of interned strings (issuer DNs, SLDs): iterates
@@ -268,9 +269,9 @@ class Pipeline {
   /// dispatched).
   void add_connection(const zeek::SslRecord& record);
 
-  /// Marks every certificate issued by a confirmed interception issuer.
-  /// Idempotent; call after the stream ends, before certificate-level
-  /// analyses.
+  /// Marks every certificate issued by a confirmed interception issuer
+  /// and builds the fuid-ordered view of the registry. Idempotent; call
+  /// after the stream ends, before certificate-level analyses.
   void finalize();
 
   /// Folds a later shard into this pipeline: certificate usage aggregates,
@@ -284,7 +285,9 @@ class Pipeline {
   /// The registry in fuid order — deterministic iteration for the
   /// certificate-population analyzers (ties in their sorts and max-
   /// tracking resolve identically on every run and every shard count).
-  std::vector<const CertFacts*> certificates_sorted() const;
+  /// finalize() builds it once; every registry change since drops it,
+  /// and reading a dropped view throws std::logic_error.
+  const std::vector<const CertFacts*>& certificates_sorted() const;
 
   // Interception-filter results (§3.2.1).
   const StrSet& interception_issuers() const {
@@ -335,9 +338,10 @@ class Pipeline {
   /// interception issuers, everything merge() and the certificate
   /// analyses consume. Observers, the prepared state and the enrichment
   /// memo are deliberately not listed; a deserialized pipeline is a
-  /// result holder. The two retired runs held the deleted streaming
-  /// mode's mid-stream interception candidates and their reconciliation
-  /// ledger; no writer ever filled them.
+  /// result holder (parse_shard_state reads into a fresh one, so it
+  /// starts without a view). The two retired runs held the deleted
+  /// streaming mode's mid-stream interception candidates and their
+  /// reconciliation ledger; no writer ever filled them.
   template <class V>
   static void fields(V& v) {
     v("totals", &Pipeline::totals_, rule::fold);
@@ -349,6 +353,22 @@ class Pipeline {
   }
 
  private:
+  /// certs_ in fuid order: pointers into its nodes. A copy starts empty,
+  /// since the source's pointers would name the source's nodes; a move
+  /// keeps it, since moving the map keeps its nodes.
+  struct CertView {
+    std::vector<const CertFacts*> sorted;
+
+    CertView() = default;
+    CertView(const CertView&) {}
+    CertView(CertView&&) = default;
+    CertView& operator=(const CertView&) {
+      sorted.clear();
+      return *this;
+    }
+    CertView& operator=(CertView&&) = default;
+  };
+
   CertFacts* local_cert(const colfmt::Str& fuid);
 
   // Prepared state shared by every shard (null in a result holder).
@@ -358,6 +378,8 @@ class Pipeline {
 
   std::vector<Observer> observers_;
   CertMap certs_;
+  /// Current while its size matches certs_: every mutation clears it.
+  CertView view_;
   StrSet interception_issuers_;
   std::size_t excluded_connections_ = 0;
   Totals totals_;

@@ -135,7 +135,10 @@ class Dataset {
   void add_ssl(SslRecord record) { ssl_.push_back(std::move(record)); }
   /// Appends `n` default ssl rows and returns them, so that workers can
   /// fill disjoint slots in parallel while row order stays fixed.
-  std::span<SslRecord> append_ssl_slots(std::size_t n);
+  /// `threads` workers first-touch the new rows' pages before the
+  /// calling thread constructs the rows: on fresh memory the page faults
+  /// are most of the cost, and they fault in parallel.
+  std::span<SslRecord> append_ssl_slots(std::size_t n, std::size_t threads);
 
   std::size_t connection_count() const { return ssl_.size(); }
   std::size_t certificate_count() const { return x509_.size(); }

@@ -125,7 +125,7 @@ bool guarded(const PartSource& parts, bool x509, std::size_t part,
 }
 
 /// Phases A and B: windows of k parts map in parallel, one part per
-/// thread (`map(part, log, out)` into a cleared vector), then fold in
+/// thread (`map(part, log, out)` into a cleared container), then fold in
 /// part order on the caller's thread, so at most k parts' results are
 /// resident. Stops at the first failed part in stream order and returns
 /// its error.
@@ -565,27 +565,29 @@ std::optional<Pipeline> PipelineExecutor::run_parts(
   const std::shared_ptr<const Enricher>& enricher = enricher_;
   const std::size_t k = threads_;
 
-  // --- Phase A: certificate registry. Facts build per part in parallel
-  // windows and fold first-fuid-wins in stream order. ---
+  // --- Phase A: certificate registry. Each part's facts build into a
+  // part-local map in parallel windows (first fuid in the part wins),
+  // and the parts splice into the registry in stream order: merge()
+  // moves only the nodes whose fuid the registry lacks, so the first
+  // fuid in the stream wins. ---
   auto base = std::make_shared<Pipeline::CertMap>();
-  auto failure = fold_windows<std::vector<CertFacts>>(
+  auto failure = fold_windows<Pipeline::CertMap>(
       parts.x509_parts(), k,
-      [&](std::size_t part, PartLog& log, std::vector<CertFacts>& out) {
+      [&](std::size_t part, PartLog& log, Pipeline::CertMap& out) {
         return guarded(parts, true, part, log, [&] {
           return parts.scan_x509(
               part, log, [&](std::span<const zeek::X509Record* const> rows) {
                 out.reserve(rows.size());
                 for (const auto* row : rows) {
-                  out.push_back(enricher->make_facts(*row));
+                  CertFacts facts = enricher->make_facts(*row);
+                  const colfmt::Str fuid = facts.fuid;
+                  out.try_emplace(fuid, std::move(facts));
                 }
               });
         });
       },
-      [&](std::vector<CertFacts>& facts, PartLog& log) {
-        for (auto& f : facts) {
-          const colfmt::Str fuid = f.fuid;
-          base->emplace(fuid, std::move(f));
-        }
+      [&](Pipeline::CertMap& facts, PartLog& log) {
+        base->merge(facts);
         parts.account(LedgerPhase::kRegistry, log);
       });
   parts.end_stream(LedgerPhase::kRegistry, failure);

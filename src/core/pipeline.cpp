@@ -1,6 +1,9 @@
 #include "mtlscope/core/pipeline.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
 
 #include "mtlscope/core/enrich.hpp"
 
@@ -43,6 +46,7 @@ CertFacts* Pipeline::local_cert(const colfmt::Str& fuid) {
   // zero usage, which this shard then accumulates locally.
   const auto base = base_certs_->find(fuid);
   if (base == base_certs_->end()) return nullptr;
+  view_.sorted.clear();
   return &certs_.emplace(fuid, base->second).first->second;
 }
 
@@ -131,11 +135,37 @@ void Pipeline::finalize() {
       facts.flagged_interception = true;
     }
   }
+  std::vector<const CertFacts*>& sorted = view_.sorted;
+  if (sorted.size() == certs_.size()) return;  // no change since the build
+  // Sort on each fuid's first eight bytes, read big-endian (zero past
+  // the end), and compare whole fuids only where those tie: the keys sit
+  // in one array, so most comparisons touch no certificate. A smaller
+  // key means a smaller fuid, so the order is the fuid order.
+  std::vector<std::pair<std::uint64_t, const CertFacts*>> keyed;
+  keyed.reserve(certs_.size());
+  for (const auto& [fuid, facts] : certs_) {
+    std::uint64_t key = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      key = key << 8 | (i < fuid.size()
+                            ? static_cast<unsigned char>(fuid.data()[i])
+                            : 0u);
+    }
+    keyed.emplace_back(key, &facts);
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first
+                              : a.second->fuid < b.second->fuid;
+  });
+  sorted.clear();
+  sorted.reserve(keyed.size());
+  for (const auto& [key, facts] : keyed) sorted.push_back(facts);
 }
 
 void Pipeline::merge(Pipeline&& other) {
   merge_fields(*this, std::move(other));
   other.certs_.clear();
+  view_.sorted.clear();
+  other.view_.sorted.clear();
   // Cache bookkeeping only — the entries themselves stay shard-local.
   cache_.hits += other.cache_.hits;
   cache_.misses += other.cache_.misses;
@@ -143,20 +173,19 @@ void Pipeline::merge(Pipeline&& other) {
 }
 
 void Pipeline::backfill_certificates(const CertMap& base) {
+  view_.sorted.clear();
   for (const auto& [fuid, facts] : base) {
     if (!certs_.contains(fuid)) certs_.emplace(fuid, facts);
   }
 }
 
-std::vector<const CertFacts*> Pipeline::certificates_sorted() const {
-  std::vector<const CertFacts*> sorted;
-  sorted.reserve(certs_.size());
-  for (const auto& [fuid, facts] : certs_) sorted.push_back(&facts);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const CertFacts* a, const CertFacts* b) {
-              return a->fuid < b->fuid;
-            });
-  return sorted;
+const std::vector<const CertFacts*>& Pipeline::certificates_sorted() const {
+  if (view_.sorted.size() != certs_.size()) {
+    throw std::logic_error(
+        "Pipeline::certificates_sorted: the registry changed since "
+        "finalize()");
+  }
+  return view_.sorted;
 }
 
 std::size_t Pipeline::interception_flagged_certificates() const {

@@ -5,6 +5,8 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "experiments_internal.hpp"
 #include "mtlscope/core/analyzers.hpp"
@@ -215,10 +217,11 @@ class AblationClassifier final : public Experiment {
       const auto type = static_cast<textclass::InfoType>(i);
       const auto a = with_ner[i];
       const auto b = without_ner[i];
+      std::string delta = a >= b ? "+" : "-";
+      delta += core::format_count(a >= b ? a - b : b - a);
       table.add_row({Cell::text(textclass::info_type_name(type)),
                      Cell::count(a), Cell::count(b),
-                     Cell::text((a >= b ? "+" : "-") +
-                                core::format_count(a >= b ? a - b : b - a))});
+                     Cell::text(std::move(delta))});
     }
 
     const auto idx = [](textclass::InfoType t) {

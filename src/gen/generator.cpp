@@ -1485,9 +1485,9 @@ class TraceGenerator::Impl {
     out.dataset = dataset;
     if (dataset != nullptr) {
       // One exact reservation: the rows never move, and each unit fills
-      // its own slice.
+      // its own slice. `threads` threads fault its pages in first.
       dataset->ssl().reserve(total);
-      out.rows = dataset->append_ssl_slots(total);
+      out.rows = dataset->append_ssl_slots(total, threads);
       if (truth != nullptr) {
         truth->resize(truth->size() + total);
         out.truth = std::span<ConnTruth>(*truth).last(total);

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "mtlscope/crypto/encoding.hpp"
+#include "mtlscope/util/parallel.hpp"
 
 namespace mtlscope::zeek {
 
@@ -89,11 +90,27 @@ void Dataset::add_x509(X509Record record) {
   x509_.emplace(record.fuid, std::move(record));
 }
 
-std::span<SslRecord> Dataset::append_ssl_slots(std::size_t n) {
+std::span<SslRecord> Dataset::append_ssl_slots(std::size_t n,
+                                               std::size_t threads) {
   const std::size_t first = ssl_.size();
   // Grow to powers of two, as push_back would: resize() alone sizes the
   // buffer from the append pattern, which can move a much larger vector.
   if (first + n > ssl_.capacity()) ssl_.reserve(std::bit_ceil(first + n));
+  if (threads > 1) {
+    // One byte every page-size stride of the reserved, still
+    // unconstructed storage.
+    constexpr std::size_t kPage = 4096;
+    unsigned char* const bytes =
+        reinterpret_cast<unsigned char*>(ssl_.data() + first);
+    const std::size_t pages = (n * sizeof(SslRecord) + kPage - 1) / kPage;
+    util::parallel_ranges(
+        pages, threads, [bytes](std::size_t, std::size_t begin,
+                                std::size_t end) {
+          for (std::size_t page = begin; page < end; ++page) {
+            bytes[page * kPage] = 0;
+          }
+        });
+  }
   ssl_.resize(first + n);
   return std::span<SslRecord>(ssl_).subspan(first);
 }

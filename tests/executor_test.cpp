@@ -3,6 +3,7 @@
 // (CertFacts, connection analyzers) must fold correctly on their own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -101,6 +102,27 @@ RunResult* ExecutorEquivalenceTest::reference_ = nullptr;
 TEST_P(ExecutorEquivalenceTest, FullResultSetMatchesSerial) {
   const auto result = run_sharded(*generator_, *dataset_, GetParam());
   expect_same_results(result, *reference_);
+}
+
+/// The fuid-ordered view is exactly this registry's entries (pointers
+/// into its own nodes), in the order a fresh sort gives.
+void expect_view_is_sorted_registry(const core::Pipeline& pipeline) {
+  std::vector<const core::CertFacts*> fresh;
+  for (const auto& [fuid, facts] : pipeline.certificates()) {
+    fresh.push_back(&facts);
+  }
+  std::sort(fresh.begin(), fresh.end(),
+            [](const core::CertFacts* a, const core::CertFacts* b) {
+              return a->fuid < b->fuid;
+            });
+  EXPECT_GT(fresh.size(), 0u);
+  EXPECT_EQ(pipeline.certificates_sorted(), fresh);
+}
+
+TEST_P(ExecutorEquivalenceTest, CertificateViewIsTheSortedRegistry) {
+  expect_view_is_sorted_registry(reference_->pipeline);
+  const auto result = run_sharded(*generator_, *dataset_, GetParam());
+  expect_view_is_sorted_registry(result.pipeline);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ExecutorEquivalenceTest,
@@ -321,6 +343,128 @@ TEST(ShardedTest, MergedFoldsAllShardsInOrder) {
   ASSERT_EQ(series.size(), 1u);
   EXPECT_EQ(series[0].total, 3u);
   EXPECT_EQ(series[0].mutual, 3u);
+}
+
+// --- The certificate view across registry changes -------------------------
+
+/// Two map slices of one small trace: the first and the second half of
+/// the ssl rows, each with the same half of the x509 rows (disjoint
+/// registries) or with all of them (registries sharing every fuid).
+class CertificateViewTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    generator_ = new gen::TraceGenerator(small_model());
+    dataset_ = new zeek::Dataset(generator_->generate_dataset());
+  }
+  static void TearDownTestSuite() {
+    delete dataset_;
+    delete generator_;
+  }
+
+  static core::ShardState fold_half(bool second, bool all_x509 = false) {
+    const auto& ssl = dataset_->ssl();
+    std::vector<const zeek::X509Record*> x509;
+    for (const auto& [fuid, row] : dataset_->x509()) x509.push_back(&row);
+    const auto half = [second](const auto& rows) {
+      const std::size_t mid = rows.size() / 2;
+      return second ? std::vector(rows.begin() + mid, rows.end())
+                    : std::vector(rows.begin(), rows.begin() + mid);
+    };
+    auto config = core::PipelineConfig::campus_defaults();
+    config.ct = &generator_->ct_database();
+    core::PipelineExecutor executor(std::move(config), 2);
+    return executor.fold(half(ssl), all_x509 ? x509 : half(x509));
+  }
+
+  static gen::TraceGenerator* generator_;
+  static zeek::Dataset* dataset_;
+};
+
+gen::TraceGenerator* CertificateViewTest::generator_ = nullptr;
+zeek::Dataset* CertificateViewTest::dataset_ = nullptr;
+
+TEST_F(CertificateViewTest, ReduceOfTwoLoadedStatesRebuildsTheView) {
+  auto first = core::parse_shard_state(
+      core::serialize_shard_state(fold_half(false)));
+  auto second = core::parse_shard_state(
+      core::serialize_shard_state(fold_half(true)));
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  // A loaded pipeline has no view until it is finalized.
+  EXPECT_THROW(first->pipeline->certificates_sorted(), std::logic_error);
+  first->merge(std::move(*second));
+  first->pipeline->finalize();
+  expect_view_is_sorted_registry(*first->pipeline);
+}
+
+TEST_F(CertificateViewTest, BackfillDropsTheViewAndFinalizeRebuildsIt) {
+  core::ShardState state = fold_half(false);
+  expect_view_is_sorted_registry(*state.pipeline);
+  const core::ShardState other = fold_half(true);
+  const std::size_t before = state.pipeline->certificates().size();
+  state.pipeline->backfill_certificates(other.pipeline->certificates());
+  ASSERT_GT(state.pipeline->certificates().size(), before);
+  EXPECT_THROW(state.pipeline->certificates_sorted(), std::logic_error);
+  state.pipeline->finalize();
+  expect_view_is_sorted_registry(*state.pipeline);
+}
+
+TEST_F(CertificateViewTest, CumulativeCopyOwnsItsViewAcrossAnotherWindow) {
+  // What the watch scheduler does: a cumulative emission renders a copy
+  // of the cumulative state (finalized), then the next window merges
+  // into the cumulative state itself.
+  core::ShardState cumulative = fold_half(false);
+  core::ShardState emitted = cumulative;
+  emitted.pipeline->finalize();
+  expect_view_is_sorted_registry(*emitted.pipeline);
+
+  cumulative.merge(fold_half(true));
+  EXPECT_THROW(cumulative.pipeline->certificates_sorted(), std::logic_error);
+  cumulative.pipeline->finalize();
+  expect_view_is_sorted_registry(*cumulative.pipeline);
+  expect_view_is_sorted_registry(*emitted.pipeline);
+
+  core::ShardState next = cumulative;
+  next.pipeline->finalize();
+  expect_view_is_sorted_registry(*next.pipeline);
+}
+
+/// The registry rule alone: a field list over one certificate map.
+struct RegistryOnly {
+  core::Pipeline::CertMap certs;
+
+  template <class V>
+  static void fields(V& v) {
+    v("certificates", &RegistryOnly::certs,
+      core::rule::registry(&core::CertFacts::fuid));
+  }
+};
+
+TEST_F(CertificateViewTest, MergeByAdoptionEqualsInsertingEveryEntry) {
+  const core::ShardState first = fold_half(false, true);
+  const core::ShardState second = fold_half(true, true);
+  RegistryOnly adopted;
+  RegistryOnly inserted;
+  for (const core::ShardState* shard : {&first, &second}) {
+    const core::Pipeline::CertMap& certs = shard->pipeline->certificates();
+    core::merge_fields(adopted, RegistryOnly{certs});
+    // Every entry inserted or folded one at a time, as before adoption.
+    for (const auto& [fuid, facts] : certs) {
+      const auto it = inserted.certs.find(fuid);
+      if (it == inserted.certs.end()) {
+        inserted.certs.emplace(fuid, facts);
+      } else {
+        core::merge_fields(it->second, core::CertFacts(facts));
+      }
+    }
+  }
+  EXPECT_EQ(adopted.certs.size(), inserted.certs.size());
+  EXPECT_EQ(testing_support::field_differences(adopted, inserted), "");
+  core::StateWriter adopted_bytes;
+  core::StateWriter inserted_bytes;
+  core::write_fields(adopted_bytes, adopted);
+  core::write_fields(inserted_bytes, inserted);
+  EXPECT_EQ(adopted_bytes.buffer(), inserted_bytes.buffer());
 }
 
 // --- Interception accounting is stream-order-independent -------------------
